@@ -1,176 +1,8 @@
-"""Compiled inner loops for the two path solvers (d = 1 registry fields).
+"""Backend flag read by the benchmark harness; no package code imports it.
 
-The Euler and Runge-Kutta path loops dominate the runtime of every Monte
-Carlo harness.  When numba is importable and the environment variable
-``WZSIM_DISABLE_NUMBA`` is unset, the loops run as @njit kernels with one
-prange lane per path; otherwise the solvers fall back to the vectorized
-numpy route in ``solvers`` (same math, batched over paths).  Each path's
-arithmetic is a pure sequential function of its own inputs and results are
-written to per-path slots, so outputs do not depend on the thread count.
-
-Coefficient fields enter through small integer codes and parameter vectors
-(see ``registry``); the Python-side evaluators of those fields implement
-the same closed forms.
+The Euler and Runge-Kutta loops have a single implementation, the numpy
+route in ``solvers``.  ``perfbench/child.py`` stamps this value as the
+``backend`` of every run (``numpy`` when it is False).
 """
 
-from __future__ import annotations
-
-import math
-import os
-
-import numpy as np
-
-_DISABLED = os.environ.get("WZSIM_DISABLE_NUMBA", "") not in ("", "0")
-
-# the image's TBB is too old for numba and only triggers a warning; pin omp
-os.environ.setdefault("NUMBA_THREADING_LAYER", "omp")
-
-try:
-    if _DISABLED:
-        raise ImportError("disabled via WZSIM_DISABLE_NUMBA")
-    import numba
-    from numba import njit, prange
-
-    NUMBA_ENABLED = True
-except ImportError:  # pragma: no cover - exercised via subprocess test
-    numba = None
-    NUMBA_ENABLED = False
-
-    def njit(*args, **kwargs):  # type: ignore
-        def wrap(fn):
-            return fn
-        return wrap
-
-    prange = range  # type: ignore
-
-
-def set_threads(k: int) -> None:
-    """Pin the compiled kernels to (up to) k threads; 0 keeps numba's default.
-
-    Requests above the machine's core budget are clamped, not rejected:
-    results never depend on the thread count, only throughput does.
-    """
-    if NUMBA_ENABLED and k > 0:
-        numba.set_num_threads(max(1, min(k, numba.config.NUMBA_NUM_THREADS)))
-
-
-@njit(cache=True, inline="always")
-def _drift_eval(code: int, par: np.ndarray, x: float) -> float:
-    if code == 0:  # zero
-        return 0.0
-    if code == 1:  # const
-        return par[0]
-    if code == 2:  # indicator of [0, 1]
-        return 1.0 if 0.0 <= x <= 1.0 else 0.0
-    if code == 3:  # piecewise-linear ramp, flank width 2/chi
-        chi = par[0]
-        if x < -2.0 / chi or x > 1.0 + 2.0 / chi:
-            return 0.0
-        if x < 0.0:
-            return chi * x / 2.0 + 1.0
-        if x <= 1.0:
-            return 1.0
-        return -chi * x / 2.0 + (chi + 2.0) / 2.0
-    if code == 4:  # Gaussian-mollified indicator, precision kappa
-        s = math.sqrt(par[0] / 2.0)
-        return 0.5 * (math.erf(x * s) - math.erf((x - 1.0) * s))
-    if code == 5:  # gaussian bump
-        return par[0] * math.exp(-(x * x) / (2.0 * par[1] * par[1]))
-    if code == 6:  # sin * bump on (-r, r)
-        u = x / par[0]
-        if u * u >= 1.0:
-            return 0.0
-        return math.sin(x) * math.exp(1.0 - 1.0 / (1.0 - u * u))
-    return 0.0
-
-
-@njit(cache=True, inline="always")
-def _sigma_eval(code: int, par: np.ndarray, x: float) -> float:
-    if code == 0:  # const
-        return par[0]
-    if code == 1:  # a + b sin x
-        return par[0] + par[1] * math.sin(x)
-    return x  # linear
-
-
-@njit(cache=True, inline="always")
-def _sigma_grad(code: int, par: np.ndarray, x: float) -> float:
-    if code == 0:
-        return 0.0
-    if code == 1:
-        return par[1] * math.cos(x)
-    return 1.0
-
-
-@njit(cache=True, parallel=True)
-def em_kernel(x0, dw, dt, bcode, bpar, scode, spar, c11, limit, out, status):
-    """Euler path loop for dx = (b + c11 sigma sigma') dt + sigma dW, d = 1.
-
-    dw: (paths, steps); out: (paths, steps+1); status[p] = 0 on success or
-    1 + the step index where the path left [-limit, limit] (tail = NaN).
-    """
-    paths, steps = dw.shape
-    for p in prange(paths):
-        x = x0[p]
-        out[p, 0] = x
-        status[p] = 0
-        for k in range(steps):
-            s = _sigma_eval(scode, spar, x)
-            drift = _drift_eval(bcode, bpar, x) + c11 * s * _sigma_grad(scode, spar, x)
-            x = x + drift * dt + s * dw[p, k]
-            if not math.isfinite(x) or abs(x) > limit:
-                status[p] = k + 1
-                for j in range(k + 1, steps + 1):
-                    out[p, j] = np.nan
-                break
-            out[p, k + 1] = x
-
-
-@njit(cache=True, parallel=True)
-def rk4_kernel(x0, vstages, h, bcode, bpar, scode, spar, limit, stride, out, status):
-    """Classical RK4 loop for dx/ds = b(x) + sigma(x) v(s), d = 1.
-
-    vstages: (paths, steps, 3) holds the driver v at the step start,
-    midpoint and end (block-local at kinks); states are recorded every
-    ``stride`` steps into out (paths, steps//stride + 1).
-    """
-    paths, steps, _ = vstages.shape
-    for p in prange(paths):
-        x = x0[p]
-        out[p, 0] = x
-        status[p] = 0
-        rec = 1
-        for k in range(steps):
-            v0 = vstages[p, k, 0]
-            vm = vstages[p, k, 1]
-            v1 = vstages[p, k, 2]
-            k1 = _drift_eval(bcode, bpar, x) + _sigma_eval(scode, spar, x) * v0
-            y = x + 0.5 * h * k1
-            k2 = _drift_eval(bcode, bpar, y) + _sigma_eval(scode, spar, y) * vm
-            y = x + 0.5 * h * k2
-            k3 = _drift_eval(bcode, bpar, y) + _sigma_eval(scode, spar, y) * vm
-            y = x + h * k3
-            k4 = _drift_eval(bcode, bpar, y) + _sigma_eval(scode, spar, y) * v1
-            x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if not math.isfinite(x) or abs(x) > limit:
-                status[p] = k + 1
-                for j in range(rec, out.shape[1]):
-                    out[p, j] = np.nan
-                break
-            if (k + 1) % stride == 0:
-                out[p, rec] = x
-                rec += 1
-
-
-def warmup() -> None:
-    """Trigger compilation of both kernels on a tiny workload."""
-    if not NUMBA_ENABLED:
-        return
-    x0 = np.zeros(1)
-    dw = np.zeros((1, 2))
-    out = np.zeros((1, 3))
-    status = np.zeros(1, dtype=np.int64)
-    par = np.zeros(2)
-    em_kernel(x0, dw, 0.5, 0, par, 0, np.array([1.0, 0.0]), 0.0, 1e12, out, status)
-    vst = np.zeros((1, 2, 3))
-    rk4_kernel(x0, vst, 0.5, 0, par, 0, np.array([1.0, 0.0]), 1e12, 1, out, status)
+NUMBA_ENABLED = False

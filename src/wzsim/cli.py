@@ -35,7 +35,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
-from . import __version__, _kernels
+from . import __version__
 from .coeffs import CorrectionMatrix, DriftApproxSequence, mollified_sequence, ramp_sequence
 from .core import RngStream, ValidationError, make_grid
 from .experiments import (
@@ -62,7 +62,6 @@ class RunConfig:
     command: str
     seed: int
     out: FsPath
-    threads: int
     model: dict = field(default_factory=dict)
     params: dict = field(default_factory=dict)
     config_hash: str = ""
@@ -99,7 +98,7 @@ def _parse_field_spec(spec: str) -> tuple[str, dict]:
     return name, params
 
 
-def load_config(path: str, seed=None, out=None, threads=None) -> RunConfig:
+def load_config(path: str, seed=None, out=None) -> RunConfig:
     p = FsPath(path)
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -118,7 +117,6 @@ def load_config(path: str, seed=None, out=None, threads=None) -> RunConfig:
         command=command,
         seed=int(seed if seed is not None else cp.get("run", "seed", fallback="0")),
         out=FsPath(out if out is not None else cp.get("run", "out", fallback="out")),
-        threads=int(threads if threads is not None else cp.get("run", "threads", fallback="0")),
         model=dict(cp.items("model")) if cp.has_section("model") else {},
         params=dict(cp.items("params")) if cp.has_section("params") else {},
         config_hash=hashlib.sha256(raw).hexdigest()[:16],
@@ -267,8 +265,8 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
     n_list = cfg.param("n_list", default=[16, 32, 64, 128, 256, 512], cast=list)
     paths = int(cfg.param("paths", default=500.0))
     rep = rate_sweep(setup, n_list, paths, stream)
-    rows = [(n, mse, se, paths) for n, mse, se in rep.points]
-    write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths"], rows)
+    rows = [(n, mse, se, paths, ab) for (n, mse, se), ab in zip(rep.points, rep.aborted)]
+    write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths", "aborted"], rows)
     _write_summary(cfg, [
         f"rate-sweep: drift={setup.drift.name} sigma={setup.sigma.name} family={setup.family.name}",
         *(f"  n={n:5d}  mse={mse:.6e} +- {se:.2e}" for n, mse, se in rep.points),
@@ -322,10 +320,11 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
         reports = tube_ladder(drift, sigma, CorrectionMatrix.half_identity(1), x0,
                               target, eps_ladder, paths, stream.child(ti * _STRIDE))
         for rep in reports:
-            rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence))
+            rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence,
+                         rep.aborted))
             lines.append(f"  target={kind:5s} eps={rep.epsilon:<6g} hits={rep.hits:7d}"
                          f"  lcb={rep.lower_confidence:.3e}")
-    write_csv(cfg, "tube.csv", ["target", "epsilon", "paths", "hits", "lcb"], rows)
+    write_csv(cfg, "tube.csv", ["target", "epsilon", "paths", "hits", "lcb", "aborted"], rows)
     _write_summary(cfg, lines)
 
 
@@ -375,7 +374,6 @@ _DISPATCH = {
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
-    _kernels.set_threads(cfg.threads)
     try:
         _DISPATCH[cfg.command](cfg, RngStream(cfg.seed, 0))
     except ValidationError as e:
@@ -392,10 +390,9 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="run configuration file (INI)")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     ap.add_argument("--out", default=None, help="override the output directory")
-    ap.add_argument("--threads", type=int, default=None, help="compiled-kernel threads (0 = auto)")
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed, out=args.out, threads=args.threads)
+        cfg = load_config(args.config, seed=args.seed, out=args.out)
     except ValidationError as e:
         sys.stderr.write(f"error: {e}\n")
         return 2

@@ -33,8 +33,8 @@ class DriftField:
     ``fn`` is vectorized over a leading batch axis: input (m, d), output
     (m, d).  ``sup_value``/``sup_grad`` are present iff the field is
     declared C^1_b; ``lp_norm_fn`` supplies an analytic L^p norm when the
-    support is unbounded.  ``kernel_id``/``kernel_params`` select the
-    compiled fast path of the solvers for registry fields (d = 1).
+    support is unbounded.  ``breakpoints`` lists the jumps and kinks of a
+    d = 1 field, so quadrature panels can be split there.
     """
 
     dim: int
@@ -43,8 +43,6 @@ class DriftField:
     sup_value: float | None = None
     sup_grad: float | None = None
     lp_norm_fn: Callable[[float], float] | None = None
-    kernel_id: int = -1
-    kernel_params: tuple[float, ...] = ()
     breakpoints: tuple[float, ...] = ()
     name: str = "drift"
 
@@ -78,8 +76,6 @@ class DiffusionField:
     grad: Callable[[np.ndarray], np.ndarray]
     ellipticity: float = 1.0
     elliptic: bool = True
-    kernel_id: int = -1
-    kernel_params: tuple[float, ...] = ()
     name: str = "diffusion"
 
 
@@ -183,7 +179,7 @@ def indicator_drift() -> DriftField:
         return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
     return DriftField(dim=1, fn=fn, support_radius=2.0,
-                      lp_norm_fn=lambda p: 1.0, kernel_id=2,
+                      lp_norm_fn=lambda p: 1.0,
                       breakpoints=(0.0, 1.0), name="indicator01")
 
 
@@ -211,7 +207,6 @@ def ramp_approximation(n: int, chi: Callable[[int], float]) -> DriftField:
 
     return DriftField(dim=1, fn=fn, support_radius=1.0 + 2.0 / c + 1e-9,
                       sup_value=1.0, sup_grad=c / 2.0,
-                      kernel_id=3, kernel_params=(c,),
                       breakpoints=(-2.0 / c, 0.0, 1.0, 1.0 + 2.0 / c),
                       name=f"ramp[chi={c:g}]")
 
@@ -220,8 +215,7 @@ def mollified_indicator(kappa: float) -> DriftField:
     """Gaussian mollification of the indicator in closed form.
 
     b * g_kappa(x) = (Phi(x sqrt(kappa)) - Phi((x-1) sqrt(kappa))) with the
-    standard normal CDF Phi; evaluated via erf, which is exact, so the
-    compiled and fallback solvers agree.  The peak is erf(sqrt(kappa/8))
+    standard normal CDF Phi, evaluated via erf.  The peak is erf(sqrt(kappa/8))
     at x = 1/2; the slope bound is taken as the grid maximum of the exact
     derivative (s/sqrt(pi)) (exp(-x^2 s^2) - exp(-(x-1)^2 s^2)).
     """
@@ -240,7 +234,6 @@ def mollified_indicator(kappa: float) -> DriftField:
     return DriftField(dim=1, fn=fn, support_radius=eff,
                       sup_value=float(special.erf(0.5 * s)),
                       sup_grad=float(grad.max()) * (1.0 + 1e-9),
-                      kernel_id=4, kernel_params=(kappa,),
                       name=f"mollified[kappa={kappa:g}]")
 
 

@@ -3,9 +3,9 @@
 Every estimator runs paths in batches with per-path counter-based streams
 (path i of a call uses ``stream.child(i)``), accumulates per-path values
 into arrays indexed by path, and reduces them in fixed order -- so results
-are byte-stable under any worker or batch configuration.  Solver aborts are
-counted and reported; a run whose abort fraction exceeds ``ABORT_TOLERANCE``
-raises instead of returning a biased estimate.
+are byte-stable under any batch size.  Solver aborts are counted and
+reported; a run whose abort fraction exceeds ``ABORT_TOLERANCE`` raises
+instead of returning a biased estimate.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class MeanSupError:
 
 
 def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStream,
-                      batch: int = 256, backend: str | None = None) -> MeanSupError:
+                      batch: int = 256) -> MeanSupError:
     """Mean and standard error of sup_t |X_t - X^n_t|^2 over coupled draws."""
     if paths < 30:
         raise ValidationError("need at least 30 paths")
@@ -94,7 +94,7 @@ def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStre
         m = min(batch, paths - start)
         sup, st_sde, st_ode = coupled_batch(
             setup.drift, b_n, setup.sigma, setup.correction, setup.family, n,
-            setup.x0, stream.child(start), setup.config, m, backend=backend)
+            setup.x0, stream.child(start), setup.config, m)
         bad = (st_sde != 0) | (st_ode != 0)
         aborted += int(bad.sum())
         sup = np.where(bad, np.nan, sup)
@@ -108,12 +108,17 @@ def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStre
 
 @dataclass(frozen=True)
 class RateReport:
-    """MSE against n with a fitted log-log slope and its confidence half-width."""
+    """MSE against n with a fitted log-log slope and its confidence half-width.
+
+    ``aborted`` holds, per level in the order of ``points``, the paths left
+    out of the estimate because a solver aborted them.
+    """
 
     points: tuple[tuple[int, float, float], ...]
     paths: int
     slope: float
     slope_half_width: float
+    aborted: tuple[int, ...]
 
 
 def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
@@ -130,8 +135,6 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     y = np.log(ms)
     coef, res = np.polyfit(x, y, 1, full=True)[:2]
     slope = float(coef[0])
-    if len(points) == 2:
-        return slope, float("inf")
     dof = len(points) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     sigma2 = float(res[0]) / dof if len(res) else 0.0
@@ -140,14 +143,16 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 
 def rate_sweep(setup: WongZakaiSetup, n_list: Sequence[int], paths: int,
-               stream: RngStream, backend: str | None = None) -> RateReport:
+               stream: RngStream) -> RateReport:
     """mc_mean_sup_error across levels plus the fitted slope."""
     pts = []
+    aborted = []
     for i, n in enumerate(sorted(int(v) for v in n_list)):
-        r = mc_mean_sup_error(setup, n, paths, stream.child(i * paths), backend=backend)
+        r = mc_mean_sup_error(setup, n, paths, stream.child(i * paths))
         pts.append((n, r.estimate, r.stderr))
+        aborted.append(r.aborted)
     slope, half = fit_rate([(n, m) for n, m, _ in pts])
-    return RateReport(tuple(pts), paths, slope, half)
+    return RateReport(tuple(pts), paths, slope, half, tuple(aborted))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +177,8 @@ class StabilityReport:
 
 def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionField,
                     c: CorrectionMatrix, x0, n_levels: Sequence[int], paths: int,
-                    stream: RngStream, config: SolverConfig, batch: int = 256,
-                    backend: str | None = None) -> StabilityReport:
+                    stream: RngStream, config: SolverConfig,
+                    batch: int = 256) -> StabilityReport:
     """Co-simulate the b-driven and b_n-driven corrected SDEs on shared noise.
 
     Both solutions start at the same x0 and consume identical increments,
@@ -194,8 +199,8 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
             w = sample_brownian_batch(grid, d, base.child(start), m)
             dw = np.diff(w, axis=1)
             x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (m, d))
-            xv, st1 = em_batch(b, sigma, c, x0v, dw, grid.dt, backend=backend)
-            yv, st2 = em_batch(b_n, sigma, c, x0v, dw, grid.dt, backend=backend)
+            xv, st1 = em_batch(b, sigma, c, x0v, dw, grid.dt)
+            yv, st2 = em_batch(b_n, sigma, c, x0v, dw, grid.dt)
             bad = (st1 != 0) | (st2 != 0)
             aborted += int(bad.sum())
             diff = xv - yv
@@ -223,13 +228,18 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
 
 @dataclass(frozen=True)
 class TubeReport:
-    """Hit statistics for the sup-distance tube of radius epsilon around a target."""
+    """Hit statistics for the sup-distance tube of radius epsilon around a target.
+
+    Aborted paths count as misses; ``aborted`` says how many of the
+    ``paths`` they were.
+    """
 
     target: Path
     epsilon: float
     paths: int
     hits: int
     lower_confidence: float
+    aborted: int
 
 
 def _binomial_lcb(hits: int, paths: int, level: float = 0.95) -> float:
@@ -240,8 +250,9 @@ def _binomial_lcb(hits: int, paths: int, level: float = 0.95) -> float:
 
 
 def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-               target: Path, paths: int, stream: RngStream, batch: int,
-               backend: str | None) -> np.ndarray:
+               target: Path, paths: int, stream: RngStream,
+               batch: int) -> tuple[np.ndarray, int]:
+    """Per-path sup distance to the target (inf when aborted), and the abort count."""
     grid = target.grid
     d = target.dim
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -256,8 +267,7 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
         m = min(batch, paths - start)
         w = sample_brownian_batch(grid, d, stream.child(start), m)
         dw = np.diff(w, axis=1)
-        xv, st = em_batch(b, sigma, c, np.broadcast_to(x0v, (m, d)), dw, grid.dt,
-                          backend=backend)
+        xv, st = em_batch(b, sigma, c, np.broadcast_to(x0v, (m, d)), dw, grid.dt)
         aborted += int((st != 0).sum())
         diff = xv - tv
         with np.errstate(invalid="ignore"):
@@ -265,32 +275,31 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
         sups[start : start + m] = np.where(st != 0, np.inf, s)
     if aborted > ABORT_TOLERANCE * paths:
         raise AbortRateError(aborted, paths)
-    return sups
+    return sups, aborted
 
 
 def tube_probability(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                      target: Path, epsilon: float, paths: int, stream: RngStream,
-                     batch: int = 1024, backend: str | None = None) -> TubeReport:
+                     batch: int = 1024) -> TubeReport:
     """Fraction of corrected-SDE paths staying sup-within epsilon of the target."""
     if epsilon <= 0.0:
         raise ValidationError("epsilon must be positive")
-    sups = _tube_sups(b, sigma, c, x0, target, paths, stream, batch, backend)
+    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream, batch)
     hits = int((sups < epsilon).sum())
-    return TubeReport(target, epsilon, paths, hits, _binomial_lcb(hits, paths))
+    return TubeReport(target, epsilon, paths, hits, _binomial_lcb(hits, paths), aborted)
 
 
 def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                 target: Path, eps_list: Sequence[float], paths: int,
-                stream: RngStream, batch: int = 1024,
-                backend: str | None = None) -> list[TubeReport]:
+                stream: RngStream, batch: int = 1024) -> list[TubeReport]:
     """Tube reports for several radii evaluated on one shared path sample."""
-    sups = _tube_sups(b, sigma, c, x0, target, paths, stream, batch, backend)
+    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream, batch)
     out = []
     for eps in eps_list:
         if eps <= 0.0:
             raise ValidationError("epsilon must be positive")
         hits = int((sups < eps).sum())
-        out.append(TubeReport(target, eps, paths, hits, _binomial_lcb(hits, paths)))
+        out.append(TubeReport(target, eps, paths, hits, _binomial_lcb(hits, paths), aborted))
     return out
 
 
@@ -308,8 +317,8 @@ class GirsanovReport:
 
 
 def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
-                       stream: RngStream, count: int,
-                       backend: str | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       stream: RngStream,
+                       count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simulate Y (driftless Stratonovich reference, Ito form) and its weights.
 
     Y solves dY = correction(sigma, I/2) dt + sigma(Y) dW; the weight is the
@@ -322,7 +331,7 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (count, d))
     w = sample_brownian_batch(grid, d, stream, count)
     dw = np.diff(w, axis=1)
-    yv, st = em_batch(zero_drift(d), sigma, half, x0v, dw, grid.dt, backend=backend)
+    yv, st = em_batch(zero_drift(d), sigma, half, x0v, dw, grid.dt)
     y = yv[:, :-1, :]
     m, steps, _ = y.shape
     # structural check once: every registry diffusion is diagonal, which keeps
@@ -340,23 +349,22 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
 
 
 def girsanov_weight(b: DriftField, sigma: DiffusionField, x0, stream: RngStream,
-                    grid: TimeGrid, backend: str | None = None) -> tuple[float, Path]:
+                    grid: TimeGrid) -> tuple[float, Path]:
     """One Girsanov weight rho_T and the driftless reference path it rode on."""
-    rho, yv, st = _driftless_weights(b, sigma, x0, grid, stream, 1, backend)
+    rho, yv, st = _driftless_weights(b, sigma, x0, grid, stream, 1)
     if st[0] != 0:
         raise AbortRateError(1, 1)
     return float(rho[0]), Path(grid, yv[0])
 
 
 def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
-                  stream: RngStream, grid: TimeGrid, batch: int = 1024,
-                  backend: str | None = None) -> GirsanovReport:
+                  stream: RngStream, grid: TimeGrid, batch: int = 1024) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
     rhos = np.empty(paths)
     aborted = 0
     for start in range(0, paths, batch):
         m = min(batch, paths - start)
-        rho, _, st = _driftless_weights(b, sigma, x0, grid, stream.child(start), m, backend)
+        rho, _, st = _driftless_weights(b, sigma, x0, grid, stream.child(start), m)
         aborted += int((st != 0).sum())
         rhos[start : start + m] = np.where(st != 0, np.nan, rho)
     if aborted > ABORT_TOLERANCE * paths:

@@ -1,8 +1,7 @@
 """Named coefficient fields and noise families addressable from run configs.
 
-Every registry field is vectorized numpy on the Python side and carries the
-integer code its closed form has inside the compiled solver kernels, so the
-fast path and the fallback evaluate the same formula.
+Each registry field is defined once, as a vectorized numpy closed form that
+both solvers evaluate directly.
 """
 
 from __future__ import annotations
@@ -22,31 +21,16 @@ from .coeffs import (
 from .noise import McShane, Mollified, NoiseFamily, PiecewiseShape
 from .shapes import get_kernel, get_shape
 
-# drift kernel codes (keep in sync with _kernels._drift_eval)
-DRIFT_ZERO = 0
-DRIFT_CONST = 1
-DRIFT_INDICATOR = 2
-DRIFT_RAMP = 3
-DRIFT_MOLLIFIED = 4
-DRIFT_GAUSS_BUMP = 5
-DRIFT_SIN_BUMP = 6
-
-# diffusion kernel codes (keep in sync with _kernels._sigma_eval)
-DIFF_CONST = 0
-DIFF_SIN = 1
-DIFF_LINEAR = 2
-
 
 def zero_drift(d: int = 1) -> DriftField:
     return DriftField(dim=d, fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
                       support_radius=1.0, sup_value=0.0, sup_grad=0.0,
-                      lp_norm_fn=lambda p: 0.0, kernel_id=DRIFT_ZERO, name="zero")
+                      lp_norm_fn=lambda p: 0.0, name="zero")
 
 
 def const_drift(v: float, d: int = 1) -> DriftField:
     return DriftField(dim=d, fn=lambda x: np.full_like(np.asarray(x, dtype=float), v),
-                      sup_value=abs(v), sup_grad=0.0,
-                      kernel_id=DRIFT_CONST, kernel_params=(v,), name=f"const[{v:g}]")
+                      sup_value=abs(v), sup_grad=0.0, name=f"const[{v:g}]")
 
 
 def gaussian_bump_drift(amp: float = 1.0, width: float = 1.0) -> DriftField:
@@ -60,8 +44,7 @@ def gaussian_bump_drift(amp: float = 1.0, width: float = 1.0) -> DriftField:
 
     return DriftField(dim=1, fn=fn, support_radius=np.inf,
                       sup_value=abs(amp), sup_grad=abs(amp) * math.exp(-0.5) / width,
-                      lp_norm_fn=norm, kernel_id=DRIFT_GAUSS_BUMP,
-                      kernel_params=(amp, width), name=f"gaussian_bump[{amp:g},{width:g}]")
+                      lp_norm_fn=norm, name=f"gaussian_bump[{amp:g},{width:g}]")
 
 
 def sin_bump_drift(radius: float = 5.0) -> DriftField:
@@ -83,9 +66,7 @@ def sin_bump_drift(radius: float = 5.0) -> DriftField:
     sup_v = float(np.max(np.abs(vals)))
     sup_g = float(np.max(np.abs(np.diff(vals))) / (2 * radius / (1 << 14)))
     return DriftField(dim=1, fn=fn, support_radius=radius,
-                      sup_value=sup_v, sup_grad=sup_g * 1.01,
-                      kernel_id=DRIFT_SIN_BUMP, kernel_params=(radius,),
-                      name=f"sin_bump[{radius:g}]")
+                      sup_value=sup_v, sup_grad=sup_g * 1.01, name=f"sin_bump[{radius:g}]")
 
 
 def _diag_sigma(scalar_fn, scalar_grad_fn, d):
@@ -116,7 +97,6 @@ def const_diffusion(s0: float = 1.0, d: int = 1) -> DiffusionField:
     sigma, grad = _diag_sigma(lambda x: np.full_like(x, s0), lambda x: np.zeros_like(x), d)
     k = max(s0 * s0, 1.0 / (s0 * s0))
     return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=k,
-                          kernel_id=DIFF_CONST, kernel_params=(s0,),
                           name=f"const[{s0:g}]" if s0 != 1.0 else "identity")
 
 
@@ -132,7 +112,6 @@ def sin_elliptic_diffusion(a: float = 1.0, b: float = 0.5, d: int = 1) -> Diffus
     lo, hi = (a - abs(b)) ** 2, (a + abs(b)) ** 2
     k = max(hi, 1.0 / lo)
     return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=k,
-                          kernel_id=DIFF_SIN, kernel_params=(a, b),
                           name=f"sin_elliptic[{a:g},{b:g}]")
 
 
@@ -140,7 +119,7 @@ def linear_diffusion(d: int = 1) -> DiffusionField:
     """sigma(x) = diag(x_i).  Degenerate at 0: oracle-only, not elliptic."""
     sigma, grad = _diag_sigma(lambda x: x, lambda x: np.ones_like(x), d)
     return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=np.inf,
-                          elliptic=False, kernel_id=DIFF_LINEAR, name="linear")
+                          elliptic=False, name="linear")
 
 
 def _ramp_entry(chi: float | None = None, alpha: float | None = None,

@@ -5,10 +5,10 @@ increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
 steps aligned so every kink of the smoothed path is a step boundary.
 
-Dispatch: d = 1 registry coefficients go through the compiled kernels in
-``_kernels`` (unless disabled); everything else runs the vectorized numpy
-route below.  Paths whose state leaves [-limit, limit] are aborted (tail
-NaN) and reported through a status code, never silently dropped.
+Both routes are vectorized over a batch of paths in numpy and accept any
+dimension and any coefficient field.  Paths whose state leaves
+[-limit, limit] are aborted (tail NaN) and reported through a status code,
+never silently dropped.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch
 from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
 from .noise import ApproxPath, NoiseFamily
@@ -55,45 +54,18 @@ class SolverConfig:
         return make_grid(self.horizon, self.n_ref)
 
 
-def _kernelable(b: DriftField, sigma: DiffusionField, d: int, backend: str | None) -> bool:
-    if backend == "numpy":
-        return False
-    if backend == "numba" and not _kernels.NUMBA_ENABLED:
-        raise ValidationError("numba backend requested but unavailable/disabled")
-    if backend is None and not _kernels.NUMBA_ENABLED:
-        return False
-    return d == 1 and b.kernel_id >= 0 and sigma.kernel_id >= 0
-
-
-def _params(field) -> np.ndarray:
-    return np.asarray(field.kernel_params, dtype=float) if field.kernel_params else np.zeros(1)
-
-
 # ---------------------------------------------------------------------------
 # Euler route for the corrected SDE
 # ---------------------------------------------------------------------------
 
 
 def em_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
-             x0: np.ndarray, dw: np.ndarray, dt: float,
-             backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+             x0: np.ndarray, dw: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Euler paths for dX = (b + correction) dt + sigma dW over a batch.
 
     x0: (m, d); dw: (m, steps, d).  Returns values (m, steps+1, d) and a
     per-path status (0 = ok, k = aborted entering step k).
     """
-    m, steps, d = dw.shape
-    if _kernelable(b, sigma, d, backend):
-        out = np.empty((m, steps + 1))
-        status = np.zeros(m, dtype=np.int64)
-        _kernels.em_kernel(np.ascontiguousarray(x0[:, 0]), np.ascontiguousarray(dw[:, :, 0]),
-                           dt, b.kernel_id, _params(b), sigma.kernel_id, _params(sigma),
-                           float(c.matrix[0, 0]), OVERFLOW_LIMIT, out, status)
-        return out[:, :, None], status
-    return _em_numpy(b, sigma, c, x0, dw, dt)
-
-
-def _em_numpy(b, sigma, c, x0, dw, dt):
     m, steps, d = dw.shape
     vals = np.empty((m, steps + 1, d))
     x = np.array(np.broadcast_to(x0, (m, d)), dtype=float)
@@ -112,13 +84,13 @@ def _em_numpy(b, sigma, c, x0, dw, dt):
 
 
 def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
-                        x0, w: Path, backend: str | None = None) -> Path:
+                        x0, w: Path) -> Path:
     """Integrate one corrected-SDE path on the grid of the Brownian sample w."""
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape[0] != w.dim:
         raise ValidationError("x0 dimension does not match the Brownian path")
     dw = np.diff(w.values, axis=0)[None]
-    vals, status = em_batch(b, sigma, c, x0v[None], dw, w.grid.dt, backend=backend)
+    vals, status = em_batch(b, sigma, c, x0v[None], dw, w.grid.dt)
     if status[0] != 0:
         raise SolverAbort(int(status[0]))
     return Path(w.grid, vals[0])
@@ -149,8 +121,7 @@ def _stage_derivs(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int,
 
 
 def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
-              vstages: np.ndarray, h: float, stride: int = 1,
-              backend: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+              vstages: np.ndarray, h: float, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """RK4 paths for dx/ds = b(x) + sigma(x) v(s) with precomputed stage drivers.
 
     vstages: (m, steps, 3, d); records every ``stride`` steps.  Returns
@@ -159,19 +130,6 @@ def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
     m, steps, _, d = vstages.shape
     if steps % stride:
         raise ValidationError("stride must divide the step count")
-    if _kernelable(b, sigma, d, backend):
-        out = np.empty((m, steps // stride + 1))
-        status = np.zeros(m, dtype=np.int64)
-        _kernels.rk4_kernel(np.ascontiguousarray(x0[:, 0]),
-                            np.ascontiguousarray(vstages[:, :, :, 0]), h,
-                            b.kernel_id, _params(b), sigma.kernel_id, _params(sigma),
-                            OVERFLOW_LIMIT, stride, out, status)
-        return out[:, :, None], status
-    return _rk4_numpy(b, sigma, x0, vstages, h, stride)
-
-
-def _rk4_numpy(b, sigma, x0, vstages, h, stride):
-    m, steps, _, d = vstages.shape
     vals = np.empty((m, steps // stride + 1, d))
     x = np.array(np.broadcast_to(x0, (m, d)), dtype=float)
     vals[:, 0] = x
@@ -201,8 +159,7 @@ def _rk4_numpy(b, sigma, x0, vstages, h, stride):
 
 def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
                      x0, m_ode: int = 16, block_start: int = 0,
-                     block_end: int | None = None,
-                     backend: str | None = None) -> Path:
+                     block_end: int | None = None) -> Path:
     """Integrate dx/ds = b_n(x) + sigma(x) dW^n/ds over whole noise blocks.
 
     Returns the solution sampled on the ODE step grid (m_ode steps per
@@ -221,7 +178,7 @@ def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
     h = 1.0 / (wn.n * m_ode)
     vst = _stage_derivs(wn.family, wn.brownian.values[None], wn.n, wn.msub,
                         block_start, block_end, m_ode)
-    vals, status = rk4_batch(b_n, sigma, x0v[None], vst, h, backend=backend)
+    vals, status = rk4_batch(b_n, sigma, x0v[None], vst, h)
     if status[0] != 0:
         raise SolverAbort(int(status[0]))
     grid = make_grid((block_end - block_start) / wn.n, (block_end - block_start) * m_ode)
@@ -256,8 +213,8 @@ def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int, int]:
 
 def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                   c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
-                  stream: RngStream, config: SolverConfig, count: int,
-                  backend: str | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  stream: RngStream, config: SolverConfig,
+                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Co-simulate the corrected SDE and the random ODE on shared noise.
 
     Path i consumes stream.child(i).  Returns (sup_error, status_sde,
@@ -269,10 +226,9 @@ def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (count, d))
     w = sample_brownian_batch(grid, d, stream, count)
     dw = np.diff(w, axis=1)
-    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt, backend=backend)
+    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt)
     vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
-    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int),
-                            stride=m_int // msub, backend=backend)
+    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int), stride=m_int // msub)
     diff = xv - xnv
     with np.errstate(invalid="ignore"):
         sup = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
@@ -281,8 +237,7 @@ def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
 
 def coupled_run(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                 c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
-                stream: RngStream, config: SolverConfig,
-                backend: str | None = None) -> CoupledRun:
+                stream: RngStream, config: SolverConfig) -> CoupledRun:
     """One shared-noise draw: corrected SDE vs random ODE, plus their sup distance."""
     d = sigma.dim
     blocks, msub, m_int = _coupling_layout(config, n)
@@ -290,12 +245,11 @@ def coupled_run(b: DriftField, b_n: DriftField, sigma: DiffusionField,
     x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (1, d))
     w = sample_brownian_batch(grid, d, stream, 1)
     dw = np.diff(w, axis=1)
-    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt, backend=backend)
+    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt)
     if st_sde[0] != 0:
         raise SolverAbort(int(st_sde[0]))
     vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
-    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int),
-                            stride=m_int // msub, backend=backend)
+    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int), stride=m_int // msub)
     if st_ode[0] != 0:
         raise SolverAbort(int(st_ode[0]))
     x_path = Path(grid, xv[0])

@@ -1,8 +1,7 @@
-import subprocess
-import sys
-
 import numpy as np
+import pytest
 
+from wzsim import experiments
 from wzsim.cli import main
 
 
@@ -113,7 +112,7 @@ def test_rate_sweep_csv_schema(tmp_path):
     cfg = write(tmp_path, "r.ini", RATE_CFG.format(out=out))
     assert run_cli("--config", cfg) == 0
     lines = (out / "rate_sweep.csv").read_text().splitlines()
-    assert lines[1] == "n,mse,stderr,paths"
+    assert lines[1] == "n,mse,stderr,paths,aborted"
     assert len(lines) == 5
     ns = [int(l.split(",")[0]) for l in lines[2:]]
     assert ns == [8, 16, 32]
@@ -130,18 +129,6 @@ def test_seed_override_changes_output(tmp_path):
     b3 = (out3 / "rate_sweep.csv").read_bytes()
     assert b1 == b2
     assert b1 != b3
-
-
-def test_thread_count_does_not_change_bytes(tmp_path):
-    # the reproducibility contract: one worker vs eight, identical CSV bytes
-    out1, out2 = tmp_path / "t1", tmp_path / "t8"
-    cfg = write(tmp_path, "r.ini", RATE_CFG.format(out="PLACEHOLDER"))
-    cmd = [sys.executable, "-m", "wzsim.cli", "--config", cfg]
-    subprocess.run(cmd + ["--out", str(out1), "--threads", "1"], check=True,
-                   capture_output=True)
-    subprocess.run(cmd + ["--out", str(out2), "--threads", "8"], check=True,
-                   capture_output=True)
-    assert (out1 / "rate_sweep.csv").read_bytes() == (out2 / "rate_sweep.csv").read_bytes()
 
 
 def test_def31_command(tmp_path):
@@ -191,9 +178,7 @@ n_ref = 1024
     assert abs(mean_rho - 1.0) < 0.1
 
 
-def test_tube_command(tmp_path):
-    out = tmp_path / "res"
-    cfg = write(tmp_path, "t.ini", f"""
+TUBE_CFG = """
 [run]
 command = tube
 seed = 3
@@ -209,15 +194,49 @@ paths = 3000
 n_ref = 512
 eps_ladder = 0.5 1.0 2.0
 targets = const line
-""")
+"""
+
+
+def test_tube_command(tmp_path):
+    out = tmp_path / "res"
+    cfg = write(tmp_path, "t.ini", TUBE_CFG.format(out=out))
     assert run_cli("--config", cfg) == 0
     lines = (out / "tube.csv").read_text().splitlines()
-    assert lines[1] == "target,epsilon,paths,hits,lcb"
+    assert lines[1] == "target,epsilon,paths,hits,lcb,aborted"
     rows = [l.split(",") for l in lines[2:]]
     assert len(rows) == 6
     for kind in ("const", "line"):
         hits = [int(r[3]) for r in rows if r[0] == kind]
         assert hits == sorted(hits)
+
+
+ABORT_CASES = {
+    # command: (solver it batches over, config, CSV, batches per row); a
+    # rate-sweep level of 100 paths is one batch, 3000 tube paths are three
+    "rate-sweep": ("coupled_batch", RATE_CFG.replace("paths = 60", "paths = 100"),
+                   "rate_sweep.csv", 1),
+    "tube": ("em_batch", TUBE_CFG, "tube.csv", 3),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ABORT_CASES))
+def test_aborted_paths_reach_the_csv(tmp_path, monkeypatch, command):
+    # the solver reports the first path of every batch as aborted
+    solver, cfg_text, csv_name, batches = ABORT_CASES[command]
+    solve = getattr(experiments, solver)
+
+    def abort_first_path(*args, **kwargs):
+        *values, status = solve(*args, **kwargs)
+        status = status.copy()
+        status[0] = 1
+        return (*values, status)
+
+    monkeypatch.setattr(experiments, solver, abort_first_path)
+    out = tmp_path / "res"
+    assert run_cli("--config", write(tmp_path, "a.ini", cfg_text.format(out=out))) == 0
+    lines = (out / csv_name).read_text().splitlines()
+    assert lines[1].endswith(",aborted")
+    assert [int(line.split(",")[-1]) for line in lines[2:]] == [batches] * len(lines[2:])
 
 
 def test_abort_threshold_exits_3(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,13 +61,11 @@ def test_zero_setup_reports_exact_zero():
 
 def _zero_sigma():
     from wzsim.coeffs import DiffusionField
-    from wzsim.registry import DIFF_CONST
 
     return DiffusionField(dim=1,
                           sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
                           grad=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
                           ellipticity=np.inf, elliptic=False,
-                          kernel_id=DIFF_CONST, kernel_params=(0.0,),
                           name="zero_sigma")
 
 
@@ -84,11 +84,33 @@ def test_estimate_is_deterministic():
     assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
-def test_batched_and_unbatched_estimates_agree():
-    s = _setup()
-    a = mc_mean_sup_error(s, 16, 70, RngStream(4, 0), batch=7)
-    b = mc_mean_sup_error(s, 16, 70, RngStream(4, 0), batch=70)
-    assert a.estimate == b.estimate
+BATCHED_ESTIMATORS = {
+    "mc_mean_sup_error": lambda batch: mc_mean_sup_error(
+        _setup(), 16, 70, RngStream(4, 0), batch=batch),
+    "stability_sweep": lambda batch: stability_sweep(
+        indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
+        sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, [16, 64], 70, RngStream(4, 1),
+        SolverConfig(n_ref=256), batch=batch),
+    # the target path is an input echoed into every report; compare the rest
+    "tube_ladder": lambda batch: [dataclasses.replace(r, target=None) for r in tube_ladder(
+        indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
+        make_target("line", make_grid(1.0, 256), 0.0), [0.25, 0.5, 1.0], 70,
+        RngStream(4, 2), batch=batch)],
+    "girsanov_mean": lambda batch: girsanov_mean(
+        indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0, 70, RngStream(4, 3),
+        make_grid(1.0, 256), batch=batch),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(BATCHED_ESTIMATORS))
+def test_batched_and_unbatched_estimates_agree(estimator):
+    # path i always consumes stream.child(i), so the batch size (7 divides
+    # the 70 paths, 16 does not, 70 is one batch) must not change a single
+    # field of the report
+    run = BATCHED_ESTIMATORS[estimator]
+    unbatched = run(70)
+    assert run(7) == unbatched
+    assert run(16) == unbatched
 
 
 def test_identity_coupling_additive_noise_is_exact_zero():

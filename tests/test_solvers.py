@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from wzsim.coeffs import CorrectionMatrix
-from wzsim.core import Path, RngStream, make_grid, sample_brownian, ValidationError
+from wzsim.core import (Path, RngStream, ValidationError, make_grid, sample_brownian,
+                        sample_brownian_batch)
 from wzsim.noise import Mollified, PiecewiseShape, build_approximation
 from wzsim.registry import (
     const_diffusion,
@@ -18,6 +19,7 @@ from wzsim.solvers import (
     SolverAbort,
     SolverConfig,
     coupled_run,
+    em_batch,
     solve_ito_corrected,
     solve_random_ode,
 )
@@ -39,17 +41,27 @@ def test_zero_noise_constant_sigma_keeps_state():
     assert np.all(x.values == 0.7)
 
 
+def _geometric_terminals(g, seed, count):
+    """Terminal states of dX = X o dW from x0 = 1 for paths RngStream(seed, i), i < count.
+
+    The paths are integrated in one batch; path 0 is also integrated alone
+    through solve_ito_corrected, which must give the same values.
+    """
+    w = sample_brownian_batch(g, 1, RngStream(seed, 0), count)
+    x, status = em_batch(zero_drift(), linear_diffusion(), HALF, np.ones((count, 1)),
+                         np.diff(w, axis=1), g.dt)
+    assert np.all(status == 0)
+    single = solve_ito_corrected(zero_drift(), linear_diffusion(), HALF, 1.0, Path(g, w[0]))
+    assert np.array_equal(single.values, x[0])
+    return x[:, -1, 0], w[:, -1, 0]
+
+
 def test_geometric_oracle_em():
     # corrected equation with sigma(x) = x and c = 1/2 is dX = X/2 dt + X dW,
     # whose strong solution is x0 exp(W_t)
-    g = make_grid(1.0, 1 << 14)
-    errs = []
-    for i in range(300):
-        w = sample_brownian(g, 1, RngStream(404, i))
-        x = solve_ito_corrected(zero_drift(), linear_diffusion(), HALF, 1.0, w)
-        oracle = np.exp(w.values[-1, 0])
-        errs.append((x.values[-1, 0] - oracle) / oracle)
-    rms = float(np.sqrt(np.mean(np.square(errs))))
+    x_t, w_t = _geometric_terminals(make_grid(1.0, 1 << 14), 404, 300)
+    oracle = np.exp(w_t)
+    rms = float(np.sqrt(np.mean(np.square((x_t - oracle) / oracle))))
     assert rms < 1e-2
 
 
@@ -58,15 +70,19 @@ def test_refining_the_grid_halves_the_squared_error():
     # ~1/sqrt(2); tolerance brackets a factor-2 slack either way
     rms = {}
     for steps in (1 << 10, 1 << 11):
-        g = make_grid(1.0, steps)
-        errs = []
-        for i in range(1000):
-            w = sample_brownian(g, 1, RngStream(708, i))
-            x = solve_ito_corrected(zero_drift(), linear_diffusion(), HALF, 1.0, w)
-            errs.append(x.values[-1, 0] - np.exp(w.values[-1, 0]))
-        rms[steps] = float(np.sqrt(np.mean(np.square(errs))))
+        x_t, w_t = _geometric_terminals(make_grid(1.0, steps), 708, 1000)
+        rms[steps] = float(np.sqrt(np.mean(np.square(x_t - np.exp(w_t)))))
     factor = rms[1 << 11] / rms[1 << 10]
     assert 0.5 / np.sqrt(2) <= factor <= 2.0 / np.sqrt(2)
+
+
+def test_d2_runs_through_the_numpy_route():
+    d2 = sample_brownian_batch(make_grid(1.0, 8), 2, RngStream(1, 0), 2)
+    v, s = em_batch(zero_drift(), const_diffusion(1.0, d=2), CorrectionMatrix.half_identity(2),
+                    np.zeros((2, 2)), np.diff(d2, axis=1), 1.0 / 8)
+    assert v.shape == (2, 9, 2)
+    assert np.all(s == 0)
+    assert np.allclose(v[:, 1:], d2[:, 1:], atol=1e-12)
 
 
 def test_overflow_aborts_with_diagnostic():
@@ -95,13 +111,11 @@ def _approx(n=32, steps=512, seed=9, sid=1, family=LIN):
 
 def _zero_sigma():
     from wzsim.coeffs import DiffusionField
-    from wzsim.registry import DIFF_CONST
 
     return DiffusionField(dim=1,
                           sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
                           grad=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
                           ellipticity=np.inf, elliptic=False,
-                          kernel_id=DIFF_CONST, kernel_params=(0.0,),
                           name="zero_sigma")
 
 

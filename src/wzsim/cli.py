@@ -288,8 +288,9 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
                           horizon=cfg.param("t", default=1.0))
     rep = stability_sweep(drift, seq, sigma, CorrectionMatrix.half_identity(1),
                           _model_x0(cfg), n_list, paths, stream, config)
-    rows = [(lvl, dist, mse, se) for lvl, (n, dist, mse, se) in enumerate(rep.levels)]
-    write_csv(cfg, "stability.csv", ["level", "lp_distance", "mse", "stderr"], rows)
+    rows = [(lvl, dist, mse, se, ab)
+            for lvl, ((n, dist, mse, se), ab) in enumerate(zip(rep.levels, rep.aborted))]
+    write_csv(cfg, "stability.csv", ["level", "lp_distance", "mse", "stderr", "aborted"], rows)
     _write_summary(cfg, [
         f"stability: drift={drift.name} sequence={seq.name} sigma={sigma.name} paths={paths}",
         *(f"  n={n:5d}  ||b-b_n||_p={dist:.5f}  mse={mse:.6e} +- {se:.2e}"
@@ -334,8 +335,8 @@ def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
     paths = int(cfg.param("paths", default=10000.0))
     grid = make_grid(cfg.param("t", default=1.0), int(cfg.param("n_ref", default=4096.0)))
     rep = girsanov_mean(drift, sigma, _model_x0(cfg), paths, stream, grid)
-    write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight"],
-              [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight)])
+    write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight", "aborted"],
+              [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight, rep.aborted)])
     dev = abs(rep.mean_rho - 1.0) / rep.stderr if rep.stderr > 0 else 0.0
     _write_summary(cfg, [
         f"girsanov-check: drift={drift.name} sigma={sigma.name} paths={paths}",

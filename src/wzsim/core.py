@@ -145,9 +145,11 @@ def sup_distance(a: Path, b: Path) -> float:
         raise ValidationError("paths live on different grids")
     if a.dim != b.dim:
         raise ValidationError("paths have different dimensions")
-    return sup_distance_values(a.values, b.values)
+    return float(sup_distance_values(a.values, b.values))
 
 
-def sup_distance_values(a: np.ndarray, b: np.ndarray) -> float:
+def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sup over the grid nodes (axis -2) of the Euclidean distance, per path; NaN paths give NaN."""
     diff = a - b
-    return float(np.sqrt((diff * diff).sum(axis=-1)).max())
+    with np.errstate(invalid="ignore"):
+        return np.sqrt((diff * diff).sum(axis=-1)).max(axis=-1)

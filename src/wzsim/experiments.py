@@ -1,18 +1,20 @@
 """Monte Carlo harnesses: convergence rates, stability, tubes, Girsanov weights.
 
-Every estimator runs paths in batches with per-path counter-based streams
-(path i of a call uses ``stream.child(i)``), accumulates per-path values
-into arrays indexed by path, and reduces them in fixed order -- so results
-are byte-stable under any batch size.  Solver aborts are counted and
-reported; a run whose abort fraction exceeds ``ABORT_TOLERANCE`` raises
-instead of returning a biased estimate.
+Every estimator runs its paths through one driver, ``_run_paths``, in
+batches with per-path counter-based streams (path i of a call uses
+``stream.child(i)``); it keeps one value per path in path order, which the
+estimator reduces in that fixed order -- so results are byte-stable under
+any batch size.  A path whose solver status is non-zero or whose value is
+not finite is aborted: left out, counted and reported.  A run whose abort
+fraction exceeds ``ABORT_TOLERANCE`` raises instead of returning a biased
+estimate.  Input checks run before the first path is simulated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import stats
@@ -24,7 +26,7 @@ from .coeffs import (
     DriftField,
     lp_distance,
 )
-from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch
+from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch, sup_distance_values
 from .noise import NoiseFamily
 from .registry import zero_drift
 from .solvers import SolverConfig, coupled_batch, em_batch
@@ -39,6 +41,22 @@ class AbortRateError(RuntimeError):
         super().__init__(f"{aborted}/{paths} paths aborted (> {ABORT_TOLERANCE:.0%})")
         self.aborted = aborted
         self.paths = paths
+
+
+def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, np.ndarray]],
+               paths: int, stream: RngStream, batch: int) -> tuple[np.ndarray, int]:
+    """Values of the paths that did not abort, in path order, and the abort count."""
+    values = np.empty(paths)
+    kept = np.empty(paths, dtype=bool)
+    for start in range(0, paths, batch):
+        m = min(batch, paths - start)
+        v, status = simulate(stream.child(start), m)
+        values[start : start + m] = v
+        kept[start : start + m] = (status == 0) & np.isfinite(v)
+    aborted = paths - int(kept.sum())
+    if aborted > ABORT_TOLERANCE * paths:
+        raise AbortRateError(aborted, paths)
+    return values[kept], aborted
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -88,21 +106,15 @@ def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStre
     if paths < 30:
         raise ValidationError("need at least 30 paths")
     b_n = setup.smoothed_drift(n)
-    sups = np.empty(paths)
-    aborted = 0
-    for start in range(0, paths, batch):
-        m = min(batch, paths - start)
+
+    def simulate(s: RngStream, m: int):
         sup, st_sde, st_ode = coupled_batch(
             setup.drift, b_n, setup.sigma, setup.correction, setup.family, n,
-            setup.x0, stream.child(start), setup.config, m)
-        bad = (st_sde != 0) | (st_ode != 0)
-        aborted += int(bad.sum())
-        sup = np.where(bad, np.nan, sup)
-        sups[start : start + m] = sup
-    if aborted > ABORT_TOLERANCE * paths:
-        raise AbortRateError(aborted, paths)
-    good = sups[np.isfinite(sups)]
-    est, se = _mean_se(good**2)
+            setup.x0, s, setup.config, m)
+        return sup, st_sde | st_ode
+
+    sups, aborted = _run_paths(simulate, paths, stream, batch)
+    est, se = _mean_se(sups**2)
     return MeanSupError(est, se, paths, aborted)
 
 
@@ -121,14 +133,20 @@ class RateReport:
     aborted: tuple[int, ...]
 
 
-def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Least-squares slope of log(mse) against log(n), with 95% half-width."""
-    if len(points) < 3:
+def _fit_levels(ns: Sequence[float]) -> np.ndarray:
+    """The levels of a rate fit as floats; at least 3, all distinct."""
+    if len(ns) < 3:
         raise ValidationError("need at least 3 points to fit a rate")
-    ns = np.array([p[0] for p in points], dtype=float)
-    ms = np.array([p[1] for p in points], dtype=float)
+    ns = np.array(ns, dtype=float)
     if len(np.unique(ns)) != len(ns):
         raise ValidationError("n values must be distinct")
+    return ns
+
+
+def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
+    """Least-squares slope of log(mse) against log(n), with 95% half-width."""
+    ns = _fit_levels([p[0] for p in points])
+    ms = np.array([p[1] for p in points], dtype=float)
     if np.any(ms <= 0.0):
         raise ValidationError("mse values must be positive")
     x = np.log(ns)
@@ -145,9 +163,11 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 def rate_sweep(setup: WongZakaiSetup, n_list: Sequence[int], paths: int,
                stream: RngStream) -> RateReport:
     """mc_mean_sup_error across levels plus the fitted slope."""
+    levels = sorted(int(v) for v in n_list)
+    _fit_levels(levels)
     pts = []
     aborted = []
-    for i, n in enumerate(sorted(int(v) for v in n_list)):
+    for i, n in enumerate(levels):
         r = mc_mean_sup_error(setup, n, paths, stream.child(i * paths))
         pts.append((n, r.estimate, r.stderr))
         aborted.append(r.aborted)
@@ -166,13 +186,15 @@ class StabilityReport:
 
     ``fitted_constant`` is the least-squares coefficient of mse on the
     squared drift distance (through the origin); ``max_ratio`` the largest
-    observed mse / distance^2.
+    observed mse / distance^2.  ``aborted`` holds, per level, the paths left
+    out of the estimate because a solver aborted them.
     """
 
     levels: tuple[tuple[int, float, float, float], ...]
     paths: int
     fitted_constant: float
     max_ratio: float
+    aborted: tuple[int, ...]
 
 
 def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionField,
@@ -186,39 +208,28 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
     bound.
     """
     grid = config.grid()
-    d = sigma.dim
     levels = []
+    aborted = []
     for li, n in enumerate(sorted(int(v) for v in n_levels)):
         b_n = seq.generator(n)
-        dist = lp_distance(b, b_n, seq.p)
-        sups = np.empty(paths)
-        aborted = 0
-        base = stream.child(li * paths)
-        for start in range(0, paths, batch):
-            m = min(batch, paths - start)
-            w = sample_brownian_batch(grid, d, base.child(start), m)
-            dw = np.diff(w, axis=1)
-            x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (m, d))
-            xv, st1 = em_batch(b, sigma, c, x0v, dw, grid.dt)
-            yv, st2 = em_batch(b_n, sigma, c, x0v, dw, grid.dt)
-            bad = (st1 != 0) | (st2 != 0)
-            aborted += int(bad.sum())
-            diff = xv - yv
-            with np.errstate(invalid="ignore"):
-                s = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
-            sups[start : start + m] = np.where(bad, np.nan, s)
-        if aborted > ABORT_TOLERANCE * paths:
-            raise AbortRateError(aborted, paths)
-        good = sups[np.isfinite(sups)]
-        mse, se = _mean_se(good**2)
-        levels.append((n, dist, mse, se))
+
+        def simulate(s: RngStream, m: int):
+            dw = np.diff(sample_brownian_batch(grid, sigma.dim, s, m), axis=1)
+            xv, st1 = em_batch(b, sigma, c, x0, dw, grid.dt)
+            yv, st2 = em_batch(b_n, sigma, c, x0, dw, grid.dt)
+            return sup_distance_values(xv, yv), st1 | st2
+
+        sups, ab = _run_paths(simulate, paths, stream.child(li * paths), batch)
+        mse, se = _mean_se(sups**2)
+        levels.append((n, lp_distance(b, b_n, seq.p), mse, se))
+        aborted.append(ab)
     d2 = np.array([lv[1] ** 2 for lv in levels])
     ms = np.array([lv[2] for lv in levels])
     denom = float(np.sum(d2 * d2))
     fitted = float(np.sum(ms * d2) / denom) if denom > 0 else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(d2 > 0, ms / d2, 0.0)
-    return StabilityReport(tuple(levels), paths, fitted, float(ratios.max()))
+    return StabilityReport(tuple(levels), paths, fitted, float(ratios.max()), tuple(aborted))
 
 
 # ---------------------------------------------------------------------------
@@ -252,52 +263,38 @@ def _binomial_lcb(hits: int, paths: int, level: float = 0.95) -> float:
 def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                target: Path, paths: int, stream: RngStream,
                batch: int) -> tuple[np.ndarray, int]:
-    """Per-path sup distance to the target (inf when aborted), and the abort count."""
+    """Sup distances to the target of the paths that did not abort, and the abort count."""
     grid = target.grid
-    d = target.dim
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0v.shape[0] != d:
+    if x0v.shape[0] != target.dim:
         raise ValidationError("x0 dimension does not match the target path")
     if np.max(np.abs(target.values[0] - x0v)) > 1e-12:
         raise ValidationError("target path must start at x0")
-    sups = np.empty(paths)
-    aborted = 0
-    tv = target.values[None]
-    for start in range(0, paths, batch):
-        m = min(batch, paths - start)
-        w = sample_brownian_batch(grid, d, stream.child(start), m)
-        dw = np.diff(w, axis=1)
-        xv, st = em_batch(b, sigma, c, np.broadcast_to(x0v, (m, d)), dw, grid.dt)
-        aborted += int((st != 0).sum())
-        diff = xv - tv
-        with np.errstate(invalid="ignore"):
-            s = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
-        sups[start : start + m] = np.where(st != 0, np.inf, s)
-    if aborted > ABORT_TOLERANCE * paths:
-        raise AbortRateError(aborted, paths)
-    return sups, aborted
+
+    def simulate(s: RngStream, m: int):
+        dw = np.diff(sample_brownian_batch(grid, target.dim, s, m), axis=1)
+        xv, st = em_batch(b, sigma, c, x0v, dw, grid.dt)
+        return sup_distance_values(xv, target.values), st
+
+    return _run_paths(simulate, paths, stream, batch)
 
 
 def tube_probability(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                      target: Path, epsilon: float, paths: int, stream: RngStream,
                      batch: int = 1024) -> TubeReport:
     """Fraction of corrected-SDE paths staying sup-within epsilon of the target."""
-    if epsilon <= 0.0:
-        raise ValidationError("epsilon must be positive")
-    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream, batch)
-    hits = int((sups < epsilon).sum())
-    return TubeReport(target, epsilon, paths, hits, _binomial_lcb(hits, paths), aborted)
+    return tube_ladder(b, sigma, c, x0, target, [epsilon], paths, stream, batch)[0]
 
 
 def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                 target: Path, eps_list: Sequence[float], paths: int,
                 stream: RngStream, batch: int = 1024) -> list[TubeReport]:
     """Tube reports for several radii evaluated on one shared path sample."""
+    if any(eps <= 0.0 for eps in eps_list):
+        raise ValidationError("epsilon must be positive")
     sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream, batch)
     out = []
     for eps in eps_list:
-        if eps <= 0.0:
-            raise ValidationError("epsilon must be positive")
         hits = int((sups < eps).sum())
         out.append(TubeReport(target, eps, paths, hits, _binomial_lcb(hits, paths), aborted))
     return out
@@ -310,10 +307,21 @@ def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
 
 @dataclass(frozen=True)
 class GirsanovReport:
+    """Weight statistics over the ``paths`` less the ``aborted`` ones the solver dropped."""
+
     mean_rho: float
     stderr: float
     max_weight: float
     paths: int
+    aborted: int
+
+
+def _require_diagonal(sigma: DiffusionField) -> None:
+    """Girsanov weights invert sigma pointwise; probe fixed points, drawing on no stream."""
+    d = sigma.dim
+    probe = sigma.sigma(np.linspace(-3.0, 3.0, 16 * d).reshape(16, d))
+    if not np.allclose(probe, probe * np.eye(d), atol=1e-12):
+        raise ValidationError("girsanov weights support diagonal diffusion fields only")
 
 
 def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
@@ -323,22 +331,15 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
 
     Y solves dY = correction(sigma, I/2) dt + sigma(Y) dW; the weight is the
     left-point discretization of exp(int b* sigma^-1 dW - 1/2 int b*(sigma
-    sigma*)^-1 b ds) along Y.  Only diagonal sigma is supported (all
-    registry diffusions are diagonal), which keeps the inverse pointwise.
+    sigma*)^-1 b ds) along Y.  sigma must pass ``_require_diagonal``.
     """
     d = sigma.dim
     half = CorrectionMatrix.half_identity(d)
-    x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (count, d))
     w = sample_brownian_batch(grid, d, stream, count)
     dw = np.diff(w, axis=1)
-    yv, st = em_batch(zero_drift(d), sigma, half, x0v, dw, grid.dt)
+    yv, st = em_batch(zero_drift(d), sigma, half, x0, dw, grid.dt)
     y = yv[:, :-1, :]
     m, steps, _ = y.shape
-    # structural check once: every registry diffusion is diagonal, which keeps
-    # the pointwise inverse trivial
-    probe = sigma.sigma(stream.generator().standard_normal((16, d)))
-    if not np.allclose(probe, probe * np.eye(d), atol=1e-12):
-        raise ValidationError("girsanov weights support diagonal diffusion fields only")
     flat = y.reshape(-1, d)
     diag = np.einsum("mkii->mki", sigma.sigma(flat).reshape(m, steps, d, d))
     if np.any(np.abs(diag) < 1e-12):
@@ -351,6 +352,7 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
 def girsanov_weight(b: DriftField, sigma: DiffusionField, x0, stream: RngStream,
                     grid: TimeGrid) -> tuple[float, Path]:
     """One Girsanov weight rho_T and the driftless reference path it rode on."""
+    _require_diagonal(sigma)
     rho, yv, st = _driftless_weights(b, sigma, x0, grid, stream, 1)
     if st[0] != 0:
         raise AbortRateError(1, 1)
@@ -360,18 +362,15 @@ def girsanov_weight(b: DriftField, sigma: DiffusionField, x0, stream: RngStream,
 def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
                   stream: RngStream, grid: TimeGrid, batch: int = 1024) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
-    rhos = np.empty(paths)
-    aborted = 0
-    for start in range(0, paths, batch):
-        m = min(batch, paths - start)
-        rho, _, st = _driftless_weights(b, sigma, x0, grid, stream.child(start), m)
-        aborted += int((st != 0).sum())
-        rhos[start : start + m] = np.where(st != 0, np.nan, rho)
-    if aborted > ABORT_TOLERANCE * paths:
-        raise AbortRateError(aborted, paths)
-    good = rhos[np.isfinite(rhos)]
-    mean, se = _mean_se(good)
-    return GirsanovReport(mean, se, float(good.max()), paths)
+    _require_diagonal(sigma)
+
+    def simulate(s: RngStream, m: int):
+        rho, _, st = _driftless_weights(b, sigma, x0, grid, s, m)
+        return rho, st
+
+    rhos, aborted = _run_paths(simulate, paths, stream, batch)
+    mean, se = _mean_se(rhos)
+    return GirsanovReport(mean, se, float(rhos.max()), paths, aborted)
 
 
 # ---------------------------------------------------------------------------

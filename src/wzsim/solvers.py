@@ -63,7 +63,7 @@ def em_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
              x0: np.ndarray, dw: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """Euler paths for dX = (b + correction) dt + sigma dW over a batch.
 
-    x0: (m, d); dw: (m, steps, d).  Returns values (m, steps+1, d) and a
+    x0: broadcast to (m, d); dw: (m, steps, d).  Returns values (m, steps+1, d) and a
     per-path status (0 = ok, k = aborted entering step k).
     """
     m, steps, d = dw.shape
@@ -211,6 +211,21 @@ def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int, int]:
     return blocks, msub, m_int
 
 
+def _coupled_paths(b: DriftField, b_n: DriftField, sigma: DiffusionField,
+                   c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
+                   stream: RngStream, config: SolverConfig,
+                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(sde_values, status_sde, ode_values, status_ode) of ``count`` shared-noise
+    draws on the reference grid; path i consumes stream.child(i)."""
+    blocks, msub, m_int = _coupling_layout(config, n)
+    grid = config.grid()
+    w = sample_brownian_batch(grid, sigma.dim, stream, count)
+    xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
+    vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
+    xnv, st_ode = rk4_batch(b_n, sigma, x0, vst, 1.0 / (n * m_int), stride=m_int // msub)
+    return xv, st_sde, xnv, st_ode
+
+
 def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                   c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
                   stream: RngStream, config: SolverConfig,
@@ -220,38 +235,18 @@ def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
     Path i consumes stream.child(i).  Returns (sup_error, status_sde,
     status_ode); sup errors of aborted paths are NaN.
     """
-    d = sigma.dim
-    blocks, msub, m_int = _coupling_layout(config, n)
-    grid = config.grid()
-    x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (count, d))
-    w = sample_brownian_batch(grid, d, stream, count)
-    dw = np.diff(w, axis=1)
-    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt)
-    vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
-    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int), stride=m_int // msub)
-    diff = xv - xnv
-    with np.errstate(invalid="ignore"):
-        sup = np.sqrt((diff * diff).sum(axis=2)).max(axis=1)
-    return sup, st_sde, st_ode
+    xv, st_sde, xnv, st_ode = _coupled_paths(b, b_n, sigma, c, family, n, x0, stream, config, count)
+    return sup_distance_values(xv, xnv), st_sde, st_ode
 
 
 def coupled_run(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                 c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
                 stream: RngStream, config: SolverConfig) -> CoupledRun:
     """One shared-noise draw: corrected SDE vs random ODE, plus their sup distance."""
-    d = sigma.dim
-    blocks, msub, m_int = _coupling_layout(config, n)
+    xv, st_sde, xnv, st_ode = _coupled_paths(b, b_n, sigma, c, family, n, x0, stream, config, 1)
+    for st in (st_sde, st_ode):
+        if st[0] != 0:
+            raise SolverAbort(int(st[0]))
     grid = config.grid()
-    x0v = np.broadcast_to(np.atleast_1d(np.asarray(x0, dtype=float)), (1, d))
-    w = sample_brownian_batch(grid, d, stream, 1)
-    dw = np.diff(w, axis=1)
-    xv, st_sde = em_batch(b, sigma, c, x0v, dw, grid.dt)
-    if st_sde[0] != 0:
-        raise SolverAbort(int(st_sde[0]))
-    vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
-    xnv, st_ode = rk4_batch(b_n, sigma, x0v, vst, 1.0 / (n * m_int), stride=m_int // msub)
-    if st_ode[0] != 0:
-        raise SolverAbort(int(st_ode[0]))
-    x_path = Path(grid, xv[0])
-    xn_path = Path(grid, xnv[0])
-    return CoupledRun(x_path, xn_path, sup_distance_values(xv[0], xnv[0]))
+    return CoupledRun(Path(grid, xv[0]), Path(grid, xnv[0]),
+                      float(sup_distance_values(xv[0], xnv[0])))

@@ -154,9 +154,7 @@ n_list = 4 8 16 32
     assert "fitted exponent" in summary
 
 
-def test_girsanov_command(tmp_path):
-    out = tmp_path / "res"
-    cfg = write(tmp_path, "g.ini", f"""
+GIRSANOV_CFG = """
 [run]
 command = girsanov-check
 seed = 5
@@ -170,10 +168,15 @@ x0 = 0.0
 [params]
 paths = 1000
 n_ref = 1024
-""")
+"""
+
+
+def test_girsanov_command(tmp_path):
+    out = tmp_path / "res"
+    cfg = write(tmp_path, "g.ini", GIRSANOV_CFG.format(out=out))
     assert run_cli("--config", cfg) == 0
     lines = (out / "girsanov.csv").read_text().splitlines()
-    assert lines[1] == "paths,mean_rho,stderr,max_weight"
+    assert lines[1] == "paths,mean_rho,stderr,max_weight,aborted"
     mean_rho = float(lines[2].split(",")[1])
     assert abs(mean_rho - 1.0) < 0.1
 
@@ -210,12 +213,36 @@ def test_tube_command(tmp_path):
         assert hits == sorted(hits)
 
 
+STABILITY_CFG = """
+[run]
+command = stability
+seed = 11
+out = {out}
+
+[model]
+drift = indicator01
+diffusion = sin_elliptic a=1 b=0.5
+sequence = ramp alpha=0.4 delta=0.5
+x0 = -4.0
+
+[params]
+n_ref = 1024
+n_list = 16 64
+paths = 60
+p = 2
+"""
+
+
 ABORT_CASES = {
     # command: (solver it batches over, config, CSV, batches per row); a
-    # rate-sweep level of 100 paths is one batch, 3000 tube paths are three
+    # rate-sweep or stability level of 100 paths is one batch, 3000 tube
+    # paths are three, 1000 girsanov paths are one
     "rate-sweep": ("coupled_batch", RATE_CFG.replace("paths = 60", "paths = 100"),
                    "rate_sweep.csv", 1),
+    "stability": ("em_batch", STABILITY_CFG.replace("paths = 60", "paths = 100"),
+                  "stability.csv", 1),
     "tube": ("em_batch", TUBE_CFG, "tube.csv", 3),
+    "girsanov-check": ("em_batch", GIRSANOV_CFG, "girsanov.csv", 1),
 }
 
 
@@ -262,25 +289,8 @@ def test_schedule_parameterized_registry_fields(tmp_path):
 
 def test_stability_command(tmp_path):
     out = tmp_path / "res"
-    cfg = write(tmp_path, "s.ini", f"""
-[run]
-command = stability
-seed = 11
-out = {out}
-
-[model]
-drift = indicator01
-diffusion = sin_elliptic a=1 b=0.5
-sequence = ramp alpha=0.4 delta=0.5
-x0 = -4.0
-
-[params]
-n_ref = 1024
-n_list = 16 64
-paths = 60
-p = 2
-""")
+    cfg = write(tmp_path, "s.ini", STABILITY_CFG.format(out=out))
     assert run_cli("--config", cfg) == 0
     lines = (out / "stability.csv").read_text().splitlines()
-    assert lines[1] == "level,lp_distance,mse,stderr"
+    assert lines[1] == "level,lp_distance,mse,stderr,aborted"
     assert len(lines) == 4

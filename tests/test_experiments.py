@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wzsim.coeffs import CorrectionMatrix, ramp_sequence
+from wzsim import experiments
+from wzsim.coeffs import CorrectionMatrix, DiffusionField, ramp_sequence
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.experiments import (
     AbortRateError,
@@ -60,8 +61,6 @@ def test_zero_setup_reports_exact_zero():
 
 
 def _zero_sigma():
-    from wzsim.coeffs import DiffusionField
-
     return DiffusionField(dim=1,
                           sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
                           grad=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
@@ -111,6 +110,56 @@ def test_batched_and_unbatched_estimates_agree(estimator):
     unbatched = run(70)
     assert run(7) == unbatched
     assert run(16) == unbatched
+
+
+def test_driver_counts_non_finite_values_as_aborted():
+    # path 5 returns NaN and path 6 inf with status 0; path 7 has a solver
+    # status: all three are aborted and left out of the values
+    def simulate(s, m):
+        v = np.arange(s.stream_id, s.stream_id + m, dtype=float)
+        status = np.where(v == 7, 3, 0)
+        v[v == 5] = np.nan
+        v[v == 6] = np.inf
+        return v, status
+
+    values, aborted = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
+    assert aborted == 3
+    assert values.tolist() == [float(i) for i in range(300) if i not in (5, 6, 7)]
+    with pytest.raises(AbortRateError):
+        experiments._run_paths(simulate, 200, RngStream(0, 0), 16)
+
+
+def _coupled_sigma():
+    # constant, uniformly elliptic, not diagonal
+    mat = np.array([[1.0, 0.0], [0.5, 1.0]])
+    return DiffusionField(dim=2,
+                          sigma=lambda x: np.broadcast_to(mat, (x.shape[0], 2, 2)).copy(),
+                          grad=lambda x: np.zeros((x.shape[0], 2, 2, 2)),
+                          name="coupled_sigma")
+
+
+FAIL_FAST_CALLS = {
+    "rate_sweep_two_levels": lambda: rate_sweep(_setup(), [16, 32], 30, RngStream(0, 0)),
+    "rate_sweep_repeated_level": lambda: rate_sweep(_setup(), [16, 32, 32], 30, RngStream(0, 0)),
+    "tube_ladder_zero_radius": lambda: tube_ladder(
+        zero_drift(), identity_diffusion(), HALF, 0.0,
+        make_target("const", make_grid(1.0, 64), 0.0), [0.5, 0.0], 100, RngStream(0, 0)),
+    "girsanov_mean_full_sigma": lambda: girsanov_mean(
+        zero_drift(2), _coupled_sigma(), np.zeros(2), 100, RngStream(0, 0), make_grid(1.0, 64)),
+    "girsanov_weight_full_sigma": lambda: girsanov_weight(
+        zero_drift(2), _coupled_sigma(), np.zeros(2), RngStream(0, 0), make_grid(1.0, 64)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(FAIL_FAST_CALLS))
+def test_bad_input_is_rejected_before_any_path(monkeypatch, call):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a path was simulated before the input was checked")
+
+    for name in ("coupled_batch", "em_batch", "sample_brownian_batch"):
+        monkeypatch.setattr(experiments, name, unreachable)
+    with pytest.raises(ValidationError):
+        FAIL_FAST_CALLS[call]()
 
 
 def test_identity_coupling_additive_noise_is_exact_zero():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wzsim import solvers
 from wzsim.coeffs import CorrectionMatrix
 from wzsim.core import (Path, RngStream, ValidationError, make_grid, sample_brownian,
                         sample_brownian_batch)
@@ -18,6 +19,7 @@ from wzsim.shapes import bump_kernel, linear_shape
 from wzsim.solvers import (
     SolverAbort,
     SolverConfig,
+    coupled_batch,
     coupled_run,
     em_batch,
     solve_ito_corrected,
@@ -186,6 +188,18 @@ def test_coupled_run_is_deterministic():
     args = (sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN,
             16, 0.0, RngStream(5, 78), cfg)
     assert coupled_run(*args).sup_error == coupled_run(*args).sup_error
+
+
+def test_coupled_run_is_row_zero_of_the_batched_route():
+    cfg = SolverConfig(n_ref=1 << 9, m_ode=16)
+    args = (sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN,
+            16, 0.0, RngStream(5, 79), cfg)
+    r = coupled_run(*args)
+    xv, _, xnv, _ = solvers._coupled_paths(*args, 4)
+    sup, _, _ = coupled_batch(*args, 4)
+    assert np.array_equal(r.x.values, xv[0])
+    assert np.array_equal(r.xn.values, xnv[0])
+    assert r.sup_error == sup[0]
 
 
 def test_coupled_error_shrinks_with_n_for_smooth_setup():

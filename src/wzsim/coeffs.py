@@ -69,6 +69,12 @@ class DiffusionField:
     constant K >= 1 with K^-1 <= xi' sigma sigma* xi <= K for unit xi;
     fields that violate it (used only as solver oracles) carry
     ``elliptic=False``.
+
+    A diagonal field sigma(x) = diag(s(x_i)) also carries its scalar forms:
+    ``scalar`` = s and ``scalar_grad`` = s', both applied elementwise to an
+    (m, d) array.  The solvers and ``correction_drift_batch`` then work on
+    the (m, d) diagonal and never build the matrices; a field without them
+    goes through the full-matrix route.
     """
 
     dim: int
@@ -77,6 +83,8 @@ class DiffusionField:
     ellipticity: float = 1.0
     elliptic: bool = True
     name: str = "diffusion"
+    scalar: Callable[[np.ndarray], np.ndarray] | None = None
+    scalar_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -450,6 +458,15 @@ def correction_drift(sigma: DiffusionField, c: CorrectionMatrix, x: np.ndarray) 
 
 def correction_drift_batch(sigma: DiffusionField, c: CorrectionMatrix, x: np.ndarray,
                            sig_vals: np.ndarray | None = None) -> np.ndarray:
+    """Correction drift at a batch x (m, d); ``sig_vals`` is sigma at x if known.
+
+    For a field with scalar forms the sum reduces to c_kk s(x_k) s'(x_k),
+    and ``sig_vals`` is the diagonal s(x) (m, d); otherwise it is the
+    matrix sigma(x) (m, d, d).
+    """
+    if sigma.scalar is not None:
+        s = sigma.scalar(x) if sig_vals is None else sig_vals
+        return np.diagonal(c.matrix) * s * sigma.scalar_grad(x)
     sig = sigma.sigma(x) if sig_vals is None else sig_vals
     dsig = sigma.grad(x)
     return np.einsum("ij,mil,mjkl->mk", c.matrix, sig, dsig)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .coeffs import (
     CorrectionMatrix,
@@ -156,7 +156,7 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     dof = len(points) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     sigma2 = float(res[0]) / dof if len(res) else 0.0
-    half = float(stats.t.ppf(0.975, dof)) * math.sqrt(sigma2 / sxx)
+    half = float(special.stdtrit(dof, 0.975)) * math.sqrt(sigma2 / sxx)
     return slope, half
 
 
@@ -257,7 +257,7 @@ def _binomial_lcb(hits: int, paths: int, level: float = 0.95) -> float:
     """Exact (Clopper-Pearson style) one-sided lower bound on the hit probability."""
     if hits <= 0:
         return 0.0
-    return float(stats.beta.ppf(1.0 - level, hits, paths - hits + 1))
+    return float(special.betaincinv(hits, paths - hits + 1, 1.0 - level))
 
 
 def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,

@@ -69,15 +69,15 @@ def sin_bump_drift(radius: float = 5.0) -> DriftField:
                       sup_value=sup_v, sup_grad=sup_g * 1.01, name=f"sin_bump[{radius:g}]")
 
 
-def _diag_sigma(scalar_fn, scalar_grad_fn, d):
-    """Lift a scalar x -> s(x) to the diagonal matrix field diag(s(x_i))."""
+def _diag_field(s, ds, d, **meta) -> DiffusionField:
+    """The diagonal field diag(s(x_i)): its scalar forms s, s' and their matrix lifts."""
 
     def sigma(x):
         x = np.asarray(x, dtype=float)
         m = x.shape[0]
         out = np.zeros((m, d, d))
         idx = np.arange(d)
-        out[:, idx, idx] = scalar_fn(x)
+        out[:, idx, idx] = s(x)
         return out
 
     def grad(x):
@@ -85,19 +85,18 @@ def _diag_sigma(scalar_fn, scalar_grad_fn, d):
         m = x.shape[0]
         out = np.zeros((m, d, d, d))
         idx = np.arange(d)
-        out[:, idx, idx, idx] = scalar_grad_fn(x)
+        out[:, idx, idx, idx] = ds(x)
         return out
 
-    return sigma, grad
+    return DiffusionField(dim=d, sigma=sigma, grad=grad, scalar=s, scalar_grad=ds, **meta)
 
 
 def const_diffusion(s0: float = 1.0, d: int = 1) -> DiffusionField:
     if s0 <= 0.0:
         raise ValidationError("s0 must be positive")
-    sigma, grad = _diag_sigma(lambda x: np.full_like(x, s0), lambda x: np.zeros_like(x), d)
     k = max(s0 * s0, 1.0 / (s0 * s0))
-    return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=k,
-                          name=f"const[{s0:g}]" if s0 != 1.0 else "identity")
+    return _diag_field(lambda x: np.full_like(x, s0), lambda x: np.zeros_like(x), d,
+                       ellipticity=k, name=f"const[{s0:g}]" if s0 != 1.0 else "identity")
 
 
 def identity_diffusion(d: int = 1) -> DiffusionField:
@@ -108,18 +107,16 @@ def sin_elliptic_diffusion(a: float = 1.0, b: float = 0.5, d: int = 1) -> Diffus
     """sigma(x) = diag(a + b sin x_i); uniformly elliptic when a > |b|."""
     if a <= abs(b):
         raise ValidationError("sin_elliptic needs a > |b| for uniform ellipticity")
-    sigma, grad = _diag_sigma(lambda x: a + b * np.sin(x), lambda x: b * np.cos(x), d)
     lo, hi = (a - abs(b)) ** 2, (a + abs(b)) ** 2
     k = max(hi, 1.0 / lo)
-    return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=k,
-                          name=f"sin_elliptic[{a:g},{b:g}]")
+    return _diag_field(lambda x: a + b * np.sin(x), lambda x: b * np.cos(x), d,
+                       ellipticity=k, name=f"sin_elliptic[{a:g},{b:g}]")
 
 
 def linear_diffusion(d: int = 1) -> DiffusionField:
     """sigma(x) = diag(x_i).  Degenerate at 0: oracle-only, not elliptic."""
-    sigma, grad = _diag_sigma(lambda x: x, lambda x: np.ones_like(x), d)
-    return DiffusionField(dim=d, sigma=sigma, grad=grad, ellipticity=np.inf,
-                          elliptic=False, name="linear")
+    return _diag_field(lambda x: x, lambda x: np.ones_like(x), d,
+                       ellipticity=np.inf, elliptic=False, name="linear")
 
 
 def _ramp_entry(chi: float | None = None, alpha: float | None = None,

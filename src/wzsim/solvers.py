@@ -6,9 +6,18 @@ derivative of the smoothed path built from the same Brownian sample, with
 steps aligned so every kink of the smoothed path is a step boundary.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
-dimension and any coefficient field.  Paths whose state leaves
-[-limit, limit] are aborted (tail NaN) and reported through a status code,
-never silently dropped.
+dimension and any coefficient field.  sigma is evaluated once per Euler
+step and once per Runge-Kutta stage, in one of two forms:
+
+* a diagonal field that carries its scalar forms (every registry
+  diffusion) is evaluated elementwise as s(x) of shape (m, d): the noise
+  term is s * dW and the correction drift c_kk s s';
+* any other field is evaluated as the matrix sigma(x) (m, d, d): the noise
+  term is an einsum and the correction drift the full contraction.
+
+Both forms give the same bits for a diagonal field.  Paths whose state
+leaves [-limit, limit] are aborted (tail NaN) and reported through a status
+code, never silently dropped.
 """
 
 from __future__ import annotations
@@ -54,6 +63,27 @@ class SolverConfig:
         return make_grid(self.horizon, self.n_ref)
 
 
+def _sigma_at(sigma: DiffusionField, x: np.ndarray) -> np.ndarray:
+    """sigma at x: the diagonal s(x) (m, d) for a field with scalar forms, else (m, d, d)."""
+    return sigma.sigma(x) if sigma.scalar is None else sigma.scalar(x)
+
+
+def _times(sigma: DiffusionField, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """sigma(x) v for a batch v (m, d), from the values _sigma_at returned."""
+    return np.einsum("mij,mj->mi", sig, v) if sigma.scalar is None else sig * v
+
+
+def _flag_aborts(x: np.ndarray, status: np.ndarray, step: int) -> None:
+    """Abort the paths whose state is not finite or left [-limit, limit].
+
+    Newly aborted paths get status ``step``; every aborted path is set to NaN.
+    """
+    bad = ~(np.abs(x) <= OVERFLOW_LIMIT).all(axis=1)
+    if bad.any():
+        status[bad & (status == 0)] = step
+        x[bad] = np.nan
+
+
 # ---------------------------------------------------------------------------
 # Euler route for the corrected SDE
 # ---------------------------------------------------------------------------
@@ -73,12 +103,10 @@ def em_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
     status = np.zeros(m, dtype=np.int64)
     with np.errstate(all="ignore"):
         for k in range(steps):
-            drift = b(x) + correction_drift_batch(sigma, c, x)
-            x = x + drift * dt + np.einsum("mij,mj->mi", sigma.sigma(x), dw[:, k])
-            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > OVERFLOW_LIMIT)
-            fresh = bad & (status == 0)
-            status[fresh] = k + 1
-            x[bad] = np.nan
+            sig = _sigma_at(sigma, x)
+            drift = b(x) + correction_drift_batch(sigma, c, x, sig)
+            x = x + drift * dt + _times(sigma, sig, dw[:, k])
+            _flag_aborts(x, status, k + 1)
             vals[:, k + 1] = x
     return vals, status
 
@@ -136,7 +164,7 @@ def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
     status = np.zeros(m, dtype=np.int64)
 
     def rhs(y, v):
-        return b(y) + np.einsum("mij,mj->mi", sigma.sigma(y), v)
+        return b(y) + _times(sigma, _sigma_at(sigma, y), v)
 
     with np.errstate(all="ignore"):
         rec = 1
@@ -147,10 +175,7 @@ def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
             k3 = rhs(x + 0.5 * h * k2, vm)
             k4 = rhs(x + h * k3, v1)
             x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            bad = ~np.isfinite(x).all(axis=1) | (np.abs(x).max(axis=1) > OVERFLOW_LIMIT)
-            fresh = bad & (status == 0)
-            status[fresh] = k + 1
-            x[bad] = np.nan
+            _flag_aborts(x, status, k + 1)
             if (k + 1) % stride == 0:
                 vals[:, rec] = x
                 rec += 1

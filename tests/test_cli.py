@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wzsim
 from wzsim import experiments
 from wzsim.cli import main
 
@@ -294,3 +300,14 @@ def test_stability_command(tmp_path):
     lines = (out / "stability.csv").read_text().splitlines()
     assert lines[1] == "level,lp_distance,mse,stderr,aborted"
     assert len(lines) == 4
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about a second to import; the CLI needs only scipy.special
+    src = str(Path(wzsim.__file__).resolve().parent.parent)
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys, wzsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -213,6 +213,26 @@ def test_fit_rate_rejects_bad_input():
         fit_rate([(8, 1.0), (16, 0.0), (32, 0.2)])
 
 
+def test_quantiles_equal_scipy_stats_bit_for_bit():
+    # fit_rate and _binomial_lcb take their quantiles from scipy.special, so
+    # importing the CLI does not load scipy.stats; the values must not move
+    from scipy import stats
+
+    gen = RngStream(17, 0).generator()
+    for dof in range(1, 60):
+        ns = np.arange(8, 8 + dof + 2, dtype=float)
+        ms = np.exp(-0.5 * np.log(ns) + 0.1 * gen.standard_normal(ns.size))
+        x = np.log(ns)
+        res = np.polyfit(x, np.log(ms), 1, full=True)[1]
+        sxx = float(np.sum((x - x.mean()) ** 2))
+        expect = float(stats.t.ppf(0.975, dof)) * np.sqrt(float(res[0]) / dof / sxx)
+        assert fit_rate(list(zip(ns, ms)))[1] == expect
+    for paths in (50, 64, 100, 257, 1000, 4096, 20000):
+        for hits in np.unique(np.geomspace(1, paths, 40).astype(int)):
+            expect = float(stats.beta.ppf(1.0 - 0.95, hits, paths - hits + 1))
+            assert experiments._binomial_lcb(int(hits), paths) == expect
+
+
 def test_rate_sweep_reports_negative_slope():
     s = _setup(n_ref=1 << 11)
     rep = rate_sweep(s, [16, 32, 64, 128], 120, RngStream(8, 0))

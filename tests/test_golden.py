@@ -16,18 +16,6 @@ from wzsim.cli import COMMANDS, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
-# CSVs that gained a trailing ``aborted`` column after the recording; it
-# must read 0 on the recorded configs
-ADDED_ABORTED = {"stability.csv", "girsanov.csv"}
-
-
-def _drop_zero_aborted(data: bytes) -> bytes:
-    comment, header, *rows = data.rstrip(b"\n").split(b"\n")
-    assert header.endswith(b",aborted")
-    assert rows and all(row.endswith(b",0") for row in rows)
-    cut = [line.rsplit(b",", 1)[0] for line in (header, *rows)]
-    return b"\n".join([comment, *cut]) + b"\n"
-
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_csv_bytes_match_the_recording(tmp_path, command):
@@ -36,7 +24,4 @@ def test_csv_bytes_match_the_recording(tmp_path, command):
     recorded = sorted(p.name for p in (GOLDEN / command).glob("*.csv"))
     assert sorted(p.name for p in out.glob("*.csv")) == recorded
     for name in recorded:
-        got = (out / name).read_bytes()
-        if name in ADDED_ABORTED:
-            got = _drop_zero_aborted(got)
-        assert got == (GOLDEN / command / name).read_bytes(), name
+        assert (out / name).read_bytes() == (GOLDEN / command / name).read_bytes(), name

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from wzsim.noise import Mollified, PiecewiseShape, build_approximation
 from wzsim.registry import (
     const_diffusion,
     const_drift,
+    get_diffusion,
     indicator_drift,
     linear_diffusion,
     sin_bump_drift,
@@ -22,6 +25,7 @@ from wzsim.solvers import (
     coupled_batch,
     coupled_run,
     em_batch,
+    rk4_batch,
     solve_ito_corrected,
     solve_random_ode,
 )
@@ -85,6 +89,52 @@ def test_d2_runs_through_the_numpy_route():
     assert v.shape == (2, 9, 2)
     assert np.all(s == 0)
     assert np.allclose(v[:, 1:], d2[:, 1:], atol=1e-12)
+
+
+# Both routes of a diagonal field: the elementwise one (the field carries its
+# scalar forms) against the full-matrix one (the same field without them)
+ROUTE_FIELDS = [("identity", {}), ("const", {"s0": 1.7}), ("sin_elliptic", {}), ("linear", {})]
+SKEW = CorrectionMatrix(np.array([[0.5, 0.3], [-0.3, 0.5]]))
+ROUTE_SOLVES = [(d, solve) for d in (1, 2)
+                for solve in ("em_half", "em_skew", "rk4") if d == 2 or solve != "em_skew"]
+
+
+def _both_routes(sigma, d, solve, scale=1.0, paths=16, steps=64):
+    """(values, status) of the elementwise and the full-matrix route on the same noise."""
+    grid = make_grid(1.0, steps)
+    gen = RngStream(12, d).generator()
+    x0 = np.linspace(-2.0, 2.0, paths * d).reshape(paths, d)
+    matrix_only = dataclasses.replace(sigma, scalar=None, scalar_grad=None)
+    if solve == "rk4":
+        v = scale / np.sqrt(grid.dt) * gen.standard_normal((paths, steps, 3, d))
+        return [rk4_batch(sin_bump_drift(), f, x0, v, grid.dt) for f in (sigma, matrix_only)]
+    c = SKEW if solve == "em_skew" else CorrectionMatrix.half_identity(d)
+    dw = scale * np.sqrt(grid.dt) * gen.standard_normal((paths, steps, d))
+    return [em_batch(sin_bump_drift(), f, c, x0, dw, grid.dt) for f in (sigma, matrix_only)]
+
+
+@pytest.mark.parametrize("d,solve", ROUTE_SOLVES)
+@pytest.mark.parametrize("name,params", ROUTE_FIELDS, ids=[n for n, _ in ROUTE_FIELDS])
+def test_elementwise_and_matrix_routes_agree_bit_for_bit(name, params, d, solve):
+    sigma = get_diffusion(name, d=d, **params)
+    assert sigma.scalar is not None
+    (v1, s1), (v2, s2) = _both_routes(sigma, d, solve)
+    assert np.array_equal(v1, v2, equal_nan=True)
+    assert np.array_equal(s1, s2)
+
+
+@pytest.mark.parametrize("solve", ["em_skew", "rk4"])
+def test_abort_check_gives_the_same_status_and_nan_tail_on_both_routes(solve):
+    # sigma(x) = x under strong noise: a path aborts at the first step whose
+    # state leaves [-1e12, 1e12]; every state before it is finite and inside
+    (v1, s1), (v2, s2) = _both_routes(get_diffusion("linear", d=2), 2, solve, scale=22.0)
+    assert np.array_equal(v1, v2, equal_nan=True)
+    assert np.array_equal(s1, s2)
+    assert 0 < np.count_nonzero(s1) < s1.size
+    for vals, k in zip(v1, s1):
+        stop = k if k else len(vals)
+        assert np.all(np.abs(vals[:stop]) <= solvers.OVERFLOW_LIMIT)
+        assert np.all(np.isnan(vals[stop:]))
 
 
 def test_overflow_aborts_with_diagnostic():
@@ -206,12 +256,10 @@ def test_coupled_error_shrinks_with_n_for_smooth_setup():
     cfg = SolverConfig(n_ref=1 << 11, m_ode=16)
     sups = {}
     for n in (8, 128):
-        acc = 0.0
-        for i in range(20):
-            r = coupled_run(sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(),
-                            HALF, LIN, n, 0.0, RngStream(6, 1000 + i), cfg)
-            acc += r.sup_error**2
-        sups[n] = acc / 20
+        err, st_sde, st_ode = coupled_batch(sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(),
+                                            HALF, LIN, n, 0.0, RngStream(6, 1000), cfg, 20)
+        assert not np.any(st_sde) and not np.any(st_ode)
+        sups[n] = float(np.mean(err**2))
     assert sups[128] < sups[8]
 
 

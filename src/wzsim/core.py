@@ -12,6 +12,7 @@ types defined here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,3 +154,18 @@ def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     diff = a - b
     with np.errstate(invalid="ignore"):
         return np.sqrt((diff * diff).sum(axis=-1)).max(axis=-1)
+
+
+def mean_se(x: np.ndarray):
+    """Sample mean and standard error (ddof=1) along axis 0; floats for 1-D x.
+
+    The one Monte Carlo reduction of the package: estimators store one value
+    per sample in sample order and reduce them here, so a result does not
+    depend on how the samples were batched.  One sample has standard error 0.
+    """
+    x = np.asarray(x, dtype=float)
+    m = np.mean(x, axis=0)
+    se = np.std(x, axis=0, ddof=1) / math.sqrt(len(x)) if len(x) > 1 else np.zeros_like(m)
+    if x.ndim == 1:
+        return float(m), float(se)
+    return m, se

@@ -26,7 +26,8 @@ from .coeffs import (
     DriftField,
     lp_distance,
 )
-from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch, sup_distance_values
+from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_brownian_batch,
+                   sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
 from .solvers import SolverConfig, coupled_batch, em_batch
@@ -57,12 +58,6 @@ def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, np.ndarray
     if aborted > ABORT_TOLERANCE * paths:
         raise AbortRateError(aborted, paths)
     return values[kept], aborted
-
-
-def _mean_se(x: np.ndarray) -> tuple[float, float]:
-    m = float(np.mean(x))
-    se = float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    return m, se
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +109,7 @@ def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStre
         return sup, st_sde | st_ode
 
     sups, aborted = _run_paths(simulate, paths, stream, batch)
-    est, se = _mean_se(sups**2)
+    est, se = mean_se(sups**2)
     return MeanSupError(est, se, paths, aborted)
 
 
@@ -220,7 +215,7 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
             return sup_distance_values(xv, yv), st1 | st2
 
         sups, ab = _run_paths(simulate, paths, stream.child(li * paths), batch)
-        mse, se = _mean_se(sups**2)
+        mse, se = mean_se(sups**2)
         levels.append((n, lp_distance(b, b_n, seq.p), mse, se))
         aborted.append(ab)
     d2 = np.array([lv[1] ** 2 for lv in levels])
@@ -317,11 +312,9 @@ class GirsanovReport:
 
 
 def _require_diagonal(sigma: DiffusionField) -> None:
-    """Girsanov weights invert sigma pointwise; probe fixed points, drawing on no stream."""
-    d = sigma.dim
-    probe = sigma.sigma(np.linspace(-3.0, 3.0, 16 * d).reshape(16, d))
-    if not np.allclose(probe, probe * np.eye(d), atol=1e-12):
-        raise ValidationError("girsanov weights support diagonal diffusion fields only")
+    """Girsanov weights invert sigma pointwise, read from its diagonal scalar form s."""
+    if sigma.scalar is None:
+        raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
 
 
 def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
@@ -341,7 +334,7 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
     y = yv[:, :-1, :]
     m, steps, _ = y.shape
     flat = y.reshape(-1, d)
-    diag = np.einsum("mkii->mki", sigma.sigma(flat).reshape(m, steps, d, d))
+    diag = sigma.scalar(flat).reshape(m, steps, d)
     if np.any(np.abs(diag) < 1e-12):
         raise ValidationError("sigma is singular along a simulated path")
     theta = b(flat).reshape(m, steps, d) / diag
@@ -369,7 +362,7 @@ def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
         return rho, st
 
     rhos, aborted = _run_paths(simulate, paths, stream, batch)
-    mean, se = _mean_se(rhos)
+    mean, se = mean_se(rhos)
     return GirsanovReport(mean, se, float(rhos.max()), paths, aborted)
 
 

@@ -9,12 +9,24 @@ with ``msub`` cells per noise block of width 1/n:
 * ``McShane`` -- d=2 blockwise interpolation where the two components swap
   shape functions whenever the block increments have opposite signs.
 
+Every family has one evaluator pair, ``batch_values`` and ``batch_derivs``,
+and both take block-local positions ``(k, u)``: block index k (an int
+array) and offset u in [0, 1] within that block (a float array of the same
+length), i.e. the time (k + u)/n.  u = 1 is the left limit at the block's
+right end, so a derivative there is block k's even where d/ds W^n jumps at
+(k + 1)/n -- what an integrator stepping up to a kink needs.
+``_block_position`` is the one conversion from times to ``(k, u)``.
+
 The module also estimates the coefficients that decide the limit equation:
 the Levy area functional S_ij(t), the smoothed-path area density
-s_ij(1/n, n), and the drift-correction density c_ij(t, n).  Estimators are
-plain Monte Carlo with per-sample counter-based streams; time integrals use
-composite per-cell Gauss-Legendre so that piecewise-smooth integrands are
-resolved exactly between kinks.
+s_ij(1/n, n), and the drift-correction density c_ij(t, n).  Each functional
+(area density, correction density, the two sixth moments) is written once,
+as a batched per-sample function of ``(family, wsub, n, msub)``.  The
+estimators are plain Monte Carlo in which sample i draws its path from
+``stream.child(i)``; each keeps its per-sample values in sample order and
+reduces them once with ``core.mean_se``, so results are byte-identical for
+any batch size.  Time integrals use composite per-cell Gauss-Legendre, so
+piecewise-smooth integrands are resolved exactly between kinks.
 """
 
 from __future__ import annotations
@@ -24,8 +36,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch
+from .core import Path, RngStream, ValidationError, make_grid, mean_se, sample_brownian_batch
 from .shapes import MollifierKernel, ShapeFunction, _gl_composite
+
+QUAD_ORDER = 4          # Gauss-Legendre nodes per subgrid cell in the estimators
+CONVOLUTION_ORDER = 6   # Gauss-Legendre nodes per sub-cell of the mollifier convolution
+BLOCKS_PER_PATH = 8     # first-block area functionals drawn from each path by estimate_s
 
 
 # ---------------------------------------------------------------------------
@@ -37,35 +53,25 @@ class NoiseFamily:
     """Interface: vectorized evaluation of W^n and its time derivative.
 
     ``wsub`` always has shape (npaths, nsub+1, d) with nsub = blocks*msub
-    samples of W on the uniform subgrid of spacing 1/(n*msub); ``times`` are
-    absolute times in [0, blocks/n].
+    samples of W on the uniform subgrid of spacing 1/(n*msub); ``k`` and
+    ``u`` are the block-local positions of the module docstring.  Both
+    methods return shape (npaths, len(k), d).
     """
 
     name = "family"
     required_dim: int | None = None
 
-    def batch_values(self, wsub: np.ndarray, n: int, msub: int, times: np.ndarray) -> np.ndarray:
+    def batch_values(self, wsub: np.ndarray, n: int, msub: int,
+                     k: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def batch_derivs(self, wsub: np.ndarray, n: int, msub: int, times: np.ndarray) -> np.ndarray:
+    def batch_derivs(self, wsub: np.ndarray, n: int, msub: int,
+                     k: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def batch_derivs_blockwise(self, wsub: np.ndarray, n: int, msub: int,
-                               kblk: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Derivatives at block-local positions (block kblk, offset u in [0, 1]).
-
-        Same as ``batch_derivs`` at times (kblk + u)/n except that u = 1 is
-        attributed to block kblk (the left limit at a kink), which is what
-        an integrator stepping up to a kink needs.
-        """
-        return self.batch_derivs(wsub, n, msub, (np.asarray(kblk) + np.asarray(u)) / n)
-
-    def kink_times(self, n: int, blocks: int) -> np.ndarray:
-        """Times where d/ds W^n may jump; empty for smooth families."""
-        return np.arange(1, blocks) / n
 
 
 def _block_position(times: np.ndarray, n: int, blocks: int):
+    """(k, u) of absolute times in [0, blocks/n]; the end time is (blocks - 1, 1)."""
     tn = np.asarray(times, dtype=float) * n
     k = np.clip(np.floor(tn).astype(np.int64), 0, blocks - 1)
     u = tn - k
@@ -82,22 +88,12 @@ class PiecewiseShape(NoiseFamily):
     def name(self):
         return f"piecewise[{self.shape.name}]"
 
-    def batch_values(self, wsub, n, msub, times):
-        blocks = (wsub.shape[1] - 1) // msub
-        k, u = _block_position(times, n, blocks)
+    def batch_values(self, wsub, n, msub, k, u):
         w0 = wsub[:, k * msub, :]
         dw = wsub[:, (k + 1) * msub, :] - w0
         return w0 + self.shape.value(u)[None, :, None] * dw
 
-    def batch_derivs(self, wsub, n, msub, times):
-        blocks = (wsub.shape[1] - 1) // msub
-        k, u = _block_position(times, n, blocks)
-        dw = wsub[:, (k + 1) * msub, :] - wsub[:, k * msub, :]
-        return n * self.shape.deriv(u)[None, :, None] * dw
-
-    def batch_derivs_blockwise(self, wsub, n, msub, kblk, u):
-        k = np.asarray(kblk, dtype=np.int64)
-        u = np.asarray(u, dtype=float)
+    def batch_derivs(self, wsub, n, msub, k, u):
         dw = wsub[:, (k + 1) * msub, :] - wsub[:, k * msub, :]
         return n * self.shape.deriv(u)[None, :, None] * dw
 
@@ -120,46 +116,25 @@ class McShane(NoiseFamily):
     def name(self):
         return f"mcshane[{self.f1.name},{self.f2.name}]"
 
-    def _selectors(self, wsub, msub):
-        # swap[p, k] is True on blocks with strictly negative increment product
-        blockvals = wsub[:, ::msub, :]
-        dwb = np.diff(blockvals, axis=1)
-        return (dwb[:, :, 0] * dwb[:, :, 1]) < 0.0
-
-    def batch_values(self, wsub, n, msub, times):
+    def _blend(self, wsub, msub, k, fa, fb):
+        """(W_{k/n}, shape factors times block increments, swapped where dW1 dW2 < 0)."""
         if wsub.shape[2] != 2:
             raise ValidationError("McShane family requires dimension 2")
-        blocks = (wsub.shape[1] - 1) // msub
-        k, u = _block_position(times, n, blocks)
         w0 = wsub[:, k * msub, :]
         dw = wsub[:, (k + 1) * msub, :] - w0
-        swap = self._selectors(wsub, msub)[:, k]
-        fa = self.f1.value(u)[None, :]
-        fb = self.f2.value(u)[None, :]
-        out = np.empty_like(w0)
-        out[:, :, 0] = w0[:, :, 0] + np.where(swap, fb, fa) * dw[:, :, 0]
-        out[:, :, 1] = w0[:, :, 1] + np.where(swap, fa, fb) * dw[:, :, 1]
-        return out
-
-    def batch_derivs(self, wsub, n, msub, times):
-        blocks = (wsub.shape[1] - 1) // msub
-        k, _ = _block_position(times, n, blocks)
-        u = np.asarray(times, dtype=float) * n - k
-        return self.batch_derivs_blockwise(wsub, n, msub, k, u)
-
-    def batch_derivs_blockwise(self, wsub, n, msub, kblk, u):
-        if wsub.shape[2] != 2:
-            raise ValidationError("McShane family requires dimension 2")
-        k = np.asarray(kblk, dtype=np.int64)
-        u = np.asarray(u, dtype=float)
-        dw = wsub[:, (k + 1) * msub, :] - wsub[:, k * msub, :]
-        swap = self._selectors(wsub, msub)[:, k]
-        da = self.f1.deriv(u)[None, :]
-        db = self.f2.deriv(u)[None, :]
+        swap = (dw[:, :, 0] * dw[:, :, 1]) < 0.0
         out = np.empty_like(dw)
-        out[:, :, 0] = n * np.where(swap, db, da) * dw[:, :, 0]
-        out[:, :, 1] = n * np.where(swap, da, db) * dw[:, :, 1]
-        return out
+        out[:, :, 0] = np.where(swap, fb, fa) * dw[:, :, 0]
+        out[:, :, 1] = np.where(swap, fa, fb) * dw[:, :, 1]
+        return w0, out
+
+    def batch_values(self, wsub, n, msub, k, u):
+        w0, inc = self._blend(wsub, msub, k, self.f1.value(u)[None, :], self.f2.value(u)[None, :])
+        return w0 + inc
+
+    def batch_derivs(self, wsub, n, msub, k, u):
+        return self._blend(wsub, msub, k, n * self.f1.deriv(u)[None, :],
+                           n * self.f2.deriv(u)[None, :])[1]
 
 
 @dataclass(frozen=True)
@@ -173,28 +148,25 @@ class Mollified(NoiseFamily):
     interpolated path and the derivative evaluator (which integrates
     rho_n' instead, the boundary terms vanishing because rho(0)=rho(1)=0)
     agrees with the finite-difference derivative to machine precision.
+    W^n is C^1, so (k, u) is evaluated at the time s = (k + u)/n.
     """
 
     kernel: MollifierKernel
-    order: int = 6
 
     @property
     def name(self):
         return f"mollified[{self.kernel.name}]"
 
-    def kink_times(self, n, blocks):
-        return np.empty(0)
-
-    def _convolve(self, wsub, n, msub, times, kernel_fn, scale):
+    def _convolve(self, wsub, n, msub, k, u, kernel_fn, scale):
         npaths, _, d = wsub.shape
         nsub = wsub.shape[1] - 1
-        times = np.asarray(times, dtype=float)
+        times = (k + u) / n
         nt = times.shape[0]
         h = 1.0 / (n * msub)
 
         # Split each of the msub tau-cells at the path-kink offset phi = t mod h,
         # then apply Gauss-Legendre on both sub-cells; integrands are smooth there.
-        x, wq = np.polynomial.legendre.leggauss(self.order)
+        x, wq = np.polynomial.legendre.leggauss(CONVOLUTION_ORDER)
         x = (x + 1.0) / 2.0
         wq = wq / 2.0
 
@@ -218,19 +190,26 @@ class Mollified(NoiseFamily):
         valid = idx >= 0.0
         j = np.clip(j, 0, nsub - 1)
 
+        # two buffers reused across the nodes: lo = left sample, hi = right sample
         out = np.zeros((npaths, nt, d))
+        lo = np.empty_like(out)
+        hi = np.empty_like(out)
         for q in range(tau.shape[1]):
             jq = j[:, q]
-            lin = (1.0 - theta[:, q])[None, :, None] * wsub[:, jq, :] \
-                + theta[:, q][None, :, None] * wsub[:, jq + 1, :]
-            out += (wts[:, q] * valid[:, q])[None, :, None] * lin
+            np.take(wsub, jq, axis=1, out=lo, mode="clip")
+            lo *= (1.0 - theta[:, q])[None, :, None]
+            np.take(wsub, jq + 1, axis=1, out=hi, mode="clip")
+            hi *= theta[:, q][None, :, None]
+            lo += hi
+            lo *= (wts[:, q] * valid[:, q])[None, :, None]
+            out += lo
         return out
 
-    def batch_values(self, wsub, n, msub, times):
-        return self._convolve(wsub, n, msub, times, self.kernel.value, float(n))
+    def batch_values(self, wsub, n, msub, k, u):
+        return self._convolve(wsub, n, msub, k, u, self.kernel.value, float(n))
 
-    def batch_derivs(self, wsub, n, msub, times):
-        return self._convolve(wsub, n, msub, times, self.kernel.deriv, float(n) * n)
+    def batch_derivs(self, wsub, n, msub, k, u):
+        return self._convolve(wsub, n, msub, k, u, self.kernel.deriv, float(n) * n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +221,8 @@ class Mollified(NoiseFamily):
 class ApproxPath:
     """A smoothed path W^n built from one Brownian path.
 
-    Continuous on [0, T], piecewise C^1 between the kink times k/n (no
-    kinks at all for the mollified family).  ``msub`` is the number of
+    Continuous on [0, T], piecewise C^1 between the block ends k/n (C^1
+    throughout for the mollified family).  ``msub`` is the number of
     subgrid cells per block carried by the underlying Brownian sample.
     """
 
@@ -257,16 +236,13 @@ class ApproxPath:
     def dim(self) -> int:
         return self.brownian.dim
 
-    def kinks(self) -> np.ndarray:
-        return self.family.kink_times(self.n, self.blocks)
-
     def values_at(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return self.family.batch_values(self.brownian.values[None], self.n, self.msub, t)[0]
+        k, u = _block_position(np.atleast_1d(times), self.n, self.blocks)
+        return self.family.batch_values(self.brownian.values[None], self.n, self.msub, k, u)[0]
 
     def derivs_at(self, times) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return self.family.batch_derivs(self.brownian.values[None], self.n, self.msub, t)[0]
+        k, u = _block_position(np.atleast_1d(times), self.n, self.blocks)
+        return self.family.batch_derivs(self.brownian.values[None], self.n, self.msub, k, u)[0]
 
     def value(self, t: float) -> np.ndarray:
         return self.values_at([t])[0]
@@ -302,15 +278,20 @@ def build_approximation(family: NoiseFamily, w: Path, n: int) -> ApproxPath:
 
 
 # ---------------------------------------------------------------------------
-# quadrature helpers
+# quadrature over whole blocks
 # ---------------------------------------------------------------------------
 
 
-def _cell_quadrature(blocks: int, n: int, msub: int, order: int):
-    """Per-cell GL nodes/weights over [0, blocks/n] with msub cells per block."""
-    rel, wrel = _gl_composite(cells=blocks * msub, order=order)
-    width = blocks / n
-    return rel * width, wrel * width
+def _block_quadrature(blocks: int, n: int, msub: int):
+    """Composite Gauss-Legendre over [0, blocks/n] in (k, u) form, and its weights.
+
+    Every block is split into its msub subgrid cells with QUAD_ORDER nodes
+    each, so integrands that are smooth between subgrid nodes and block
+    ends are integrated exactly up to the rule's order.
+    """
+    u, w = _gl_composite(cells=msub, order=QUAD_ORDER)
+    k = np.repeat(np.arange(blocks), u.size)
+    return k, np.tile(u, blocks), np.tile(w / n, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -364,123 +345,96 @@ class CoefficientMatrix:
         return CoefficientEstimate(float(self.values[i, j]), float(self.stderrs[i, j]), self.sample_count)
 
 
-def _subgrid(blocks: int, n: int, msub: int) -> TimeGrid:
-    return make_grid(blocks / n, blocks * msub)
+def area_density(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int) -> np.ndarray:
+    """Per-sample area density over the first block, the s_ij(1/n, n) integrand.
 
-
-def single_path_s_matrix(family: NoiseFamily, w: Path, n: int,
-                         order: int = 4) -> np.ndarray:
-    """Area density over the first block of one path: the s_ij(1/n, n) integrand.
-
-    Returns the d x d matrix (int_0^{1/n} W^{n,i} dW^{n,j}/ds - sym) / (2/n)
-    for the given Brownian sample (no expectation taken); the sub-block
-    quadrature resolution comes from the path's own grid.
+    Returns (m, d, d): (int_0^{1/n} W^{n,i} dW^{n,j}/ds ds - (i <-> j)) / (2/n)
+    for each of the m Brownian samples in ``wsub`` (no expectation taken).
     """
-    ap = build_approximation(family, w, n)
-    times, wts = _cell_quadrature(1, n, ap.msub, order)
-    vals = ap.values_at(times)
-    ders = ap.derivs_at(times)
-    a = (wts[:, None] * vals).T @ ders
-    return (a - a.T) / (2.0 / n)
+    k, u, w = _block_quadrature(1, n, msub)
+    vals = family.batch_values(wsub, n, msub, k, u)
+    ders = family.batch_derivs(wsub, n, msub, k, u)
+    a = np.einsum("pti,ptj->pij", w[None, :, None] * vals, ders)
+    return (a - np.swapaxes(a, 1, 2)) / (2.0 / n)
 
 
-def single_path_c_matrix(family: NoiseFamily, w: Path, n: int, t: float,
-                         order: int = 4) -> np.ndarray:
-    """Correction density of one path: int_0^t dW^{n,i}/ds (W^{n,j}_t - W^{n,j}_s) ds / t."""
-    blocks = t * n
-    if abs(blocks - round(blocks)) > 1e-9 or round(blocks) < 1:
-        raise ValidationError("t must be a positive multiple of 1/n")
-    blocks = int(round(blocks))
-    ap = build_approximation(family, w, n)
-    times, wts = _cell_quadrature(blocks, n, ap.msub, order)
-    vals = ap.values_at(times)
-    ders = ap.derivs_at(times)
-    vt = ap.values_at([t])[0]
-    c = (wts[:, None] * ders).T @ (vt[None, :] - vals)
-    return c / t
+def correction_density(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int) -> np.ndarray:
+    """Per-sample correction density over all of ``wsub``, the c_ij(t, n) integrand.
+
+    With t = blocks/n the horizon of ``wsub``, returns (m, d, d):
+    int_0^t dW^{n,i}/ds (W^{n,j}_t - W^{n,j}_s) ds / t for each sample.
+    """
+    blocks = (wsub.shape[1] - 1) // msub
+    k, u, w = _block_quadrature(blocks, n, msub)
+    vals = family.batch_values(wsub, n, msub, k, u)
+    ders = family.batch_derivs(wsub, n, msub, k, u)
+    vt = family.batch_values(wsub, n, msub, np.array([blocks - 1]), np.array([1.0]))
+    return np.einsum("pti,ptj->pij", w[None, :, None] * ders, vt - vals) / (blocks / n)
 
 
-def single_path_def31_moments(family: NoiseFamily, w: Path, n: int,
-                              order: int = 4) -> tuple[float, float]:
-    """(|W^n_{1/n}|^6, (int_0^{1/n} |dW^n/ds| ds)^6) for one Brownian sample."""
-    ap = build_approximation(family, w, n)
-    end = ap.values_at([1.0 / n])[0]
-    m_end = float((end @ end) ** 3)
-    times, wts = _cell_quadrature(1, n, ap.msub, order)
-    speed = np.sqrt((ap.derivs_at(times) ** 2).sum(axis=1))
-    m_int = float(np.dot(wts, speed) ** 6)
-    return m_end, m_int
+def sixth_moments(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int) -> np.ndarray:
+    """Per-sample (|W^n_{1/n}|^6, (int_0^{1/n} |dW^n/ds| ds)^6) over the first block, (m, 2)."""
+    k, u, w = _block_quadrature(1, n, msub)
+    end = family.batch_values(wsub, n, msub, np.array([0]), np.array([1.0]))[:, 0, :]
+    speed = np.sqrt((family.batch_derivs(wsub, n, msub, k, u) ** 2).sum(axis=2))
+    # a row-wise sum, not ``speed @ w``: BLAS rounds a row differently by its place in the batch
+    return np.stack([(end * end).sum(axis=1) ** 3, (speed * w).sum(axis=1) ** 6], axis=1)
 
 
-def _batched_brownian(blocks: int, n: int, msub: int, d: int, stream: RngStream,
-                      count: int, start: int) -> np.ndarray:
-    grid = _subgrid(blocks, n, msub)
-    return sample_brownian_batch(grid, d, stream.child(start), count)
+def _per_sample(functional, blocks: int, n: int, msub: int, d: int, samples: int,
+                stream: RngStream, batch: int) -> np.ndarray:
+    """functional(wsub) of ``samples`` Brownian paths over ``blocks`` blocks, in sample order.
+
+    Sample i draws its path from stream.child(i) whatever the batch size.
+    """
+    grid = make_grid(blocks / n, blocks * msub)
+    return np.concatenate([
+        functional(sample_brownian_batch(grid, d, stream.child(start), min(batch, samples - start)))
+        for start in range(0, samples, batch)
+    ])
 
 
 def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
-               d: int = 2, msub: int = 8, order: int = 4,
-               blocks_per_path: int = 8, batch: int = 512) -> CoefficientMatrix:
+               d: int = 2, msub: int = 8, batch: int = 512) -> CoefficientMatrix:
     """Monte Carlo estimate of the area density s_ij(1/n, n).
 
-    ``samples`` independent paths each contribute ``blocks_per_path`` block
+    ``samples`` independent paths each contribute ``BLOCKS_PER_PATH`` block
     functionals; block slices rebased at their left endpoint are fresh
     copies of the first-block functional (the shift property of the
     construction), and disjoint blocks use disjoint increments, so all
-    sample_count = samples * blocks_per_path values are i.i.d.
+    sample_count = samples * BLOCKS_PER_PATH values are i.i.d.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if family.required_dim is not None:
         d = family.required_dim
-    times, wts = _cell_quadrature(1, n, msub, order)
-    tot = np.zeros((d, d))
-    tot2 = np.zeros((d, d))
-    count = 0
-    for start in range(0, samples, batch):
-        m = min(batch, samples - start)
-        wsub = _batched_brownian(blocks_per_path, n, msub, d, stream, m, start)
-        for k in range(blocks_per_path):
+
+    def blockwise(wsub):
+        out = np.empty((wsub.shape[0], BLOCKS_PER_PATH, d, d))
+        for k in range(BLOCKS_PER_PATH):
             sl = wsub[:, k * msub : (k + 1) * msub + 1, :]
-            sl = sl - sl[:, :1, :]
-            vals = family.batch_values(sl, n, msub, times)
-            ders = family.batch_derivs(sl, n, msub, times)
-            a = np.einsum("pti,ptj->pij", wts[None, :, None] * vals, ders)
-            s = (a - np.swapaxes(a, 1, 2)) / (2.0 / n)
-            tot += s.sum(axis=0)
-            tot2 += (s * s).sum(axis=0)
-            count += m
-    mean = tot / count
-    var = np.maximum(tot2 / count - mean * mean, 0.0)
-    return CoefficientMatrix(mean, np.sqrt(var / count), count)
+            out[:, k] = area_density(family, sl - sl[:, :1, :], n, msub)
+        return out.reshape(-1, d, d)
+
+    s = _per_sample(blockwise, BLOCKS_PER_PATH, n, msub, d, samples, stream, batch)
+    mean, se = mean_se(s)
+    return CoefficientMatrix(mean, se, s.shape[0])
 
 
 def estimate_c(family: NoiseFamily, n: int, t: float, samples: int, stream: RngStream,
-               d: int = 2, msub: int = 8, order: int = 4, batch: int = 256) -> CoefficientMatrix:
+               d: int = 2, msub: int = 8, batch: int = 256) -> CoefficientMatrix:
     """Monte Carlo estimate of the correction density c_ij(t, n), t a multiple of 1/n."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     blocks = t * n
     if abs(blocks - round(blocks)) > 1e-9 or round(blocks) < 1:
         raise ValidationError("t must be a positive multiple of 1/n")
-    blocks = int(round(blocks))
     if family.required_dim is not None:
         d = family.required_dim
-    times, wts = _cell_quadrature(blocks, n, msub, order)
-    tot = np.zeros((d, d))
-    tot2 = np.zeros((d, d))
-    for start in range(0, samples, batch):
-        m = min(batch, samples - start)
-        wsub = _batched_brownian(blocks, n, msub, d, stream, m, start)
-        vals = family.batch_values(wsub, n, msub, times)
-        ders = family.batch_derivs(wsub, n, msub, times)
-        vt = family.batch_values(wsub, n, msub, np.array([t]))
-        c = np.einsum("pti,ptj->pij", wts[None, :, None] * ders, vt - vals) / t
-        tot += c.sum(axis=0)
-        tot2 += (c * c).sum(axis=0)
-    mean = tot / samples
-    var = np.maximum(tot2 / samples - mean * mean, 0.0)
-    return CoefficientMatrix(mean, np.sqrt(var / samples), samples)
+    c = _per_sample(lambda wsub: correction_density(family, wsub, n, msub),
+                    int(round(blocks)), n, msub, d, samples, stream, batch)
+    mean, se = mean_se(c)
+    return CoefficientMatrix(mean, se, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -509,39 +463,22 @@ class MomentCheckReport:
 
 
 def check_moment_condition(family: NoiseFamily, n_list: Sequence[int], samples: int,
-                       stream: RngStream, d: int = 1, msub: int = 8, order: int = 4,
-                       batch: int = 2048) -> MomentCheckReport:
+                           stream: RngStream, d: int = 1, msub: int = 8,
+                           batch: int = 2048) -> MomentCheckReport:
     """Estimate the two sixth moments over a range of n and fit their n-exponents."""
     if samples < 100:
         raise ValidationError("need at least 100 samples")
     if family.required_dim is not None:
         d = family.required_dim
     n_list = tuple(int(n) for n in n_list)
-    times_rel, wts_rel = _gl_composite(cells=msub, order=order)
-    m_end = np.zeros(len(n_list))
-    se_end = np.zeros(len(n_list))
-    m_int = np.zeros(len(n_list))
-    se_int = np.zeros(len(n_list))
+    mean = np.zeros((len(n_list), 2))
+    se = np.zeros((len(n_list), 2))
     for idx, n in enumerate(n_list):
-        times = times_rel / n
-        wts = wts_rel / n
-        tot = np.zeros(2)
-        tot2 = np.zeros(2)
-        for start in range(0, samples, batch):
-            m = min(batch, samples - start)
-            wsub = _batched_brownian(1, n, msub, d, stream.child(idx * samples), m, start)
-            end = family.batch_values(wsub, n, msub, np.array([1.0 / n]))[:, 0, :]
-            a = ((end * end).sum(axis=1)) ** 3
-            speed = np.sqrt((family.batch_derivs(wsub, n, msub, times) ** 2).sum(axis=2))
-            b = (speed @ wts) ** 6
-            tot += [a.sum(), b.sum()]
-            tot2 += [(a * a).sum(), (b * b).sum()]
-        mean = tot / samples
-        var = np.maximum(tot2 / samples - mean * mean, 0.0)
-        m_end[idx], m_int[idx] = mean
-        se_end[idx], se_int[idx] = np.sqrt(var / samples)
+        moments = _per_sample(lambda wsub: sixth_moments(family, wsub, n, msub),
+                              1, n, msub, d, samples, stream.child(idx * samples), batch)
+        mean[idx], se[idx] = mean_se(moments)
     ln = np.log(np.asarray(n_list, dtype=float))
-    exp_end = float(np.polyfit(ln, np.log(m_end), 1)[0])
-    exp_int = float(np.polyfit(ln, np.log(m_int), 1)[0])
-    return MomentCheckReport(family.name, n_list, m_end, se_end, m_int, se_int,
+    exp_end = float(np.polyfit(ln, np.log(mean[:, 0]), 1)[0])
+    exp_int = float(np.polyfit(ln, np.log(mean[:, 1]), 1)[0])
+    return MomentCheckReport(family.name, n_list, mean[:, 0], se[:, 0], mean[:, 1], se[:, 1],
                              exp_end, exp_int, samples)

@@ -144,7 +144,7 @@ def _stage_derivs(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int,
     us[0::3] = frac / m_int
     us[1::3] = (frac + 0.5) / m_int
     us[2::3] = (frac + 1.0) / m_int
-    der = family.batch_derivs_blockwise(wsub, n, msub, kb, us)
+    der = family.batch_derivs(wsub, n, msub, kb, us)
     return der.reshape(wsub.shape[0], nb * m_int, 3, wsub.shape[2])
 
 

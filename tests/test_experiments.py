@@ -148,6 +148,11 @@ FAIL_FAST_CALLS = {
         zero_drift(2), _coupled_sigma(), np.zeros(2), 100, RngStream(0, 0), make_grid(1.0, 64)),
     "girsanov_weight_full_sigma": lambda: girsanov_weight(
         zero_drift(2), _coupled_sigma(), np.zeros(2), RngStream(0, 0), make_grid(1.0, 64)),
+    # diagonal, but without the scalar form the weights read its diagonal from
+    "girsanov_mean_diagonal_without_scalar_forms": lambda: girsanov_mean(
+        zero_drift(), dataclasses.replace(sin_elliptic_diffusion(1.0, 0.5), scalar=None,
+                                          scalar_grad=None),
+        0.0, 100, RngStream(0, 0), make_grid(1.0, 64)),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,14 +8,14 @@ from wzsim.noise import (
     McShane,
     Mollified,
     PiecewiseShape,
+    area_density,
     build_approximation,
     check_moment_condition,
+    correction_density,
     estimate_c,
     estimate_s,
     levy_area,
-    single_path_c_matrix,
-    single_path_def31_moments,
-    single_path_s_matrix,
+    sixth_moments,
 )
 from wzsim.shapes import (
     MollifierKernel,
@@ -27,6 +29,7 @@ from wzsim.shapes import (
 )
 
 LIN = PiecewiseShape(linear_shape())
+MCS = McShane(linear_shape(), power_shape(2.0))
 
 
 def brownian(n_steps=256, d=1, seed=5, sid=0, horizon=1.0):
@@ -171,8 +174,36 @@ def test_mollified_starts_at_zero_and_has_no_kinks():
     w = brownian(512)
     ap = build_approximation(Mollified(bump_kernel()), w, 8)
     assert np.all(ap.value(0.0) == 0.0)
-    assert ap.kinks().size == 0
-    assert build_approximation(LIN, w, 8).kinks().size == 7
+    # at each inner block end the left limit (k - 1, u=1) and the right
+    # start (k, u=0) are one and the same time for the mollified family ...
+    wsub, k = w.values[None], np.arange(1, 8)
+    fam = ap.family
+    assert np.array_equal(fam.batch_derivs(wsub, 8, 64, k - 1, np.ones(7)),
+                          fam.batch_derivs(wsub, 8, 64, k, np.zeros(7)))
+    # ... while the polygonal path's slope jumps there
+    left = LIN.batch_derivs(wsub, 8, 64, k - 1, np.ones(7))
+    assert np.all(left != LIN.batch_derivs(wsub, 8, 64, k, np.zeros(7)))
+
+
+@pytest.mark.parametrize("fam", [PiecewiseShape(power_shape(2.0)), MCS], ids=["piecewise", "mcshane"])
+def test_u_one_is_the_left_limit_of_block_k(fam):
+    # f = u^2 has f'(1) = 2 and f'(0) = 0, so block k's slope at its right
+    # end differs from block k+1's at its start
+    n, msub = 8, 8
+    wsub = brownian(64, d=2, seed=12).values[None]
+    k = np.arange(n)
+    got = fam.batch_derivs(wsub, n, msub, k, np.ones(n))[0]
+    dw = wsub[0, (k + 1) * msub] - wsub[0, k * msub]
+    slope = np.full((n, 2), 2.0)
+    if isinstance(fam, McShane):
+        # f1 = u (slope 1) on component 0 unless the block's increments
+        # have opposite signs, in which case the components swap shapes
+        swap = dw[:, 0] * dw[:, 1] < 0.0
+        slope[:, 0] = np.where(swap, 2.0, 1.0)
+        slope[:, 1] = np.where(swap, 1.0, 2.0)
+    assert np.allclose(got, n * slope * dw, rtol=1e-14, atol=0.0)
+    right = fam.batch_derivs(wsub, n, msub, k[1:], np.zeros(n - 1))[0]
+    assert np.all(got[:-1] != right)
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +309,42 @@ def test_c_equals_s_plus_half_identity():
     assert np.all(np.abs(rel) <= 3 * np.maximum(se, 1e-12))
 
 
-def test_single_path_functionals_vanish_on_zero_path():
-    g = make_grid(0.5, 128)
-    z = Path(g, np.zeros((129, 2)))
-    for fam in [LIN, Mollified(bump_kernel())]:
-        assert np.all(single_path_s_matrix(fam, z, 2) == 0.0)
-        assert np.all(single_path_c_matrix(fam, z, 2, 0.5) == 0.0)
-        m_end, m_int = single_path_def31_moments(fam, z, 2)
-        assert m_end == 0.0 and m_int == 0.0
+@pytest.mark.parametrize("fam", [LIN, Mollified(bump_kernel()), MCS],
+                         ids=["piecewise", "mollified", "mcshane"])
+def test_batched_functionals_vanish_on_zero_path(fam):
+    # three zero paths over two blocks of width 1/4 with 32 subgrid cells each
+    z = np.zeros((3, 65, 2))
+    for got, shape in [(area_density(fam, z, 4, 32), (3, 2, 2)),
+                       (correction_density(fam, z, 4, 32), (3, 2, 2)),
+                       (sixth_moments(fam, z, 4, 32), (3, 2))]:
+        assert got.shape == shape
+        assert np.all(got == 0.0)
 
 
 def test_c_rejects_time_off_the_block_lattice():
     with pytest.raises(ValidationError):
         estimate_c(LIN, 16, 0.7 / 16, 200, RngStream(1, 0))
+
+
+BATCHED_ESTIMATORS = {
+    "estimate_s": lambda batch: estimate_s(MCS, 16, 100, RngStream(76, 0), batch=batch),
+    "estimate_c": lambda batch: estimate_c(Mollified(bump_kernel()), 16, 0.25, 100,
+                                           RngStream(76, 1), batch=batch),
+    "check_moment_condition": lambda batch: check_moment_condition(
+        LIN, [4, 8, 16], 100, RngStream(76, 2), batch=batch),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(BATCHED_ESTIMATORS))
+def test_batched_and_unbatched_estimates_agree(estimator):
+    # sample i always draws stream.child(i) and its value is reduced once, in
+    # sample order, so the batch size (7 and 16 do not divide the 100
+    # samples, 100 is one batch) must not change a single bit of the report
+    run = BATCHED_ESTIMATORS[estimator]
+    unbatched = dataclasses.astuple(run(100))
+    for batch in (7, 16):
+        got = dataclasses.astuple(run(batch))
+        assert all(np.array_equal(a, b) for a, b in zip(got, unbatched))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,11 @@ class RunConfig:
     config_hash: str = ""
 
     def param(self, key, default=None, cast=float):
+        """[params] value of key as float, int, bool, str or list (of ints).
+
+        A value that is not a number, or not an integer where one is
+        expected, raises ValidationError naming the key.
+        """
         if key not in self.params:
             if default is None:
                 raise ValidationError(f"missing required parameter '{key}'")
@@ -75,10 +80,23 @@ class RunConfig:
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         if cast is list:
-            return [int(v) for v in raw.replace(",", " ").split()]
+            return [_number(key, v, int) for v in raw.replace(",", " ").split()]
         if cast is str:
             return raw.strip()
-        return cast(raw)
+        return _number(key, raw, cast)
+
+
+def _number(key: str, text: str, cast=float):
+    """text as a float, or as an int when cast is int; ValidationError naming key if it is neither."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"parameter '{key}': '{text.strip()}' is not a number") from None
+    if cast is int:
+        if not value.is_integer():
+            raise ValidationError(f"parameter '{key}': '{text.strip()}' is not an integer")
+        return int(value)
+    return value
 
 
 def _parse_field_spec(spec: str) -> tuple[str, dict]:
@@ -212,12 +230,12 @@ def _check_p(cfg: RunConfig, p: float, d: int) -> None:
 
 
 def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
-    d = int(cfg.param("d", default=2.0))
+    d = cfg.param("d", default=2, cast=int)
     family = _build_family(cfg)
-    n = int(cfg.param("n", default=32.0))
-    samples = int(cfg.param("samples", default=10000.0))
-    t_mult = int(cfg.param("t_mult", default=16.0))
-    msub = int(cfg.param("m_sub", default=8.0))
+    n = cfg.param("n", default=32, cast=int)
+    samples = cfg.param("samples", default=10000, cast=int)
+    t_mult = cfg.param("t_mult", default=16, cast=int)
+    msub = cfg.param("m_sub", default=8, cast=int)
     t = t_mult / n
     s_est = estimate_s(family, n, samples, stream, d=d, msub=msub)
     c_est = estimate_c(family, n, t, samples, stream.child(_STRIDE), d=d, msub=msub)
@@ -246,8 +264,8 @@ def _make_setup(cfg: RunConfig) -> WongZakaiSetup:
     if seq is not None:
         _check_p(cfg, p, d)
     config = SolverConfig(
-        n_ref=int(cfg.param("n_ref", default=float(1 << 13))),
-        m_ode=int(cfg.param("m_ode", default=16.0)),
+        n_ref=cfg.param("n_ref", default=1 << 13, cast=int),
+        m_ode=cfg.param("m_ode", default=16, cast=int),
         horizon=cfg.param("t", default=1.0),
     )
     return WongZakaiSetup(drift=drift, sigma=sigma,
@@ -263,7 +281,7 @@ def _model_x0(cfg: RunConfig) -> float:
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
     setup = _make_setup(cfg)
     n_list = cfg.param("n_list", default=[16, 32, 64, 128, 256, 512], cast=list)
-    paths = int(cfg.param("paths", default=500.0))
+    paths = cfg.param("paths", default=500, cast=int)
     rep = rate_sweep(setup, n_list, paths, stream)
     rows = [(n, mse, se, paths, ab) for (n, mse, se), ab in zip(rep.points, rep.aborted)]
     write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths", "aborted"], rows)
@@ -283,8 +301,8 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
         raise ValidationError("stability needs a 'sequence' entry in [model]")
     _check_p(cfg, p, d)
     n_list = cfg.param("n_list", default=[16, 64, 256], cast=list)
-    paths = int(cfg.param("paths", default=500.0))
-    config = SolverConfig(n_ref=int(cfg.param("n_ref", default=float(1 << 13))),
+    paths = cfg.param("paths", default=500, cast=int)
+    config = SolverConfig(n_ref=cfg.param("n_ref", default=1 << 13, cast=int),
                           horizon=cfg.param("t", default=1.0))
     rep = stability_sweep(drift, seq, sigma, CorrectionMatrix.half_identity(1),
                           _model_x0(cfg), n_list, paths, stream, config)
@@ -303,9 +321,9 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
     d = 1
     drift, sigma = _build_model(cfg, d)
     x0 = _model_x0(cfg)
-    paths = int(cfg.param("paths", default=100000.0))
-    grid = make_grid(cfg.param("t", default=1.0), int(cfg.param("n_ref", default=2048.0)))
-    eps_ladder = [float(v) for v in cfg.params.get("eps_ladder", "").split()] or \
+    paths = cfg.param("paths", default=100000, cast=int)
+    grid = make_grid(cfg.param("t", default=1.0), cfg.param("n_ref", default=2048, cast=int))
+    eps_ladder = [_number("eps_ladder", v) for v in cfg.params.get("eps_ladder", "").split()] or \
         [cfg.param("epsilon", default=0.5)]
     targets = cfg.param("targets", default="const line sine", cast=str).split()
     rows = []
@@ -332,8 +350,8 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
 def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
     d = 1
     drift, sigma = _build_model(cfg, d)
-    paths = int(cfg.param("paths", default=10000.0))
-    grid = make_grid(cfg.param("t", default=1.0), int(cfg.param("n_ref", default=4096.0)))
+    paths = cfg.param("paths", default=10000, cast=int)
+    grid = make_grid(cfg.param("t", default=1.0), cfg.param("n_ref", default=4096, cast=int))
     rep = girsanov_mean(drift, sigma, _model_x0(cfg), paths, stream, grid)
     write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight", "aborted"],
               [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight, rep.aborted)])
@@ -347,8 +365,8 @@ def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
 
 def _cmd_def31(cfg: RunConfig, stream: RngStream) -> None:
     family = _build_family(cfg)
-    d = int(cfg.param("d", default=1.0))
-    samples = int(cfg.param("samples", default=10000.0))
+    d = cfg.param("d", default=1, cast=int)
+    samples = cfg.param("samples", default=10000, cast=int)
     n_list = cfg.param("n_list", default=[4, 8, 16, 32], cast=list)
     rep = check_moment_condition(family, n_list, samples, stream, d=d)
     rows = []

@@ -3,7 +3,10 @@
 Both solvers run on shared noise: the Euler route consumes the Brownian
 increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
-steps aligned so every kink of the smoothed path is a step boundary.
+steps aligned so every kink of the smoothed path is a step boundary.  In a
+coupled run the random ODE takes ``m_ode`` steps per noise block, however
+fine the reference grid is, and its values at the reference nodes come from
+each step's cubic Hermite interpolant (dense output).
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -45,9 +48,9 @@ class SolverAbort(RuntimeError):
 class SolverConfig:
     """Grid resolution shared by coupled runs.
 
-    ``n_ref`` reference-grid steps over the horizon; the random ODE takes at
-    least ``m_ode`` sub-steps per noise block, refined so its grid contains
-    every reference node.
+    ``n_ref`` reference-grid steps over the horizon; the random ODE takes
+    ``m_ode`` Runge-Kutta steps per noise block, and its values at reference
+    nodes between step ends are read from the steps' Hermite interpolants.
     """
 
     n_ref: int
@@ -71,6 +74,11 @@ def _sigma_at(sigma: DiffusionField, x: np.ndarray) -> np.ndarray:
 def _times(sigma: DiffusionField, sig: np.ndarray, v: np.ndarray) -> np.ndarray:
     """sigma(x) v for a batch v (m, d), from the values _sigma_at returned."""
     return np.einsum("mij,mj->mi", sig, v) if sigma.scalar is None else sig * v
+
+
+def _rhs(b: DriftField, sigma: DiffusionField, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """b(y) + sigma(y) v for a batch of states y (m, d) and driver values v (m, d)."""
+    return b(y) + _times(sigma, _sigma_at(sigma, y), v)
 
 
 def _flag_aborts(x: np.ndarray, status: np.ndarray, step: int) -> None:
@@ -130,56 +138,80 @@ def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatri
 
 
 def _stage_derivs(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int,
-                  block_start: int, block_end: int, m_int: int) -> np.ndarray:
+                  block_start: int, block_end: int, m_ode: int) -> np.ndarray:
     """Driver derivative at RK4 stage positions, block-local at kinks.
 
-    Returns (paths, steps, 3, d) for steps = (block_end - block_start) * m_int.
+    Returns (paths, steps, 3, d) for steps = (block_end - block_start) * m_ode;
+    a step's third stage at a block end is the block's left limit.
     """
     nb = block_end - block_start
-    j = np.arange(nb * m_int)
-    kblk = block_start + j // m_int
-    frac = (j % m_int).astype(float)
+    j = np.arange(nb * m_ode)
+    kblk = block_start + j // m_ode
+    frac = (j % m_ode).astype(float)
     kb = np.repeat(kblk, 3)
     us = np.empty(3 * j.size)
-    us[0::3] = frac / m_int
-    us[1::3] = (frac + 0.5) / m_int
-    us[2::3] = (frac + 1.0) / m_int
+    us[0::3] = frac / m_ode
+    us[1::3] = (frac + 0.5) / m_ode
+    us[2::3] = (frac + 1.0) / m_ode
     der = family.batch_derivs(wsub, n, msub, kb, us)
-    return der.reshape(wsub.shape[0], nb * m_int, 3, wsub.shape[2])
+    return der.reshape(wsub.shape[0], nb * m_ode, 3, wsub.shape[2])
 
 
 def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
-              vstages: np.ndarray, h: float, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+              vstages: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """RK4 paths for dx/ds = b(x) + sigma(x) v(s) with precomputed stage drivers.
 
-    vstages: (m, steps, 3, d); records every ``stride`` steps.  Returns
-    values (m, steps//stride + 1, d) and the abort status per path.
+    vstages: (m, steps, 3, d).  Returns the step-end values (m, steps + 1, d)
+    and the abort status per path.
     """
     m, steps, _, d = vstages.shape
-    if steps % stride:
-        raise ValidationError("stride must divide the step count")
-    vals = np.empty((m, steps // stride + 1, d))
+    vals = np.empty((m, steps + 1, d))
     x = np.array(np.broadcast_to(x0, (m, d)), dtype=float)
     vals[:, 0] = x
     status = np.zeros(m, dtype=np.int64)
-
-    def rhs(y, v):
-        return b(y) + _times(sigma, _sigma_at(sigma, y), v)
-
     with np.errstate(all="ignore"):
-        rec = 1
         for k in range(steps):
             v0, vm, v1 = vstages[:, k, 0], vstages[:, k, 1], vstages[:, k, 2]
-            k1 = rhs(x, v0)
-            k2 = rhs(x + 0.5 * h * k1, vm)
-            k3 = rhs(x + 0.5 * h * k2, vm)
-            k4 = rhs(x + h * k3, v1)
+            k1 = _rhs(b, sigma, x, v0)
+            k2 = _rhs(b, sigma, x + 0.5 * h * k1, vm)
+            k3 = _rhs(b, sigma, x + 0.5 * h * k2, vm)
+            k4 = _rhs(b, sigma, x + h * k3, v1)
             x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             _flag_aborts(x, status, k + 1)
-            if (k + 1) % stride == 0:
-                vals[:, rec] = x
-                rec += 1
+            vals[:, k + 1] = x
     return vals, status
+
+
+def _dense_values(b: DriftField, sigma: DiffusionField, xs: np.ndarray,
+                  vstages: np.ndarray, h: float, nodes: int) -> np.ndarray:
+    """Values of RK4 paths at ``nodes`` + 1 equispaced times over their steps.
+
+    xs: the step-end values rk4_batch returned for vstages.  With S steps,
+    node j lies in step s = j*S // nodes at fraction theta = (j*S mod nodes)
+    / nodes.  A node with theta = 0 copies the step value; any other node
+    takes the step's cubic Hermite interpolant through x_s, x_{s+1} and the
+    slopes rhs(x_s, v0_s), rhs(x_{s+1}, v1_s) (Hairer-Norsett-Wanner,
+    Solving ODEs I, II.6).  An aborted path stays NaN from its aborting step
+    on.  Returns (m, nodes + 1, d).
+    """
+    m, _, d = xs.shape
+    s, r = np.divmod(np.arange(nodes + 1) * vstages.shape[1], nodes)
+    out = xs[:, s]
+    inner = np.flatnonzero(r)
+    if inner.size == 0:
+        return out
+    # the Hermite basis at theta, with the step length folded into the slope terms
+    t = r[inner] / nodes
+    h01 = (t * t * (3.0 - 2.0 * t))[None, :, None]
+    h10 = (h * t * (1.0 - t) ** 2)[None, :, None]
+    h11 = (-h * t * t * (1.0 - t))[None, :, None]
+    si = s[inner]
+    with np.errstate(all="ignore"):
+        f0 = _rhs(b, sigma, xs[:, :-1].reshape(-1, d), vstages[:, :, 0].reshape(-1, d)).reshape(m, -1, d)
+        f1 = _rhs(b, sigma, xs[:, 1:].reshape(-1, d), vstages[:, :, 2].reshape(-1, d)).reshape(m, -1, d)
+        x0, x1 = xs[:, si], xs[:, si + 1]
+        out[:, inner] = x0 + h01 * (x1 - x0) + h10 * f0[:, si] + h11 * f1[:, si]
+    return out
 
 
 def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
@@ -222,8 +254,8 @@ class CoupledRun:
     sup_error: float
 
 
-def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int, int]:
-    """(blocks, msub_eff, m_int): subgrid cells per block and ODE refinement."""
+def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int]:
+    """(blocks, msub): noise blocks over the horizon and reference cells per block."""
     blocks = config.horizon * n
     if abs(blocks - round(blocks)) > 1e-9:
         raise ValidationError("horizon must hold a whole number of noise blocks")
@@ -231,9 +263,7 @@ def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int, int]:
     msub = config.n_ref / blocks
     if abs(msub - round(msub)) > 1e-9 or round(msub) < 1:
         raise ValidationError(f"n_ref={config.n_ref} is not a multiple of the block count {blocks}")
-    msub = int(round(msub))
-    m_int = msub * int(np.ceil(config.m_ode / msub))
-    return blocks, msub, m_int
+    return blocks, int(round(msub))
 
 
 def _coupled_paths(b: DriftField, b_n: DriftField, sigma: DiffusionField,
@@ -242,13 +272,14 @@ def _coupled_paths(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                    count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(sde_values, status_sde, ode_values, status_ode) of ``count`` shared-noise
     draws on the reference grid; path i consumes stream.child(i)."""
-    blocks, msub, m_int = _coupling_layout(config, n)
+    blocks, msub = _coupling_layout(config, n)
     grid = config.grid()
     w = sample_brownian_batch(grid, sigma.dim, stream, count)
     xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
-    vst = _stage_derivs(family, w, n, msub, 0, blocks, m_int)
-    xnv, st_ode = rk4_batch(b_n, sigma, x0, vst, 1.0 / (n * m_int), stride=m_int // msub)
-    return xv, st_sde, xnv, st_ode
+    h = 1.0 / (n * config.m_ode)
+    vst = _stage_derivs(family, w, n, msub, 0, blocks, config.m_ode)
+    xs, st_ode = rk4_batch(b_n, sigma, x0, vst, h)
+    return xv, st_sde, _dense_values(b_n, sigma, xs, vst, h, config.n_ref), st_ode
 
 
 def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,

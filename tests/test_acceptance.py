@@ -277,13 +277,13 @@ paths = 60
     ("coeffs", ["coeffs_c.csv", "coeffs_s.csv"]),
     ("rate-sweep", ["rate_sweep.csv"]),
 ])
-def test_criterion_11_reproducibility(tmp_path, command, csvs):
+def test_criterion_11_reproducibility(tmp_path, package_env, command, csvs):
     cfg = tmp_path / "run.ini"
     cfg.write_text(CFG_REPRO.format(command=command), encoding="utf-8")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         subprocess.run([sys.executable, "-m", "wzsim.cli", "--config", str(cfg),
                         "--out", str(out)],
-                       check=True, capture_output=True)
+                       env=package_env, check=True, capture_output=True)
     same = all((outs[0] / c).read_bytes() == (outs[1] / c).read_bytes() for c in csvs)
     verdict(11, same, f"{command}: CSV bytes identical for two runs of the same config")

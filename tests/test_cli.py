@@ -1,12 +1,9 @@
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import wzsim
 from wzsim import experiments
 from wzsim.cli import main
 
@@ -219,6 +216,21 @@ def test_tube_command(tmp_path):
         assert hits == sorted(hits)
 
 
+@pytest.mark.parametrize("config,line,bad,key", [
+    (RATE_CFG, "paths = 60", "paths = forty", "paths"),
+    (RATE_CFG, "n_list = 8 16 32", "n_list = 16 32 x", "n_list"),
+    (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder = 0.5 wide", "eps_ladder"),
+    (RATE_CFG, "paths = 60", "paths = 40.5", "paths"),
+], ids=["word", "list_entry", "ladder_entry", "fraction_for_int"])
+def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
+    text = config.format(out=tmp_path / "o")
+    assert line in text
+    cfg = write(tmp_path, "bad.ini", text.replace(line, bad))
+    assert run_cli("--config", cfg) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 STABILITY_CFG = """
 [run]
 command = stability
@@ -302,12 +314,9 @@ def test_stability_command(tmp_path):
     assert len(lines) == 4
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
+def test_importing_the_cli_leaves_scipy_stats_unloaded(package_env):
     # scipy.stats takes about a second to import; the CLI needs only scipy.special
-    src = str(Path(wzsim.__file__).resolve().parent.parent)
-    paths = [src, os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     code = "import sys, wzsim.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"

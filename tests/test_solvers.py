@@ -252,6 +252,57 @@ def test_coupled_run_is_row_zero_of_the_batched_route():
     assert r.sup_error == sup[0]
 
 
+def _ode_nodes_and_steps(b, sigma, cfg, n, x0, stream, count, m_steps):
+    """The coupled route's ODE values and status at the reference nodes, and
+    rk4_batch's step-end values and status at m_steps steps per block on the
+    same Brownian paths."""
+    _, _, xnv, st = solvers._coupled_paths(b, b, sigma, HALF, LIN, n, x0, stream, cfg, count)
+    w = sample_brownian_batch(cfg.grid(), 1, stream, count)
+    vst = solvers._stage_derivs(LIN, w, n, cfg.n_ref // n, 0, n, m_steps)
+    xs, st_steps = rk4_batch(b, sigma, np.full((count, 1), x0), vst, 1.0 / (n * m_steps))
+    return xnv, st, xs, st_steps
+
+
+def test_aligned_reference_nodes_copy_the_step_values():
+    # msub = 4 reference cells and m_ode = 8 steps per block: every reference
+    # node is the end of every second step
+    xnv, st, xs, st_steps = _ode_nodes_and_steps(sin_bump_drift(), sin_elliptic_diffusion(),
+                                                 SolverConfig(n_ref=256, m_ode=8), 64, 0.3,
+                                                 RngStream(5, 80), 8, 8)
+    assert np.array_equal(xnv, xs[:, ::2])
+    assert np.array_equal(st, st_steps)
+
+
+def test_hermite_reference_nodes_match_a_finer_aligned_run():
+    # msub = 24 reference cells against m_ode = 16 steps per block: 1.5 nodes
+    # per step, and every third node is a step end
+    cfg = SolverConfig(n_ref=384, m_ode=16)
+    b, sigma = sin_bump_drift(), sin_elliptic_diffusion()
+    xnv, st, xs, _ = _ode_nodes_and_steps(b, sigma, cfg, 16, 0.3, RngStream(5, 81), 8, 16)
+    _, _, fine, st_fine = _ode_nodes_and_steps(b, sigma, cfg, 16, 0.3, RngStream(5, 81), 8, 48)
+    assert not np.any(st) and not np.any(st_fine)
+    assert xnv.shape == (8, 385, 1)
+    assert np.array_equal(xnv[:, ::3], xs[:, ::2])
+    assert np.max(np.abs(xnv - fine[:, ::2])) < 1e-6
+
+
+def test_hermite_reference_nodes_are_nan_from_the_aborting_step_on():
+    # sigma(x) = x from x0 = 5e11: x = x0 exp(W^n) leaves [-1e12, 1e12] once
+    # W^n exceeds log 2, which about half the paths do
+    cfg = SolverConfig(n_ref=384, m_ode=16)
+    xnv, st, _, st_steps = _ode_nodes_and_steps(zero_drift(), linear_diffusion(), cfg, 16, 5e11,
+                                                RngStream(5, 82), 32, 16)
+    assert np.array_equal(st, st_steps)
+    assert 0 < np.count_nonzero(st) < st.size
+    # node j lies at step position j * steps / n_ref; a path with status k
+    # aborted in the step from k - 1 to k
+    pos = np.arange(cfg.n_ref + 1) * (16 * cfg.m_ode)
+    for vals, k in zip(xnv[:, :, 0], st):
+        finite = pos <= (k - 1) * cfg.n_ref if k else pos >= 0
+        assert np.all(np.isfinite(vals[finite]))
+        assert np.all(np.isnan(vals[~finite]))
+
+
 def test_coupled_error_shrinks_with_n_for_smooth_setup():
     cfg = SolverConfig(n_ref=1 << 11, m_ode=16)
     sups = {}

@@ -52,12 +52,12 @@ from .experiments import (
 )
 from .noise import (
     ApproxPath,
-    CoefficientEstimate,
     CoefficientMatrix,
     McShane,
     Mollified,
     NoiseFamily,
     PiecewiseShape,
+    block_layout,
     build_approximation,
     check_moment_condition,
     estimate_c,

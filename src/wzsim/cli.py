@@ -20,7 +20,9 @@ reference)::
     n_ref = 8192
     ...
 
-Field specs are ``name key=value ...`` with registry names.  Every CSV
+Field specs are ``name key=value ...`` with registry names; drift,
+diffusion and sequence values are numbers, and a family spec may also name
+a shape or kernel (``shape=``, ``kernel=``, ``f1=``, ``f2=``).  Every CSV
 starts with a provenance comment (seed, config hash, tool version), uses a
 header row, UTF-8, LF line endings and '.' decimals.  Exit codes: 0 ok,
 2 validation error, 3 aborted-path threshold breached.
@@ -99,7 +101,12 @@ def _number(key: str, text: str, cast=float):
     return value
 
 
-def _parse_field_spec(spec: str) -> tuple[str, dict]:
+def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
+    """``name key=value ...``; every value is a number, or with ``names`` a number or a name.
+
+    A value that is not a number where one is required raises
+    ValidationError naming the key.
+    """
     parts = spec.split()
     if not parts:
         raise ValidationError("empty field spec")
@@ -112,6 +119,8 @@ def _parse_field_spec(spec: str) -> tuple[str, dict]:
         try:
             params[k] = float(v)
         except ValueError:
+            if not names:
+                raise ValidationError(f"parameter '{k}' of '{name}': '{v}' is not a number") from None
             params[k] = v
     return name, params
 
@@ -131,9 +140,14 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     command = cp.get("run", "command").strip()
     if command not in COMMANDS:
         raise ValidationError(f"unknown command '{command}'; commands: {', '.join(COMMANDS)}")
+    text = cp.get("run", "seed", fallback="0") if seed is None else seed
+    try:
+        seed = int(text)  # never through float: seeds above 2^53 must stay exact
+    except ValueError:
+        raise ValidationError(f"parameter 'seed': '{text}' is not an integer") from None
     cfg = RunConfig(
         command=command,
-        seed=int(seed if seed is not None else cp.get("run", "seed", fallback="0")),
+        seed=seed,
         out=FsPath(out if out is not None else cp.get("run", "out", fallback="out")),
         model=dict(cp.items("model")) if cp.has_section("model") else {},
         params=dict(cp.items("params")) if cp.has_section("params") else {},
@@ -197,7 +211,7 @@ def _build_model(cfg: RunConfig, d: int):
 
 
 def _build_family(cfg: RunConfig):
-    fname, fpar = _parse_field_spec(cfg.model.get("family", "piecewise shape=linear"))
+    fname, fpar = _parse_field_spec(cfg.model.get("family", "piecewise shape=linear"), names=True)
     return get_family(fname, **fpar)
 
 
@@ -205,8 +219,8 @@ def _build_sequence(cfg: RunConfig, p: float) -> DriftApproxSequence | None:
     if "sequence" not in cfg.model:
         return None
     name, par = _parse_field_spec(cfg.model["sequence"])
-    alpha = float(par.get("alpha", 0.4))
-    delta = float(par.get("delta", 0.5))
+    alpha = par.get("alpha", 0.4)
+    delta = par.get("delta", 0.5)
     if name == "ramp":
         return ramp_sequence(alpha, p, delta)
     if name == "mollified":
@@ -275,7 +289,7 @@ def _make_setup(cfg: RunConfig) -> WongZakaiSetup:
 
 
 def _model_x0(cfg: RunConfig) -> float:
-    return float(cfg.model.get("x0", "0.0"))
+    return _number("x0", cfg.model.get("x0", "0.0"))
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:

@@ -19,6 +19,7 @@ import numpy as np
 from scipy import special
 
 from .core import RngStream, ValidationError
+from .shapes import _gl_composite
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +192,16 @@ def indicator_drift() -> DriftField:
                       breakpoints=(0.0, 1.0), name="indicator01")
 
 
-def ramp_approximation(n: int, chi: Callable[[int], float]) -> DriftField:
-    """Piecewise-linear surrogate of the indicator with flank width 2/chi(n).
+def ramp_approximation(chi: float) -> DriftField:
+    """Piecewise-linear surrogate of the indicator with flank width 2/chi.
 
     Zero outside [-2/chi, 1 + 2/chi], 1 on [0, 1], linear on the flanks.
     C^1 metadata: sup|b_n| = 1 and sup|b_n'| = chi/2, so the C^1 norm is
     (chi + 2)/2 exactly.
     """
-    c = float(chi(n))
+    c = float(chi)
     if c <= 0.0:
-        raise ValidationError(f"chi({n}) = {c} must be positive")
+        raise ValidationError(f"chi = {c} must be positive")
 
     def fn(x, c=c):
         x = np.asarray(x, dtype=float)
@@ -261,9 +262,7 @@ def mollify_drift(b: DriftField, kappa: float, order: int = 16) -> DriftField:
     if kappa <= 0.0:
         raise ValidationError("kappa must be positive")
     half = 10.0 / math.sqrt(kappa)
-    gx, gw = np.polynomial.legendre.leggauss(order)
-    gx = (gx + 1.0) / 2.0
-    gw = gw / 2.0
+    gx, gw = _gl_composite(1, order)
     # base panels keep the Gaussian well resolved even without breakpoints
     base_edges = np.linspace(-half, half, 33)
     beta = np.asarray(b.breakpoints, dtype=float)
@@ -358,7 +357,7 @@ def ramp_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequ
     return DriftApproxSequence(
         base=base,
         p=p,
-        generator=lambda n: ramp_approximation(n, lambda m: schedule_chi(m, alpha)),
+        generator=lambda n: ramp_approximation(schedule_chi(n, alpha)),
         bound=lambda n: (schedule_chi(n, alpha) + 2.0) / 2.0,
         noise_rate=lambda n: 0.0,
         delta=delta,
@@ -366,18 +365,16 @@ def ramp_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequ
     )
 
 
-def mollified_sequence(alpha: float, p: float, delta: float = 0.5,
-                       c_measured: float | None = None) -> DriftApproxSequence:
+def mollified_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequence:
     """Mollification schedule for the indicator: kappa(n) = sqrt(alpha log n)/C - 1.
 
     C is the measured constant with C^1-norm(b_kappa) <= C (kappa + 1); for
     the indicator, sup|b_kappa| <= 1 and sup|b_kappa'| = sqrt(kappa/2pi),
-    and C = 1.1 covers every kappa > 0 (recorded once here).
+    and C = 1.1 covers every kappa > 0 (measured here on a kappa grid).
     """
-    if c_measured is None:
-        kappas = np.geomspace(1e-3, 50.0, 80)
-        ratios = [mollified_indicator(k).c1_norm / (k + 1.0) for k in kappas]
-        c_measured = float(np.max(ratios)) * 1.001
+    kappas = np.geomspace(1e-3, 50.0, 80)
+    ratios = [mollified_indicator(k).c1_norm / (k + 1.0) for k in kappas]
+    c_measured = float(np.max(ratios)) * 1.001
     base = indicator_drift()
 
     def gen(n, c=c_measured):

@@ -112,31 +112,26 @@ class RngStream:
 
 
 def sample_brownian(grid: TimeGrid, d: int, stream: RngStream) -> Path:
-    """Sample a standard d-dimensional Brownian path on the grid.
-
-    Increments over each step are independent N(0, dt) per component and
-    values[0] = 0.  Deterministic given (master_seed, stream_id).
-    """
-    if d < 1:
-        raise ValidationError("dimension must be >= 1")
-    gen = stream.generator()
-    dw = gen.standard_normal((grid.steps, d)) * np.sqrt(grid.dt)
-    vals = np.empty((grid.steps + 1, d))
-    vals[0] = 0.0
-    np.cumsum(dw, axis=0, out=vals[1:])
-    return Path(grid, vals)
+    """Sample a standard d-dimensional Brownian path on the grid; row 0 of the batch sampler."""
+    return Path(grid, sample_brownian_batch(grid, d, stream, 1)[0])
 
 
 def sample_brownian_batch(grid: TimeGrid, d: int, stream: RngStream, count: int) -> np.ndarray:
     """Sample ``count`` independent Brownian paths, shape (count, N+1, d).
 
-    Path i is bit-identical to ``sample_brownian(grid, d, stream.child(i))``,
-    which is what makes reductions independent of how paths are distributed
-    over workers.
+    Path i draws its increments, independent N(0, dt) per component, from
+    stream.child(i), and values[i, 0] = 0.  Each path is thus a pure
+    function of (master_seed, stream_id + i), which is what makes
+    reductions independent of how paths are distributed over workers.
     """
+    if d < 1:
+        raise ValidationError("dimension must be >= 1")
     out = np.empty((count, grid.steps + 1, d))
+    out[:, 0] = 0.0
+    sqrt_dt = np.sqrt(grid.dt)
     for i in range(count):
-        out[i] = sample_brownian(grid, d, stream.child(i)).values
+        dw = stream.child(i).generator().standard_normal((grid.steps, d)) * sqrt_dt
+        np.cumsum(dw, axis=0, out=out[i, 1:])
     return out
 
 

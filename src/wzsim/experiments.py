@@ -30,7 +30,7 @@ from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_b
                    sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
-from .solvers import SolverConfig, coupled_batch, em_batch
+from .solvers import SolverConfig, _require_c1, coupled_batch, em_batch
 
 ABORT_TOLERANCE = 0.01
 
@@ -101,6 +101,7 @@ def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStre
     if paths < 30:
         raise ValidationError("need at least 30 paths")
     b_n = setup.smoothed_drift(n)
+    _require_c1(b_n)
 
     def simulate(s: RngStream, m: int):
         sup, st_sde, st_ode = coupled_batch(

@@ -9,6 +9,11 @@ with ``msub`` cells per noise block of width 1/n:
 * ``McShane`` -- d=2 blockwise interpolation where the two components swap
   shape functions whenever the block increments have opposite signs.
 
+``block_layout`` is the one check of how the level-n blocks lie over a
+Brownian grid (a whole number of blocks, a whole number of grid cells per
+block, a dimension the family supports); ``build_approximation`` and the
+solvers' coupled runs both go through it.
+
 Every family has one evaluator pair, ``batch_values`` and ``batch_derivs``,
 and both take block-local positions ``(k, u)``: block index k (an int
 array) and offset u in [0, 1] within that block (a float array of the same
@@ -36,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Path, RngStream, ValidationError, make_grid, mean_se, sample_brownian_batch
+from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, mean_se, sample_brownian_batch
 from .shapes import MollifierKernel, ShapeFunction, _gl_composite
 
 QUAD_ORDER = 4          # Gauss-Legendre nodes per subgrid cell in the estimators
@@ -118,8 +123,6 @@ class McShane(NoiseFamily):
 
     def _blend(self, wsub, msub, k, fa, fb):
         """(W_{k/n}, shape factors times block increments, swapped where dW1 dW2 < 0)."""
-        if wsub.shape[2] != 2:
-            raise ValidationError("McShane family requires dimension 2")
         w0 = wsub[:, k * msub, :]
         dw = wsub[:, (k + 1) * msub, :] - w0
         swap = (dw[:, :, 0] * dw[:, :, 1]) < 0.0
@@ -166,9 +169,7 @@ class Mollified(NoiseFamily):
 
         # Split each of the msub tau-cells at the path-kink offset phi = t mod h,
         # then apply Gauss-Legendre on both sub-cells; integrands are smooth there.
-        x, wq = np.polynomial.legendre.leggauss(CONVOLUTION_ORDER)
-        x = (x + 1.0) / 2.0
-        wq = wq / 2.0
+        x, wq = _gl_composite(1, CONVOLUTION_ORDER)
 
         phi = np.mod(times, h)                       # (nt,)
         base = np.arange(msub) * h                   # (msub,)
@@ -251,30 +252,33 @@ class ApproxPath:
         return self.derivs_at([t])[0]
 
 
-def build_approximation(family: NoiseFamily, w: Path, n: int) -> ApproxPath:
-    """Wrap a Brownian path in its smoothed approximation at level n.
+def block_layout(family: NoiseFamily, grid: TimeGrid, n: int, d: int) -> tuple[int, int]:
+    """(blocks, msub): the level-n noise blocks over the grid and the grid cells per block.
 
-    The Brownian grid spacing must divide the block width 1/n so block
-    endpoints are grid nodes, and the horizon must hold a whole number of
-    blocks.
+    Rejects n < 1, a dimension the family does not support, a horizon that
+    does not hold a whole number of blocks of width 1/n, and a grid whose
+    cells do not tile every block.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if family.required_dim is not None and w.dim != family.required_dim:
+    if family.required_dim is not None and d != family.required_dim:
         raise ValidationError(
-            f"family {family.name} requires dimension {family.required_dim}, got {w.dim}"
+            f"family {family.name} requires dimension {family.required_dim}, got {d}"
         )
-    dt = w.grid.dt
-    msub = 1.0 / (n * dt)
-    if abs(msub - round(msub)) > 1e-9 or round(msub) < 1:
-        raise ValidationError(
-            f"grid spacing {dt} does not divide the block width 1/{n}"
-        )
-    msub = int(round(msub))
-    blocks = w.grid.steps / msub
+    blocks = grid.horizon * n
     if abs(blocks - round(blocks)) > 1e-9:
         raise ValidationError("horizon does not hold a whole number of noise blocks")
-    return ApproxPath(family, w, n, msub, int(round(blocks)))
+    blocks = int(round(blocks))
+    msub = grid.steps / blocks
+    if abs(msub - round(msub)) > 1e-9 or round(msub) < 1:
+        raise ValidationError(f"grid spacing {grid.dt} does not divide the block width 1/{n}")
+    return blocks, int(round(msub))
+
+
+def build_approximation(family: NoiseFamily, w: Path, n: int) -> ApproxPath:
+    """Wrap a Brownian path in its smoothed approximation at level n (see ``block_layout``)."""
+    blocks, msub = block_layout(family, w.grid, n, w.dim)
+    return ApproxPath(family, w, n, msub, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +327,6 @@ def levy_area(w: Path, t: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoefficientEstimate:
-    value: float
-    standard_error: float
-    sample_count: int
-
-
-@dataclass(frozen=True)
 class CoefficientMatrix:
     """d x d matrix of Monte Carlo coefficient estimates."""
 
@@ -340,9 +337,6 @@ class CoefficientMatrix:
     @property
     def dim(self) -> int:
         return self.values.shape[0]
-
-    def at(self, i: int, j: int) -> CoefficientEstimate:
-        return CoefficientEstimate(float(self.values[i, j]), float(self.stderrs[i, j]), self.sample_count)
 
 
 def area_density(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int) -> np.ndarray:

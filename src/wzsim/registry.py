@@ -128,7 +128,7 @@ def _ramp_entry(chi: float | None = None, alpha: float | None = None,
         if alpha is None or n is None:
             raise ValidationError("ramp needs chi=.. or alpha=.. n=..")
         chi = schedule_chi(int(n), alpha)
-    return ramp_approximation(1, lambda _n: chi)
+    return ramp_approximation(chi)
 
 
 def _mollified_entry(kappa: float | None = None, alpha: float | None = None,

@@ -117,15 +117,8 @@ def bump_kernel() -> MollifierKernel:
     """The standard C-infinity bump exp(-1/(u(1-u))) on (0,1), normalized."""
     def raw(u):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = (u > 0.0) & (u < 1.0)
-        ui = u[inside] if u.ndim else (u if inside else None)
-        if u.ndim == 0:
-            if inside:
-                return np.exp(-1.0 / (u * (1.0 - u)))
-            return np.array(0.0)
-        out[inside] = np.exp(-1.0 / (ui * (1.0 - ui)))
-        return out
+        with np.errstate(all="ignore"):
+            return np.where((u > 0.0) & (u < 1.0), np.exp(-1.0 / (u * (1.0 - u))), 0.0)
 
     nodes, weights = _gl_composite(cells=64, order=8)
     z = float(np.dot(weights, raw(nodes)))
@@ -135,17 +128,10 @@ def bump_kernel() -> MollifierKernel:
 
     def deriv(u, z=z):
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = (u > 1e-12) & (u < 1.0 - 1e-12)
-        ui = u[inside] if u.ndim else u
-        if u.ndim == 0:
-            if inside:
-                g = ui * (1.0 - ui)
-                return np.exp(-1.0 / g) * (1.0 - 2.0 * ui) / (g * g) / z
-            return np.array(0.0)
-        g = ui * (1.0 - ui)
-        out[inside] = np.exp(-1.0 / g) * (1.0 - 2.0 * ui) / (g * g) / z
-        return out
+        with np.errstate(all="ignore"):
+            g = u * (1.0 - u)
+            return np.where((u > 1e-12) & (u < 1.0 - 1e-12),
+                            np.exp(-1.0 / g) * (1.0 - 2.0 * u) / (g * g) / z, 0.0)
 
     return MollifierKernel(value, deriv, name="bump")
 

@@ -3,10 +3,15 @@
 Both solvers run on shared noise: the Euler route consumes the Brownian
 increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
-steps aligned so every kink of the smoothed path is a step boundary.  In a
-coupled run the random ODE takes ``m_ode`` steps per noise block, however
-fine the reference grid is, and its values at the reference nodes come from
-each step's cubic Hermite interpolant (dense output).
+steps aligned so every kink of the smoothed path is a step boundary.  A
+coupled run samples W once, lays the level-n blocks over its grid with
+``noise.block_layout`` and steps the random ODE through ``_ode_paths``,
+the one Runge-Kutta route over whole noise blocks; ``solve_random_ode`` is
+its row 0 for a single smoothed path.  The random ODE takes ``m_ode`` steps
+per noise block, however fine the reference grid is, and in a coupled run
+its values at the reference nodes come from each step's cubic Hermite
+interpolant (dense output).  It runs on a smoothed drift only:
+``_require_c1`` rejects a drift without C^1 metadata.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -31,7 +36,7 @@ import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch
 from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
-from .noise import ApproxPath, NoiseFamily
+from .noise import ApproxPath, NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
 
@@ -56,7 +61,6 @@ class SolverConfig:
     n_ref: int
     m_ode: int = 16
     horizon: float = 1.0
-    x0: float = 0.0
 
     def __post_init__(self):
         if self.n_ref < 1 or self.m_ode < 4:
@@ -138,23 +142,21 @@ def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatri
 
 
 def _stage_derivs(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int,
-                  block_start: int, block_end: int, m_ode: int) -> np.ndarray:
-    """Driver derivative at RK4 stage positions, block-local at kinks.
+                  blocks: int, m_ode: int) -> np.ndarray:
+    """Driver derivative at RK4 stage positions over ``blocks`` whole blocks, block-local at kinks.
 
-    Returns (paths, steps, 3, d) for steps = (block_end - block_start) * m_ode;
-    a step's third stage at a block end is the block's left limit.
+    Returns (paths, blocks * m_ode, 3, d); a step's third stage at a block
+    end is the block's left limit.
     """
-    nb = block_end - block_start
-    j = np.arange(nb * m_ode)
-    kblk = block_start + j // m_ode
+    j = np.arange(blocks * m_ode)
     frac = (j % m_ode).astype(float)
-    kb = np.repeat(kblk, 3)
+    kb = np.repeat(j // m_ode, 3)
     us = np.empty(3 * j.size)
     us[0::3] = frac / m_ode
     us[1::3] = (frac + 0.5) / m_ode
     us[2::3] = (frac + 1.0) / m_ode
     der = family.batch_derivs(wsub, n, msub, kb, us)
-    return der.reshape(wsub.shape[0], nb * m_ode, 3, wsub.shape[2])
+    return der.reshape(wsub.shape[0], j.size, 3, wsub.shape[2])
 
 
 def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
@@ -214,32 +216,42 @@ def _dense_values(b: DriftField, sigma: DiffusionField, xs: np.ndarray,
     return out
 
 
-def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
-                     x0, m_ode: int = 16, block_start: int = 0,
-                     block_end: int | None = None) -> Path:
-    """Integrate dx/ds = b_n(x) + sigma(x) dW^n/ds over whole noise blocks.
+def _ode_paths(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: np.ndarray,
+               n: int, msub: int, blocks: int, x0,
+               m_ode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """RK4 paths of dx/ds = b_n(x) + sigma(x) dW^n/ds over ``blocks`` whole noise blocks.
 
-    Returns the solution sampled on the ODE step grid (m_ode steps per
-    block), with the grid's origin at the start of the window.
+    w: Brownian samples (paths, blocks * msub + 1, d) laid out by
+    ``block_layout``.  Returns the step-end values (paths, blocks * m_ode +
+    1, d), the abort status per path, the stage drivers and the step length.
+    """
+    h = 1.0 / (n * m_ode)
+    vst = _stage_derivs(family, w, n, msub, blocks, m_ode)
+    xs, status = rk4_batch(b_n, sigma, x0, vst, h)
+    return xs, status, vst, h
+
+
+def _require_c1(b_n: DriftField) -> None:
+    """The random ODE runs on a smoothed drift: reject one without C^1 metadata."""
+    if not b_n.is_c1:
+        raise ValidationError(f"drift '{b_n.name}' carries no C^1 metadata")
+
+
+def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
+                     x0, m_ode: int = 16) -> Path:
+    """Integrate dx/ds = b_n(x) + sigma(x) dW^n/ds over all noise blocks of wn.
+
+    Returns the solution sampled on the ODE step grid (m_ode steps per block).
     """
     if m_ode < 4:
         raise ValidationError("m_ode must be >= 4")
-    if not b_n.is_c1:
-        # the random-ODE route is for the smoothed drift; singular fields
-        # carry no C^1 metadata and do not belong here
-        raise ValidationError(f"drift '{b_n.name}' carries no C^1 metadata")
-    block_end = wn.blocks if block_end is None else block_end
-    if not 0 <= block_start < block_end <= wn.blocks:
-        raise ValidationError("bad block window")
+    _require_c1(b_n)
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    h = 1.0 / (wn.n * m_ode)
-    vst = _stage_derivs(wn.family, wn.brownian.values[None], wn.n, wn.msub,
-                        block_start, block_end, m_ode)
-    vals, status = rk4_batch(b_n, sigma, x0v[None], vst, h)
+    xs, status, _, _ = _ode_paths(b_n, sigma, wn.family, wn.brownian.values[None], wn.n,
+                                  wn.msub, wn.blocks, x0v[None], m_ode)
     if status[0] != 0:
         raise SolverAbort(int(status[0]))
-    grid = make_grid((block_end - block_start) / wn.n, (block_end - block_start) * m_ode)
-    return Path(grid, vals[0])
+    return Path(make_grid(wn.blocks / wn.n, wn.blocks * m_ode), xs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,31 +266,17 @@ class CoupledRun:
     sup_error: float
 
 
-def _coupling_layout(config: SolverConfig, n: int) -> tuple[int, int]:
-    """(blocks, msub): noise blocks over the horizon and reference cells per block."""
-    blocks = config.horizon * n
-    if abs(blocks - round(blocks)) > 1e-9:
-        raise ValidationError("horizon must hold a whole number of noise blocks")
-    blocks = int(round(blocks))
-    msub = config.n_ref / blocks
-    if abs(msub - round(msub)) > 1e-9 or round(msub) < 1:
-        raise ValidationError(f"n_ref={config.n_ref} is not a multiple of the block count {blocks}")
-    return blocks, int(round(msub))
-
-
 def _coupled_paths(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                    c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
                    stream: RngStream, config: SolverConfig,
                    count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(sde_values, status_sde, ode_values, status_ode) of ``count`` shared-noise
     draws on the reference grid; path i consumes stream.child(i)."""
-    blocks, msub = _coupling_layout(config, n)
     grid = config.grid()
+    blocks, msub = block_layout(family, grid, n, sigma.dim)
     w = sample_brownian_batch(grid, sigma.dim, stream, count)
     xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
-    h = 1.0 / (n * config.m_ode)
-    vst = _stage_derivs(family, w, n, msub, 0, blocks, config.m_ode)
-    xs, st_ode = rk4_batch(b_n, sigma, x0, vst, h)
+    xs, st_ode, vst, h = _ode_paths(b_n, sigma, family, w, n, msub, blocks, x0, config.m_ode)
     return xv, st_sde, _dense_values(b_n, sigma, xs, vst, h, config.n_ref), st_ode
 
 

@@ -84,7 +84,7 @@ def test_criterion_01_exponential_oracles():
     n, m_ode = 64, 16
     w = sample_brownian_batch(grid, 1, RngStream(102, 0), 50)
     msub = grid.steps // n
-    vst = _stage_derivs(LIN, w, n, msub, 0, n, m_ode)
+    vst = _stage_derivs(LIN, w, n, msub, n, m_ode)
     xv, st = rk4_batch(zero_drift(), linear_diffusion(), np.ones((50, 1)), vst,
                        1.0 / (n * m_ode))
     assert np.all(st == 0)
@@ -181,7 +181,7 @@ def test_criterion_06_published_lp_identity():
     bound_ratio = 0.0
     for p in (2.0, 4.0):
         for chi in (1.0, 5.0, 20.0):
-            bn = ramp_approximation(1, lambda _n, c=chi: c)
+            bn = ramp_approximation(chi)
             got = lp_distance(b, bn, p)
             exact = (4.0 / (chi * (p + 1.0))) ** (1.0 / p)
             published = 2.0 * (2.0 / (chi * (p + 1.0))) ** (1.0 / p)
@@ -259,6 +259,7 @@ out = PLACEHOLDER
 drift = indicator01
 diffusion = sin_elliptic a=1 b=0.5
 family = piecewise shape=linear
+sequence = ramp alpha=0.4 delta=0.5
 x0 = 0.0
 
 [params]
@@ -268,7 +269,7 @@ t_mult = 8
 d = 2
 n_ref = 512
 m_ode = 8
-n_list = 8 16 32
+n_list = 16 32 64
 paths = 60
 """
 

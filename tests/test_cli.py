@@ -221,7 +221,15 @@ def test_tube_command(tmp_path):
     (RATE_CFG, "n_list = 8 16 32", "n_list = 16 32 x", "n_list"),
     (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder = 0.5 wide", "eps_ladder"),
     (RATE_CFG, "paths = 60", "paths = 40.5", "paths"),
-], ids=["word", "list_entry", "ladder_entry", "fraction_for_int"])
+    (RATE_CFG, "seed = 7", "seed = abc", "seed"),
+    (RATE_CFG, "x0 = 0.0", "x0 = zero", "x0"),
+    (RATE_CFG, "x0 = 0.0", "sequence = ramp alpha=big\nx0 = 0.0", "alpha"),
+    (RATE_CFG, "a=1 b=0.5", "a=one b=0.5", "a"),
+    (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 d=two", "d"),
+    # not a number but a drift the random ODE cannot take: no C^1 metadata
+    (RATE_CFG, "drift = sin_bump", "drift = indicator01", "indicator01"),
+], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
+        "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift"])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
     text = config.format(out=tmp_path / "o")
     assert line in text

@@ -76,7 +76,7 @@ def test_ramp_lp_distance_matches_exact_closed_form():
     b = indicator_drift()
     for p in (2.0, 4.0):
         for chi in (1.0, 5.0, 20.0):
-            bn = ramp_approximation(1, lambda _n, c=chi: c)
+            bn = ramp_approximation(chi)
             got = lp_distance(b, bn, p)
             assert got == pytest.approx(ramp_lp_exact(chi, p), rel=1e-3)
 
@@ -84,7 +84,7 @@ def test_ramp_lp_distance_matches_exact_closed_form():
 def test_ramp_lp_distance_p1_matches_both_forms():
     # at p = 1 the two-triangle area 2/chi equals the flank-sum form as well
     b = indicator_drift()
-    bn = ramp_approximation(1, lambda _n: 5.0)
+    bn = ramp_approximation(5.0)
     assert lp_distance(b, bn, 1.0) == pytest.approx(2.0 / 5.0, rel=1e-4)
 
 
@@ -95,7 +95,7 @@ def test_ramp_lp_distance_p1_matches_both_forms():
 
 def test_ramp_branch_values():
     chi = 4.0
-    bn = ramp_approximation(1, lambda _n: chi)
+    bn = ramp_approximation(chi)
     assert bn(np.array([[0.5]]))[0, 0] == 1.0
     assert bn(np.array([[-2.0 / chi]]))[0, 0] == pytest.approx(0.0, abs=1e-15)
     assert bn(np.array([[1.0 + 2.0 / chi]]))[0, 0] == pytest.approx(0.0, abs=1e-15)
@@ -105,14 +105,14 @@ def test_ramp_branch_values():
 
 def test_ramp_c1_metadata():
     chi = 6.0
-    bn = ramp_approximation(3, lambda _n: chi)
+    bn = ramp_approximation(chi)
     assert bn.c1_norm == pytest.approx((chi + 2.0) / 2.0)
     assert validate_c1(bn, RngStream(4, 0))
 
 
 def test_ramp_rejects_nonpositive_chi():
     with pytest.raises(ValidationError):
-        ramp_approximation(1, lambda _n: 0.0)
+        ramp_approximation(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_sequence_validation_catches_broken_bound():
     from wzsim.coeffs import DriftApproxSequence
 
     good = ramp_sequence(alpha=0.4, p=2.0)
-    bad_member = ramp_approximation(1, lambda _n: 50.0)  # C^1 norm 26 >> bound(16)
+    bad_member = ramp_approximation(50.0)  # C^1 norm 26 >> bound(16)
     broken = DriftApproxSequence(base=good.base, p=2.0,
                                  generator=lambda n: bad_member,
                                  bound=good.bound, noise_rate=good.noise_rate,

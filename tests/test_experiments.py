@@ -141,6 +141,9 @@ def _coupled_sigma():
 FAIL_FAST_CALLS = {
     "rate_sweep_two_levels": lambda: rate_sweep(_setup(), [16, 32], 30, RngStream(0, 0)),
     "rate_sweep_repeated_level": lambda: rate_sweep(_setup(), [16, 32, 32], 30, RngStream(0, 0)),
+    # no drift sequence: the random ODE would run on the indicator itself
+    "mc_mean_sup_error_singular_ode_drift": lambda: mc_mean_sup_error(
+        _setup(drift=indicator_drift()), 16, 30, RngStream(0, 0)),
     "tube_ladder_zero_radius": lambda: tube_ladder(
         zero_drift(), identity_diffusion(), HALF, 0.0,
         make_target("const", make_grid(1.0, 64), 0.0), [0.5, 0.0], 100, RngStream(0, 0)),

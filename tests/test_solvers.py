@@ -199,14 +199,15 @@ def test_ode_exponential_oracle(family, tol):
 
 
 def test_kink_alignment_two_half_windows_equal_one():
+    # blocks 2..3 in one run, and block 2 then block 3 restarted from its end value
     ap = _approx(n=8)
-    full = solve_random_ode(sin_bump_drift(), sin_elliptic_diffusion(), ap, 0.4,
-                            m_ode=8, block_start=2, block_end=4)
-    first = solve_random_ode(sin_bump_drift(), sin_elliptic_diffusion(), ap, 0.4,
-                             m_ode=8, block_start=2, block_end=3)
-    second = solve_random_ode(sin_bump_drift(), sin_elliptic_diffusion(), ap,
-                              first.values[-1, 0], m_ode=8, block_start=3, block_end=4)
-    assert abs(full.values[-1, 0] - second.values[-1, 0]) < 1e-12
+    b, sigma, m_ode = sin_bump_drift(), sin_elliptic_diffusion(), 8
+    vst = solvers._stage_derivs(LIN, ap.brownian.values[None], ap.n, ap.msub, ap.blocks, m_ode)
+    h = 1.0 / (ap.n * m_ode)
+    full, _ = rk4_batch(b, sigma, np.array([[0.4]]), vst[:, 2 * m_ode:4 * m_ode], h)
+    first, _ = rk4_batch(b, sigma, np.array([[0.4]]), vst[:, 2 * m_ode:3 * m_ode], h)
+    second, _ = rk4_batch(b, sigma, first[:, -1], vst[:, 3 * m_ode:4 * m_ode], h)
+    assert abs(full[0, -1, 0] - second[0, -1, 0]) < 1e-12
 
 
 def test_ode_requires_smooth_drift_metadata():
@@ -258,7 +259,7 @@ def _ode_nodes_and_steps(b, sigma, cfg, n, x0, stream, count, m_steps):
     same Brownian paths."""
     _, _, xnv, st = solvers._coupled_paths(b, b, sigma, HALF, LIN, n, x0, stream, cfg, count)
     w = sample_brownian_batch(cfg.grid(), 1, stream, count)
-    vst = solvers._stage_derivs(LIN, w, n, cfg.n_ref // n, 0, n, m_steps)
+    vst = solvers._stage_derivs(LIN, w, n, cfg.n_ref // n, n, m_steps)
     xs, st_steps = rk4_batch(b, sigma, np.full((count, 1), x0), vst, 1.0 / (n * m_steps))
     return xnv, st, xs, st_steps
 

@@ -198,9 +198,10 @@ def _build_model(cfg: RunConfig, d: int):
     dname, dpar = _parse_field_spec(cfg.model["drift"])
     drift = get_drift(dname, **dpar)
     sname, spar = _parse_field_spec(cfg.model["diffusion"])
-    if d > 1:
-        spar.setdefault("d", d)
-        spar["d"] = int(spar["d"])
+    if spar.setdefault("d", d) != d:
+        raise ValidationError(f"parameter 'd' of '{sname}': {spar['d']:g} differs from "
+                              f"the command's dimension {d}")
+    spar["d"] = d
     sigma = get_diffusion(sname, **spar)
     if not sigma.elliptic:
         raise ValidationError(

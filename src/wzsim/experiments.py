@@ -2,12 +2,21 @@
 
 Every estimator runs its paths through one driver, ``_run_paths``, in
 batches with per-path counter-based streams (path i of a call uses
-``stream.child(i)``); it keeps one value per path in path order, which the
-estimator reduces in that fixed order -- so results are byte-stable under
-any batch size.  A path whose solver status is non-zero or whose value is
-not finite is aborted: left out, counted and reported.  A run whose abort
-fraction exceeds ``ABORT_TOLERANCE`` raises instead of returning a biased
-estimate.  Input checks run before the first path is simulated.
+``stream.child(i)``); it keeps one value per path and level in path order,
+which the estimator reduces in that fixed order -- so results are
+byte-stable under any batch size.  A rate sweep is one such call: path j
+uses ``stream.child(j)`` at every level, its Brownian sample and Euler
+reference are computed once, and each level's random ODE runs against them
+(the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
+level estimates are therefore positively correlated, and its first level
+equals ``mc_mean_sup_error`` at that level on the same stream.
+
+A path whose solver status is non-zero or whose value is not finite is
+aborted at that level: left out, counted and reported per level; an abort
+of the Euler reference counts against every level.  A run in which any
+level's abort fraction exceeds ``ABORT_TOLERANCE`` raises instead of
+returning a biased estimate.  Input checks, for every level, run before the
+first path is simulated.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_b
                    sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
-from .solvers import SolverConfig, _require_c1, coupled_batch, em_batch
+from .solvers import SolverConfig, _check_levels, coupled_batch, em_batch
 
 ABORT_TOLERANCE = 0.01
 
@@ -45,19 +54,27 @@ class AbortRateError(RuntimeError):
 
 
 def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, np.ndarray]],
-               paths: int, stream: RngStream, batch: int) -> tuple[np.ndarray, int]:
-    """Values of the paths that did not abort, in path order, and the abort count."""
-    values = np.empty(paths)
-    kept = np.empty(paths, dtype=bool)
+               paths: int, stream: RngStream,
+               batch: int) -> tuple[list[np.ndarray], list[int]]:
+    """Per level, the values of the paths that did not abort, in path order, and the abort count.
+
+    simulate(s, m) returns values (m,) for one level or (m, L) for L levels,
+    and a status of the same shape or (m,); a status (m,) counts against
+    every level.  The abort rule is applied to each level on its own.
+    """
+    if paths < 1:
+        raise ValidationError("need at least one path")
+    values, kept = [], []
     for start in range(0, paths, batch):
         m = min(batch, paths - start)
         v, status = simulate(stream.child(start), m)
-        values[start : start + m] = v
-        kept[start : start + m] = (status == 0) & np.isfinite(v)
-    aborted = paths - int(kept.sum())
-    if aborted > ABORT_TOLERANCE * paths:
-        raise AbortRateError(aborted, paths)
-    return values[kept], aborted
+        values.append(v.reshape(m, -1))
+        kept.append((status.reshape(m, -1) == 0) & np.isfinite(values[-1]))
+    values, kept = np.concatenate(values), np.concatenate(kept)
+    aborted = [paths - int(k) for k in kept.sum(axis=0)]
+    if max(aborted) > ABORT_TOLERANCE * paths:
+        raise AbortRateError(max(aborted), paths)
+    return [col[k] for col, k in zip(values.T, kept.T)], aborted
 
 
 # ---------------------------------------------------------------------------
@@ -95,23 +112,33 @@ class MeanSupError:
     aborted: int
 
 
+def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, stream: RngStream,
+                     batch: int) -> list[MeanSupError]:
+    """mc_mean_sup_error at every level in ns from one run of shared coupled draws.
+
+    Path j uses stream.child(j) at every level: its Brownian sample and
+    Euler reference are computed once and every level's random ODE runs
+    against them.  An SDE abort counts against every level.
+    """
+    if paths < 30:
+        raise ValidationError("need at least 30 paths")
+    levels = [(n, setup.smoothed_drift(n)) for n in ns]
+    _check_levels(setup.sigma, setup.family, levels, setup.config.grid())
+
+    def simulate(s: RngStream, m: int):
+        sups, st_sde, st_ode = coupled_batch(
+            setup.drift, setup.sigma, setup.correction, setup.family, levels,
+            setup.x0, s, setup.config, m)
+        return sups, st_sde[:, None] | st_ode
+
+    sups, aborted = _run_paths(simulate, paths, stream, batch)
+    return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
+
+
 def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStream,
                       batch: int = 256) -> MeanSupError:
     """Mean and standard error of sup_t |X_t - X^n_t|^2 over coupled draws."""
-    if paths < 30:
-        raise ValidationError("need at least 30 paths")
-    b_n = setup.smoothed_drift(n)
-    _require_c1(b_n)
-
-    def simulate(s: RngStream, m: int):
-        sup, st_sde, st_ode = coupled_batch(
-            setup.drift, b_n, setup.sigma, setup.correction, setup.family, n,
-            setup.x0, s, setup.config, m)
-        return sup, st_sde | st_ode
-
-    sups, aborted = _run_paths(simulate, paths, stream, batch)
-    est, se = mean_se(sups**2)
-    return MeanSupError(est, se, paths, aborted)
+    return _mean_sup_errors(setup, [n], paths, stream, batch)[0]
 
 
 @dataclass(frozen=True)
@@ -158,17 +185,18 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 def rate_sweep(setup: WongZakaiSetup, n_list: Sequence[int], paths: int,
                stream: RngStream) -> RateReport:
-    """mc_mean_sup_error across levels plus the fitted slope."""
+    """mc_mean_sup_error across levels on shared draws, plus the fitted slope.
+
+    Every level sees the same paths, so level 0 equals
+    ``mc_mean_sup_error(setup, levels[0], paths, stream)`` and neighbouring
+    levels' estimates are positively correlated.
+    """
     levels = sorted(int(v) for v in n_list)
     _fit_levels(levels)
-    pts = []
-    aborted = []
-    for i, n in enumerate(levels):
-        r = mc_mean_sup_error(setup, n, paths, stream.child(i * paths))
-        pts.append((n, r.estimate, r.stderr))
-        aborted.append(r.aborted)
+    results = _mean_sup_errors(setup, levels, paths, stream, 256)
+    pts = tuple((n, r.estimate, r.stderr) for n, r in zip(levels, results))
     slope, half = fit_rate([(n, m) for n, m, _ in pts])
-    return RateReport(tuple(pts), paths, slope, half, tuple(aborted))
+    return RateReport(pts, paths, slope, half, tuple(r.aborted for r in results))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +243,7 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
             yv, st2 = em_batch(b_n, sigma, c, x0, dw, grid.dt)
             return sup_distance_values(xv, yv), st1 | st2
 
-        sups, ab = _run_paths(simulate, paths, stream.child(li * paths), batch)
+        (sups,), (ab,) = _run_paths(simulate, paths, stream.child(li * paths), batch)
         mse, se = mean_se(sups**2)
         levels.append((n, lp_distance(b, b_n, seq.p), mse, se))
         aborted.append(ab)
@@ -272,7 +300,8 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
         xv, st = em_batch(b, sigma, c, x0v, dw, grid.dt)
         return sup_distance_values(xv, target.values), st
 
-    return _run_paths(simulate, paths, stream, batch)
+    (sups,), (aborted,) = _run_paths(simulate, paths, stream, batch)
+    return sups, aborted
 
 
 def tube_probability(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
@@ -362,7 +391,7 @@ def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
         rho, _, st = _driftless_weights(b, sigma, x0, grid, s, m)
         return rho, st
 
-    rhos, aborted = _run_paths(simulate, paths, stream, batch)
+    (rhos,), (aborted,) = _run_paths(simulate, paths, stream, batch)
     mean, se = mean_se(rhos)
     return GirsanovReport(mean, se, float(rhos.max()), paths, aborted)
 

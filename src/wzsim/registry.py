@@ -6,6 +6,7 @@ both solvers evaluate directly.
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from .coeffs import (
     ramp_approximation,
 )
 from .noise import McShane, Mollified, NoiseFamily, PiecewiseShape
-from .shapes import get_kernel, get_shape
+from .shapes import SHAPES, get_kernel
 
 
 def zero_drift(d: int = 1) -> DriftField:
@@ -161,26 +162,49 @@ DIFFUSIONS = {
 }
 
 
-def get_drift(name: str, **params) -> DriftField:
+def _build(kind: str, name: str, table: dict, params: dict):
+    """table[name](**params); an unknown name, or a parameter the builder does not
+    take or needs and lacks, raises ValidationError naming it.
+
+    A builder that takes ``**params`` checks the parameters it passes on itself.
+    """
     try:
-        return DRIFTS[name](**params)
+        builder = table[name]
     except KeyError:
-        raise ValidationError(f"unknown drift '{name}'; known: {sorted(DRIFTS)}") from None
+        raise ValidationError(f"unknown {kind} '{name}'; known: {sorted(table)}") from None
+    try:
+        inspect.signature(builder).bind(**params)
+    except TypeError as e:
+        raise ValidationError(f"{kind} '{name}': {e}") from None
+    return builder(**params)
+
+
+def _piecewise(shape: str = "linear", **shape_params) -> NoiseFamily:
+    return PiecewiseShape(_build("shape", shape, SHAPES, shape_params))
+
+
+def _mollified(kernel: str = "bump") -> NoiseFamily:
+    return Mollified(get_kernel(kernel))
+
+
+def _mcshane(f1: str = "linear", f2: str = "quadratic") -> NoiseFamily:
+    return McShane(_build("shape", f1, SHAPES, {}), _build("shape", f2, SHAPES, {}))
+
+
+FAMILIES = {
+    "piecewise": _piecewise,
+    "mollified": _mollified,
+    "mcshane": _mcshane,
+}
+
+
+def get_drift(name: str, **params) -> DriftField:
+    return _build("drift", name, DRIFTS, params)
 
 
 def get_diffusion(name: str, **params) -> DiffusionField:
-    try:
-        return DIFFUSIONS[name](**params)
-    except KeyError:
-        raise ValidationError(f"unknown diffusion '{name}'; known: {sorted(DIFFUSIONS)}") from None
+    return _build("diffusion", name, DIFFUSIONS, params)
 
 
 def get_family(name: str, **params) -> NoiseFamily:
-    if name == "piecewise":
-        return PiecewiseShape(get_shape(params.pop("shape", "linear"), **params))
-    if name == "mollified":
-        return Mollified(get_kernel(params.pop("kernel", "bump")))
-    if name == "mcshane":
-        return McShane(get_shape(params.pop("f1", "linear")),
-                       get_shape(params.pop("f2", "quadratic")))
-    raise ValidationError(f"unknown family '{name}'; known: ['piecewise', 'mollified', 'mcshane']")
+    return _build("family", name, FAMILIES, params)

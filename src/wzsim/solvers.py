@@ -4,14 +4,19 @@ Both solvers run on shared noise: the Euler route consumes the Brownian
 increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
 steps aligned so every kink of the smoothed path is a step boundary.  A
-coupled run samples W once, lays the level-n blocks over its grid with
-``noise.block_layout`` and steps the random ODE through ``_ode_paths``,
-the one Runge-Kutta route over whole noise blocks; ``solve_random_ode`` is
-its row 0 for a single smoothed path.  The random ODE takes ``m_ode`` steps
-per noise block, however fine the reference grid is, and in a coupled run
-its values at the reference nodes come from each step's cubic Hermite
-interpolant (dense output).  It runs on a smoothed drift only:
-``_require_c1`` rejects a drift without C^1 metadata.
+coupled batch samples W and solves the corrected Euler SDE once per path,
+whatever the number of levels n it is asked for; then, one level at a
+time, it lays the level-n blocks over the same grid with
+``noise.block_layout``, steps the random ODE through ``_ode_paths`` (the
+one Runge-Kutta route over whole noise blocks; ``solve_random_ode`` is its
+row 0 for a single smoothed path) and keeps only the sup error per path,
+so a level's arrays are freed before the next level starts.  ``coupled_run``
+is its one-path, one-level case that also returns both paths.  The random
+ODE takes ``m_ode`` steps per noise block, however fine the reference grid
+is, and in a coupled run its values at the reference nodes come from each
+step's cubic Hermite interpolant (dense output).  It runs on a smoothed
+drift only: ``_require_c1`` rejects a drift without C^1 metadata, on every
+route and for every level before the first path is drawn.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -31,6 +36,7 @@ code, never silently dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -266,38 +272,77 @@ class CoupledRun:
     sup_error: float
 
 
-def _coupled_paths(b: DriftField, b_n: DriftField, sigma: DiffusionField,
-                   c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
-                   stream: RngStream, config: SolverConfig,
-                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sde_values, status_sde, ode_values, status_ode) of ``count`` shared-noise
-    draws on the reference grid; path i consumes stream.child(i)."""
+def _check_levels(sigma: DiffusionField, family: NoiseFamily,
+                  levels: Sequence[tuple[int, DriftField]], grid: TimeGrid) -> list[tuple[int, int]]:
+    """Each level's (blocks, msub) over the grid, once every level's b_n has passed ``_require_c1``.
+
+    levels: (n, b_n) pairs.  Callers run this before the first path is drawn.
+    """
+    for _, b_n in levels:
+        _require_c1(b_n)
+    return [block_layout(family, grid, n, sigma.dim) for n, _ in levels]
+
+
+def _sde_paths(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
+               stream: RngStream, config: SolverConfig,
+               count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Brownian samples (count, n_ref + 1, d), path i from stream.child(i), and their
+    corrected Euler paths and statuses: the half of a coupled run no level changes."""
     grid = config.grid()
-    blocks, msub = block_layout(family, grid, n, sigma.dim)
     w = sample_brownian_batch(grid, sigma.dim, stream, count)
-    xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
-    xs, st_ode, vst, h = _ode_paths(b_n, sigma, family, w, n, msub, blocks, x0, config.m_ode)
-    return xv, st_sde, _dense_values(b_n, sigma, xs, vst, h, config.n_ref), st_ode
+    xv, status = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
+    return w, xv, status
 
 
-def coupled_batch(b: DriftField, b_n: DriftField, sigma: DiffusionField,
-                  c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
+def _level_values(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: np.ndarray,
+                  n: int, layout: tuple[int, int], x0,
+                  config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Random-ODE values of level n at the reference nodes of w, and the ODE statuses.
+
+    The step values and stage drivers are freed on return; only the
+    (paths, n_ref + 1, d) node values leave this scope.
+    """
+    blocks, msub = layout
+    xs, status, vst, h = _ode_paths(b_n, sigma, family, w, n, msub, blocks, x0, config.m_ode)
+    return _dense_values(b_n, sigma, xs, vst, h, config.n_ref), status
+
+
+def _level_sups(xv: np.ndarray, b_n: DriftField, sigma: DiffusionField, family: NoiseFamily,
+                w: np.ndarray, n: int, layout: tuple[int, int], x0,
+                config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Sup distance of each Euler path in xv to its level-n random ODE, and the ODE statuses."""
+    xnv, status = _level_values(b_n, sigma, family, w, n, layout, x0, config)
+    return sup_distance_values(xv, xnv), status
+
+
+def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
+                  family: NoiseFamily, levels: Sequence[tuple[int, DriftField]], x0,
                   stream: RngStream, config: SolverConfig,
                   count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Co-simulate the corrected SDE and the random ODE on shared noise.
+    """Co-simulate the corrected SDE and the random ODE of every level on shared noise.
 
-    Path i consumes stream.child(i).  Returns (sup_error, status_sde,
-    status_ode); sup errors of aborted paths are NaN.
+    levels: (n, b_n) pairs.  W is sampled and the Euler reference solved
+    once, path i from stream.child(i); then each level in turn lays out its
+    blocks over the same W, steps its ODE and keeps one sup error per path.
+    Returns sup errors (count, L), the SDE status (count,) and the ODE
+    statuses (count, L); sup errors of aborted paths are NaN.
     """
-    xv, st_sde, xnv, st_ode = _coupled_paths(b, b_n, sigma, c, family, n, x0, stream, config, count)
-    return sup_distance_values(xv, xnv), st_sde, st_ode
+    layouts = _check_levels(sigma, family, levels, config.grid())
+    w, xv, st_sde = _sde_paths(b, sigma, c, x0, stream, config, count)
+    sups = np.empty((count, len(levels)))
+    st_ode = np.empty((count, len(levels)), dtype=np.int64)
+    for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):
+        sups[:, li], st_ode[:, li] = _level_sups(xv, b_n, sigma, family, w, n, layout, x0, config)
+    return sups, st_sde, st_ode
 
 
 def coupled_run(b: DriftField, b_n: DriftField, sigma: DiffusionField,
                 c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
                 stream: RngStream, config: SolverConfig) -> CoupledRun:
-    """One shared-noise draw: corrected SDE vs random ODE, plus their sup distance."""
-    xv, st_sde, xnv, st_ode = _coupled_paths(b, b_n, sigma, c, family, n, x0, stream, config, 1)
+    """One shared-noise draw at one level: corrected SDE vs random ODE, plus their sup distance."""
+    (layout,) = _check_levels(sigma, family, [(n, b_n)], config.grid())
+    w, xv, st_sde = _sde_paths(b, sigma, c, x0, stream, config, 1)
+    xnv, st_ode = _level_values(b_n, sigma, family, w, n, layout, x0, config)
     for st in (st_sde, st_ode):
         if st[0] != 0:
             raise SolverAbort(int(st[0]))

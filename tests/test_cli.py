@@ -228,8 +228,16 @@ def test_tube_command(tmp_path):
     (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 d=two", "d"),
     # not a number but a drift the random ODE cannot take: no C^1 metadata
     (RATE_CFG, "drift = sin_bump", "drift = indicator01", "indicator01"),
+    # keys the field, the diffusion or the family's shape does not take
+    (RATE_CFG, "drift = sin_bump", "drift = indicator01 foo=1", "foo"),
+    (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 scale=2", "scale"),
+    (RATE_CFG, "shape=linear", "shape=linear bar=2", "bar"),
+    # every rate-sweep runs in d = 1
+    (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 d=2", "d"),
 ], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
-        "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift"])
+        "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift",
+        "unknown_drift_param", "unknown_diffusion_param", "unknown_family_param",
+        "diffusion_dim_not_the_commands"])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
     text = config.format(out=tmp_path / "o")
     assert line in text

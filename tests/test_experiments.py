@@ -3,8 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wzsim import experiments
-from wzsim.coeffs import CorrectionMatrix, DiffusionField, ramp_sequence
+from wzsim import experiments, solvers
+from wzsim.coeffs import CorrectionMatrix, DiffusionField, DriftApproxSequence, ramp_sequence
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.experiments import (
     AbortRateError,
@@ -86,6 +86,9 @@ def test_estimate_is_deterministic():
 BATCHED_ESTIMATORS = {
     "mc_mean_sup_error": lambda batch: mc_mean_sup_error(
         _setup(), 16, 70, RngStream(4, 0), batch=batch),
+    # the multi-level driver behind mc_mean_sup_error and rate_sweep
+    "mc_mean_sup_error_three_levels": lambda batch: experiments._mean_sup_errors(
+        _setup(n_ref=128, m_ode=4), [16, 32, 64], 70, RngStream(4, 4), batch),
     "stability_sweep": lambda batch: stability_sweep(
         indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
         sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, [16, 64], 70, RngStream(4, 1),
@@ -122,11 +125,29 @@ def test_driver_counts_non_finite_values_as_aborted():
         v[v == 6] = np.inf
         return v, status
 
-    values, aborted = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
+    (values,), (aborted,) = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
     assert aborted == 3
     assert values.tolist() == [float(i) for i in range(300) if i not in (5, 6, 7)]
     with pytest.raises(AbortRateError):
         experiments._run_paths(simulate, 200, RngStream(0, 0), 16)
+
+
+def test_driver_applies_the_abort_rule_per_level():
+    # two levels: path 3 has an SDE status, which counts against both; path 4
+    # is NaN at level 1 only
+    def simulate(s, m):
+        ids = np.arange(s.stream_id, s.stream_id + m, dtype=float)
+        v = np.stack([ids, ids + 0.5], axis=1)
+        v[ids == 4, 1] = np.nan
+        return v, np.where(ids == 3, 2, 0)[:, None] | np.zeros((m, 2), dtype=np.int64)
+
+    (lv0, lv1), aborted = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
+    assert aborted == [1, 2]
+    assert lv0.tolist() == [float(i) for i in range(300) if i != 3]
+    assert lv1.tolist() == [i + 0.5 for i in range(300) if i not in (3, 4)]
+    # level 1 alone breaks the tolerance at 150 paths (2 > 1.5)
+    with pytest.raises(AbortRateError):
+        experiments._run_paths(simulate, 150, RngStream(0, 0), 16)
 
 
 def _coupled_sigma():
@@ -141,6 +162,14 @@ def _coupled_sigma():
 FAIL_FAST_CALLS = {
     "rate_sweep_two_levels": lambda: rate_sweep(_setup(), [16, 32], 30, RngStream(0, 0)),
     "rate_sweep_repeated_level": lambda: rate_sweep(_setup(), [16, 32, 32], 30, RngStream(0, 0)),
+    # smooth at n = 16, singular at n = 32: one batch spans every level, so
+    # the later level must be checked before the first path
+    "rate_sweep_later_level_not_c1": lambda: rate_sweep(
+        _setup(drift=indicator_drift(), seq=DriftApproxSequence(
+            base=indicator_drift(), p=2.0,
+            generator=lambda n: sin_bump_drift() if n == 16 else indicator_drift(),
+            bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)),
+        [16, 32, 64], 30, RngStream(0, 0)),
     # no drift sequence: the random ODE would run on the indicator itself
     "mc_mean_sup_error_singular_ode_drift": lambda: mc_mean_sup_error(
         _setup(drift=indicator_drift()), 16, 30, RngStream(0, 0)),
@@ -239,6 +268,30 @@ def test_quantiles_equal_scipy_stats_bit_for_bit():
         for hits in np.unique(np.geomspace(1, paths, 40).astype(int)):
             expect = float(stats.beta.ppf(1.0 - 0.95, hits, paths - hits + 1))
             assert experiments._binomial_lcb(int(hits), paths) == expect
+
+
+def test_rate_sweep_level_zero_is_mc_mean_sup_error_bit_for_bit():
+    s = _setup(n_ref=256, seq=ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
+               drift=indicator_drift())
+    levels, paths, stream = [16, 32, 64], 40, RngStream(8, 3)
+    rep = rate_sweep(s, levels, paths, stream)
+    r = mc_mean_sup_error(s, levels[0], paths, stream)
+    assert rep.points[0] == (levels[0], r.estimate, r.stderr)
+    assert rep.aborted[0] == r.aborted
+
+
+def test_rate_sweep_samples_and_solves_the_reference_once_per_batch(monkeypatch):
+    # 300 paths are two batches of 256; each batch draws W and solves the
+    # Euler reference once and runs the random ODE once per level
+    calls = {"sample_brownian_batch": 0, "em_batch": 0, "rk4_batch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(solvers, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, name, counted)
+    rate_sweep(_setup(n_ref=64, m_ode=4), [4, 8, 16, 32], 300, RngStream(8, 4))
+    assert calls == {"sample_brownian_batch": 2, "em_batch": 2, "rk4_batch": 8}
 
 
 def test_rate_sweep_reports_negative_slope():

@@ -7,7 +7,7 @@ from wzsim import solvers
 from wzsim.coeffs import CorrectionMatrix
 from wzsim.core import (Path, RngStream, ValidationError, make_grid, sample_brownian,
                         sample_brownian_batch)
-from wzsim.noise import Mollified, PiecewiseShape, build_approximation
+from wzsim.noise import Mollified, PiecewiseShape, block_layout, build_approximation
 from wzsim.registry import (
     const_diffusion,
     const_drift,
@@ -243,22 +243,44 @@ def test_coupled_run_is_deterministic():
 
 def test_coupled_run_is_row_zero_of_the_batched_route():
     cfg = SolverConfig(n_ref=1 << 9, m_ode=16)
-    args = (sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN,
-            16, 0.0, RngStream(5, 79), cfg)
-    r = coupled_run(*args)
-    xv, _, xnv, _ = solvers._coupled_paths(*args, 4)
-    sup, _, _ = coupled_batch(*args, 4)
+    b, sigma, stream = sin_bump_drift(), sin_elliptic_diffusion(), RngStream(5, 79)
+    r = coupled_run(b, b, sigma, HALF, LIN, 16, 0.0, stream, cfg)
+    w, xv, _ = solvers._sde_paths(b, sigma, HALF, 0.0, stream, cfg, 4)
+    xnv, _ = solvers._level_values(b, sigma, LIN, w, 16, block_layout(LIN, cfg.grid(), 16, 1),
+                                   0.0, cfg)
+    sup, _, _ = coupled_batch(b, sigma, HALF, LIN, [(16, b)], 0.0, stream, cfg, 4)
+    assert sup.shape == (4, 1)
     assert np.array_equal(r.x.values, xv[0])
     assert np.array_equal(r.xn.values, xnv[0])
-    assert r.sup_error == sup[0]
+    assert r.sup_error == sup[0, 0]
+
+
+def test_each_level_of_a_coupled_batch_equals_its_one_level_batch():
+    # the levels share one Brownian sample and one Euler reference per path,
+    # so each column is what a batch of that level alone returns, bit for bit;
+    # the smoothed drift may differ per level
+    cfg = SolverConfig(n_ref=256, m_ode=8)
+    sigma, stream = sin_elliptic_diffusion(), RngStream(5, 83)
+    levels = [(16, sin_bump_drift()), (32, sin_bump_drift(3.0)), (64, sin_bump_drift())]
+    sup, st_sde, st_ode = coupled_batch(sin_bump_drift(), sigma, HALF, LIN, levels, 0.0,
+                                        stream, cfg, 6)
+    assert sup.shape == st_ode.shape == (6, 3) and st_sde.shape == (6,)
+    for li, level in enumerate(levels):
+        one, one_sde, one_ode = coupled_batch(sin_bump_drift(), sigma, HALF, LIN, [level], 0.0,
+                                              stream, cfg, 6)
+        assert np.array_equal(sup[:, li], one[:, 0])
+        assert np.array_equal(st_sde, one_sde)
+        assert np.array_equal(st_ode[:, li], one_ode[:, 0])
+    assert len(np.unique(sup[0])) == 3
 
 
 def _ode_nodes_and_steps(b, sigma, cfg, n, x0, stream, count, m_steps):
     """The coupled route's ODE values and status at the reference nodes, and
     rk4_batch's step-end values and status at m_steps steps per block on the
     same Brownian paths."""
-    _, _, xnv, st = solvers._coupled_paths(b, b, sigma, HALF, LIN, n, x0, stream, cfg, count)
     w = sample_brownian_batch(cfg.grid(), 1, stream, count)
+    xnv, st = solvers._level_values(b, sigma, LIN, w, n, block_layout(LIN, cfg.grid(), n, 1),
+                                    x0, cfg)
     vst = solvers._stage_derivs(LIN, w, n, cfg.n_ref // n, n, m_steps)
     xs, st_steps = rk4_batch(b, sigma, np.full((count, 1), x0), vst, 1.0 / (n * m_steps))
     return xnv, st, xs, st_steps
@@ -306,13 +328,12 @@ def test_hermite_reference_nodes_are_nan_from_the_aborting_step_on():
 
 def test_coupled_error_shrinks_with_n_for_smooth_setup():
     cfg = SolverConfig(n_ref=1 << 11, m_ode=16)
-    sups = {}
-    for n in (8, 128):
-        err, st_sde, st_ode = coupled_batch(sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(),
-                                            HALF, LIN, n, 0.0, RngStream(6, 1000), cfg, 20)
-        assert not np.any(st_sde) and not np.any(st_ode)
-        sups[n] = float(np.mean(err**2))
-    assert sups[128] < sups[8]
+    b = sin_bump_drift()
+    err, st_sde, st_ode = coupled_batch(b, sin_elliptic_diffusion(), HALF, LIN, [(8, b), (128, b)],
+                                        0.0, RngStream(6, 1000), cfg, 20)
+    assert not np.any(st_sde) and not np.any(st_ode)
+    mse = np.mean(err**2, axis=0)
+    assert mse[1] < mse[0]
 
 
 def test_coupled_identity_coupling_is_exact_for_additive_noise():
@@ -322,6 +343,31 @@ def test_coupled_identity_coupling_is_exact_for_additive_noise():
     r = coupled_run(zero_drift(), zero_drift(), const_diffusion(2.0), HALF, LIN,
                     256, 0.0, RngStream(7, 0), cfg)
     assert r.sup_error < 1e-12
+
+
+COUPLED_BAD_DRIFT_CALLS = {
+    "coupled_run": lambda cfg: coupled_run(
+        indicator_drift(), indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, 16, 0.0,
+        RngStream(8, 1), cfg),
+    "coupled_batch": lambda cfg: coupled_batch(
+        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
+        RngStream(8, 1), cfg, 4),
+    # the first level is smooth: the singular later level must still stop the batch
+    "coupled_batch_later_level": lambda cfg: coupled_batch(
+        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
+        [(16, sin_bump_drift()), (32, indicator_drift())], 0.0, RngStream(8, 1), cfg, 4),
+}
+
+
+@pytest.mark.parametrize("call", sorted(COUPLED_BAD_DRIFT_CALLS))
+def test_coupled_routes_reject_a_drift_without_c1_metadata_before_sampling(monkeypatch, call):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a path was simulated before the drift was checked")
+
+    for name in ("sample_brownian_batch", "em_batch", "rk4_batch"):
+        monkeypatch.setattr(solvers, name, unreachable)
+    with pytest.raises(ValidationError, match="C\\^1"):
+        COUPLED_BAD_DRIFT_CALLS[call](SolverConfig(n_ref=256, m_ode=8))
 
 
 def test_coupled_rejects_incompatible_n_ref():

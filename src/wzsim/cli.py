@@ -255,13 +255,10 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
     s_est = estimate_s(family, n, samples, stream, d=d, msub=msub)
     c_est = estimate_c(family, n, t, samples, stream.child(_STRIDE), d=d, msub=msub)
     dd = s_est.dim
-    header = ["i", "j", "t", "n", "estimate", "stderr", "samples"]
-    s_rows = [(i, j, 1.0 / n, n, float(s_est.values[i, j]), float(s_est.stderrs[i, j]),
-               s_est.sample_count) for i in range(dd) for j in range(dd)]
-    c_rows = [(i, j, t, n, float(c_est.values[i, j]), float(c_est.stderrs[i, j]),
-               c_est.sample_count) for i in range(dd) for j in range(dd)]
-    write_csv(cfg, "coeffs_s.csv", header, s_rows)
-    write_csv(cfg, "coeffs_c.csv", header, c_rows)
+    for name, est, at in (("coeffs_s.csv", s_est, 1.0 / n), ("coeffs_c.csv", c_est, t)):
+        write_csv(cfg, name, ["i", "j", "t", "n", "estimate", "stderr", "samples"],
+                  [(i, j, at, n, float(est.values[i, j]), float(est.stderrs[i, j]), est.sample_count)
+                   for i in range(dd) for j in range(dd)])
     lines = [f"coeffs: family={family.name} n={n} t={t:g} samples={samples}"]
     for i in range(dd):
         for j in range(dd):
@@ -410,12 +407,9 @@ def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
         _DISPATCH[cfg.command](cfg, RngStream(cfg.seed, 0))
-    except ValidationError as e:
+    except (ValidationError, AbortRateError) as e:
         sys.stderr.write(f"error: {e}\n")
-        return 2
-    except AbortRateError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 3
+        return 2 if isinstance(e, ValidationError) else 3
     return 0
 
 

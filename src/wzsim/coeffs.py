@@ -198,21 +198,20 @@ def ramp_approximation(chi: float) -> DriftField:
     Zero outside [-2/chi, 1 + 2/chi], 1 on [0, 1], linear on the flanks.
     C^1 metadata: sup|b_n| = 1 and sup|b_n'| = chi/2, so the C^1 norm is
     (chi + 2)/2 exactly.
+
+    Branch-free with t = x chi/2 (exact halving keeps the bits of chi x/2): the
+    select of min(t + 1, 1) for x <= 1 and (chi + 2)/2 - t above, clipped at 0.
     """
     c = float(chi)
     if c <= 0.0:
         raise ValidationError(f"chi = {c} must be positive")
 
-    def fn(x, c=c):
+    def fn(x, h=c / 2.0, k=(c + 2.0) / 2.0):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        left = (x >= -2.0 / c) & (x < 0.0)
-        right = (x > 1.0) & (x <= 1.0 + 2.0 / c)
-        mid = (x >= 0.0) & (x <= 1.0)
-        out[left] = c * x[left] / 2.0 + 1.0
-        out[mid] = 1.0
-        out[right] = -c * x[right] / 2.0 + (c + 2.0) / 2.0
-        return out
+        t = x * h
+        out = k - t
+        np.copyto(out, np.minimum(np.add(t, 1.0, out=t), 1.0, out=t), where=x <= 1.0)
+        return np.maximum(out, 0.0, out=out)
 
     return DriftField(dim=1, fn=fn, support_radius=1.0 + 2.0 / c + 1e-9,
                       sup_value=1.0, sup_grad=c / 2.0,

@@ -7,7 +7,9 @@ types defined here:
 * ``Path`` -- an (N+1) x d array of samples on a ``TimeGrid``,
 * ``RngStream`` -- a counter-based random stream keyed by
   (master_seed, stream_id), so that path i of a Monte Carlo run is a pure
-  function of the seed and i, independent of worker scheduling.
+  function of the seed and i, independent of worker scheduling;
+  ``sample_brownian_batch`` re-keys one Philox generator per call to each
+  path's fresh stream state (key (master_seed, stream_id + i), counter 0).
 """
 
 from __future__ import annotations
@@ -99,13 +101,13 @@ class RngStream:
     master_seed: int
     stream_id: int = 0
 
+    def key(self) -> np.ndarray:
+        """The Philox key: both words taken modulo 2^64."""
+        return np.array([self.master_seed & 0xFFFFFFFFFFFFFFFF,
+                         self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        key = np.array(
-            [np.uint64(self.master_seed & 0xFFFFFFFFFFFFFFFF),
-             np.uint64(self.stream_id & 0xFFFFFFFFFFFFFFFF)],
-            dtype=np.uint64,
-        )
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=self.key()))
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.master_seed, self.stream_id + int(offset))
@@ -129,8 +131,12 @@ def sample_brownian_batch(grid: TimeGrid, d: int, stream: RngStream, count: int)
     out = np.empty((count, grid.steps + 1, d))
     out[:, 0] = 0.0
     sqrt_dt = np.sqrt(grid.dt)
+    gen = stream.generator()
+    start = gen.bit_generator.state  # counter zero, buffer empty
     for i in range(count):
-        dw = stream.child(i).generator().standard_normal((grid.steps, d)) * sqrt_dt
+        start["state"]["key"] = stream.child(i).key()
+        gen.bit_generator.state = start
+        dw = gen.standard_normal((grid.steps, d)) * sqrt_dt
         np.cumsum(dw, axis=0, out=out[i, 1:])
     return out
 

@@ -9,7 +9,8 @@ uses ``stream.child(j)`` at every level, its Brownian sample and Euler
 reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
 level estimates are therefore positively correlated, and its first level
-equals ``mc_mean_sup_error`` at that level on the same stream.
+equals ``mc_mean_sup_error`` at that level on the same stream.  A
+stability sweep shares paths across levels the same way.
 
 A path whose solver status is non-zero or whose value is not finite is
 aborted at that level: left out, counted and reported per level; an abort
@@ -53,23 +54,26 @@ class AbortRateError(RuntimeError):
         self.paths = paths
 
 
-def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, np.ndarray]],
+def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, ...]],
                paths: int, stream: RngStream,
                batch: int) -> tuple[list[np.ndarray], list[int]]:
     """Per level, the values of the paths that did not abort, in path order, and the abort count.
 
     simulate(s, m) returns values (m,) for one level or (m, L) for L levels,
-    and a status of the same shape or (m,); a status (m,) counts against
-    every level.  The abort rule is applied to each level on its own.
+    then statuses, each of that shape or (m,), which counts against every
+    level.  A path is kept at a level when its value there is finite and
+    every status is 0.  The abort rule is applied to each level on its own.
     """
     if paths < 1:
         raise ValidationError("need at least one path")
     values, kept = [], []
     for start in range(0, paths, batch):
         m = min(batch, paths - start)
-        v, status = simulate(stream.child(start), m)
+        v, *statuses = simulate(stream.child(start), m)
         values.append(v.reshape(m, -1))
-        kept.append((status.reshape(m, -1) == 0) & np.isfinite(values[-1]))
+        kept.append(np.isfinite(values[-1]))
+        for status in statuses:
+            kept[-1] &= status.reshape(m, -1) == 0
     values, kept = np.concatenate(values), np.concatenate(kept)
     aborted = [paths - int(k) for k in kept.sum(axis=0)]
     if max(aborted) > ABORT_TOLERANCE * paths:
@@ -125,13 +129,9 @@ def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, strea
     levels = [(n, setup.smoothed_drift(n)) for n in ns]
     _check_levels(setup.sigma, setup.family, levels, setup.config.grid())
 
-    def simulate(s: RngStream, m: int):
-        sups, st_sde, st_ode = coupled_batch(
-            setup.drift, setup.sigma, setup.correction, setup.family, levels,
-            setup.x0, s, setup.config, m)
-        return sups, st_sde[:, None] | st_ode
-
-    sups, aborted = _run_paths(simulate, paths, stream, batch)
+    sups, aborted = _run_paths(lambda s, m: coupled_batch(
+        setup.drift, setup.sigma, setup.correction, setup.family, levels, setup.x0, s,
+        setup.config, m), paths, stream, batch)
     return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
 
 
@@ -229,26 +229,26 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
 
     Both solutions start at the same x0 and consume identical increments,
     so the reported mse isolates the drift-difference term of the stability
-    bound.
+    bound.  Path j uses stream.child(j) at every level; its increments and
+    b-driven path are computed once, and an abort of the latter counts at every level.
     """
     grid = config.grid()
-    levels = []
-    aborted = []
-    for li, n in enumerate(sorted(int(v) for v in n_levels)):
-        b_n = seq.generator(n)
+    ns = sorted(int(v) for v in n_levels)
+    b_ns = [seq.generator(n) for n in ns]
 
-        def simulate(s: RngStream, m: int):
-            dw = np.diff(sample_brownian_batch(grid, sigma.dim, s, m), axis=1)
-            xv, st1 = em_batch(b, sigma, c, x0, dw, grid.dt)
-            yv, st2 = em_batch(b_n, sigma, c, x0, dw, grid.dt)
-            return sup_distance_values(xv, yv), st1 | st2
+    def simulate(s: RngStream, m: int):
+        dw = np.diff(sample_brownian_batch(grid, sigma.dim, s, m), axis=1)
+        xv, st_b = em_batch(b, sigma, c, x0, dw, grid.dt)
+        sups = np.empty((m, len(ns)))
+        st_bn = np.empty((m, len(ns)), dtype=np.int64)
+        for li, b_n in enumerate(b_ns):
+            yv, st_bn[:, li] = em_batch(b_n, sigma, c, x0, dw, grid.dt)
+            sups[:, li] = sup_distance_values(xv, yv)
+        return sups, st_b, st_bn
 
-        (sups,), (ab,) = _run_paths(simulate, paths, stream.child(li * paths), batch)
-        mse, se = mean_se(sups**2)
-        levels.append((n, lp_distance(b, b_n, seq.p), mse, se))
-        aborted.append(ab)
-    d2 = np.array([lv[1] ** 2 for lv in levels])
-    ms = np.array([lv[2] for lv in levels])
+    sups, aborted = _run_paths(simulate, paths, stream, batch)
+    levels = [(n, lp_distance(b, b_n, seq.p), *mean_se(v**2)) for n, b_n, v in zip(ns, b_ns, sups)]
+    d2, ms = np.array([(lv[1] ** 2, lv[2]) for lv in levels]).T
     denom = float(np.sum(d2 * d2))
     fitted = float(np.sum(ms * d2) / denom) if denom > 0 else 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

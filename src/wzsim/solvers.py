@@ -30,7 +30,8 @@ step and once per Runge-Kutta stage, in one of two forms:
 
 Both forms give the same bits for a diagonal field.  Paths whose state
 leaves [-limit, limit] are aborted (tail NaN) and reported through a status
-code, never silently dropped.
+code, never silently dropped.  Aborts are found in one pass after the step
+loop: fields act row by row, so a bad row never touches another.
 """
 
 from __future__ import annotations
@@ -91,15 +92,19 @@ def _rhs(b: DriftField, sigma: DiffusionField, y: np.ndarray, v: np.ndarray) -> 
     return b(y) + _times(sigma, _sigma_at(sigma, y), v)
 
 
-def _flag_aborts(x: np.ndarray, status: np.ndarray, step: int) -> None:
-    """Abort the paths whose state is not finite or left [-limit, limit].
+def _flag_aborts(vals: np.ndarray) -> np.ndarray:
+    """Status per path of the values (m, steps + 1, d) a step loop wrote.
 
-    Newly aborted paths get status ``step``; every aborted path is set to NaN.
+    A path first not finite or outside [-limit, limit] at step k >= 1 gets
+    status k and NaN from step k on; others get 0.  Per-path max/min find them.
     """
-    bad = ~(np.abs(x) <= OVERFLOW_LIMIT).all(axis=1)
-    if bad.any():
-        status[bad & (status == 0)] = step
-        x[bad] = np.nan
+    flat = vals[:, 1:].reshape(len(vals), -1)
+    bad = np.flatnonzero(~((flat.max(axis=1) <= OVERFLOW_LIMIT) & (flat.min(axis=1) >= -OVERFLOW_LIMIT)))
+    status = np.zeros(len(vals), dtype=np.int64)
+    status[bad] = 1 + np.argmin((np.abs(vals[bad, 1:]) <= OVERFLOW_LIMIT).all(axis=2), axis=1)
+    for i in bad:
+        vals[i, status[i]:] = np.nan
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +123,13 @@ def em_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
     vals = np.empty((m, steps + 1, d))
     x = np.array(np.broadcast_to(x0, (m, d)), dtype=float)
     vals[:, 0] = x
-    status = np.zeros(m, dtype=np.int64)
     with np.errstate(all="ignore"):
         for k in range(steps):
             sig = _sigma_at(sigma, x)
             drift = b(x) + correction_drift_batch(sigma, c, x, sig)
             x = x + drift * dt + _times(sigma, sig, dw[:, k])
-            _flag_aborts(x, status, k + 1)
             vals[:, k + 1] = x
-    return vals, status
+        return vals, _flag_aborts(vals)
 
 
 def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
@@ -176,7 +179,6 @@ def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
     vals = np.empty((m, steps + 1, d))
     x = np.array(np.broadcast_to(x0, (m, d)), dtype=float)
     vals[:, 0] = x
-    status = np.zeros(m, dtype=np.int64)
     with np.errstate(all="ignore"):
         for k in range(steps):
             v0, vm, v1 = vstages[:, k, 0], vstages[:, k, 1], vstages[:, k, 2]
@@ -185,9 +187,8 @@ def rk4_batch(b: DriftField, sigma: DiffusionField, x0: np.ndarray,
             k3 = _rhs(b, sigma, x + 0.5 * h * k2, vm)
             k4 = _rhs(b, sigma, x + h * k3, v1)
             x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            _flag_aborts(x, status, k + 1)
             vals[:, k + 1] = x
-    return vals, status
+        return vals, _flag_aborts(vals)
 
 
 def _dense_values(b: DriftField, sigma: DiffusionField, xs: np.ndarray,

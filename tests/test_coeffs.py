@@ -103,6 +103,60 @@ def test_ramp_branch_values():
     assert bn(np.array([[50.0]]))[0, 0] == 0.0
 
 
+def _ramp_masked(x, c):
+    """The ramp as three masked flanks; the field must give the same bits."""
+    out = np.zeros_like(x)
+    left = (x >= -2.0 / c) & (x < 0.0)
+    right = (x > 1.0) & (x <= 1.0 + 2.0 / c)
+    mid = (x >= 0.0) & (x <= 1.0)
+    out[left] = c * x[left] / 2.0 + 1.0
+    out[mid] = 1.0
+    out[right] = -c * x[right] / 2.0 + (c + 2.0) / 2.0
+    return out
+
+
+def _floats_around(x0, count=50):
+    """x0 and the count neighbouring floats on either side of it."""
+    out = [x0]
+    for direction in (-np.inf, np.inf):
+        x = x0
+        for _ in range(count):
+            x = np.nextafter(x, direction)
+            out.append(x)
+    return out
+
+
+# the rate-sweep schedule's chi at n = 16 and 128, and a spread of widths.
+# At chi = 0.3, (chi + 2)/2 - chi/2 rounds below 1, so a form without the
+# select at x = 1 would miss 1 just below x = 1; at 1756.564449469384 the
+# masked right flank rounds below 0 just below 1 + 2/chi
+RAMP_CHIS = [schedule_chi(16, 0.4), schedule_chi(128, 0.4), 0.3, 1.0, 1.9100141734189666, 4.0,
+             7.25, 1756.564449469384]
+
+
+@pytest.mark.parametrize("chi", RAMP_CHIS)
+def test_ramp_matches_its_masked_definition_bit_for_bit(chi):
+    rng = np.random.default_rng(int(chi * 1000))
+    near = [v for bp in (-2.0 / chi, 0.0, 1.0, 1.0 + 2.0 / chi) for v in _floats_around(bp)]
+    far = [np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324]
+    x = np.concatenate([rng.uniform(-2.0 / chi - 1.0, 2.0 + 2.0 / chi, 200_000), near, far])[:, None]
+    with np.errstate(over="ignore"):  # x chi/2 at x = +-1e308
+        got = ramp_approximation(chi)(x)
+    want = _ramp_masked(x, chi)
+    assert np.all((got >= 0.0) & (got <= 1.0))
+    # where the masked form rounds a right-flank value below 0, the field gives +0.0
+    clipped = want < 0.0
+    assert np.all((x[clipped] > 1.0) & (x[clipped] <= 1.0 + 2.0 / chi))
+    assert np.array_equal(got[~clipped].view(np.int64), want[~clipped].view(np.int64))
+    assert np.all(got[clipped].view(np.int64) == 0)
+    if chi == RAMP_CHIS[-1]:
+        assert clipped.any()
+    # the one change on non-finite input: NaN propagates instead of giving 0.0
+    nan = np.array([[np.nan]])
+    assert _ramp_masked(nan, chi)[0, 0] == 0.0
+    assert np.isnan(ramp_approximation(chi)(nan)[0, 0])
+
+
 def test_ramp_c1_metadata():
     chi = 6.0
     bn = ramp_approximation(chi)

@@ -53,6 +53,28 @@ def test_batch_matches_single_paths():
         assert np.array_equal(batch[i], sample_brownian(g, 2, s.child(i)).values)
 
 
+@pytest.mark.parametrize("seed,sid", [(999, 10), (2**64 + 5, 2**64 - 2)])
+def test_batch_rows_are_the_streams_of_fresh_generators(seed, sid):
+    # the second case wraps both key words modulo 2^64 and its child ids past 2^64
+    g = make_grid(1.0, 32)
+    s = RngStream(seed, sid)
+    batch = sample_brownian_batch(g, 3, s, 5)
+    for i in range(5):
+        dw = s.child(i).generator().standard_normal((32, 3)) * np.sqrt(g.dt)
+        assert np.all(batch[i, 0] == 0.0)
+        assert np.array_equal(batch[i, 1:], np.cumsum(dw, axis=0))
+
+
+def test_sampler_calls_share_no_generator_state():
+    g = make_grid(1.0, 16)
+    a, b = RngStream(7, 0), RngStream(8, 100)
+    alone = [sample_brownian_batch(g, 2, a, 4), sample_brownian_batch(g, 1, b, 3)]
+    b_first = sample_brownian_batch(g, 1, b, 3), sample_brownian_batch(g, 2, a, 4)
+    a_first = sample_brownian_batch(g, 2, a, 4), sample_brownian_batch(g, 1, b, 3)
+    assert np.array_equal(b_first[1], alone[0]) and np.array_equal(b_first[0], alone[1])
+    assert np.array_equal(a_first[0], alone[0]) and np.array_equal(a_first[1], alone[1])
+
+
 def test_terminal_moments_match_brownian_law():
     # Var(W_T) = T and E W_T = 0, checked over 10^4 streams at T = 1
     g = make_grid(1.0, 4)

@@ -133,19 +133,21 @@ def test_driver_counts_non_finite_values_as_aborted():
 
 
 def test_driver_applies_the_abort_rule_per_level():
-    # two levels: path 3 has an SDE status, which counts against both; path 4
-    # is NaN at level 1 only
+    # two levels: path 3 has an SDE status (m,), which counts against both;
+    # path 8 has an ODE status (m, L) at level 0 only; path 4 is NaN at level 1 only
     def simulate(s, m):
         ids = np.arange(s.stream_id, s.stream_id + m, dtype=float)
         v = np.stack([ids, ids + 0.5], axis=1)
         v[ids == 4, 1] = np.nan
-        return v, np.where(ids == 3, 2, 0)[:, None] | np.zeros((m, 2), dtype=np.int64)
+        st_ode = np.zeros((m, 2), dtype=np.int64)
+        st_ode[ids == 8, 0] = 5
+        return v, np.where(ids == 3, 2, 0), st_ode
 
     (lv0, lv1), aborted = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
-    assert aborted == [1, 2]
-    assert lv0.tolist() == [float(i) for i in range(300) if i != 3]
+    assert aborted == [2, 2]
+    assert lv0.tolist() == [float(i) for i in range(300) if i not in (3, 8)]
     assert lv1.tolist() == [i + 0.5 for i in range(300) if i not in (3, 4)]
-    # level 1 alone breaks the tolerance at 150 paths (2 > 1.5)
+    # each level breaks the tolerance at 150 paths (2 > 1.5)
     with pytest.raises(AbortRateError):
         experiments._run_paths(simulate, 150, RngStream(0, 0), 16)
 
@@ -340,6 +342,35 @@ def test_stability_ramp_sequence_mse_drops():
     mses = [mse for _, _, mse, _ in rep.levels]
     assert mses == sorted(mses, reverse=True)
     assert mses[-1] < mses[0] / 4
+
+
+def _ramp_stability(levels, paths, stream, n_ref=256):
+    return stability_sweep(indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
+                           sin_elliptic_diffusion(1.0, 0.5), HALF, -4.0, levels, paths,
+                           stream, SolverConfig(n_ref=n_ref))
+
+
+def test_each_stability_level_equals_its_one_level_sweep():
+    # path j uses stream.child(j) at every level
+    levels, paths, stream = [16, 64, 256], 40, RngStream(11, 2)
+    rep = _ramp_stability(levels, paths, stream)
+    for lv, ab, n in zip(rep.levels, rep.aborted, levels):
+        one = _ramp_stability([n], paths, stream)
+        assert one.levels == (lv,) and one.aborted == (ab,)
+
+
+def test_stability_sweep_samples_and_solves_the_b_path_once_per_batch(monkeypatch):
+    # 300 paths are two batches of 256; each batch draws its increments and
+    # solves the b-driven path once, and one b_n-driven path per level
+    calls = {"sample_brownian_batch": 0, "em_batch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    _ramp_stability([16, 64, 256], 300, RngStream(11, 3), n_ref=64)
+    assert calls == {"sample_brownian_batch": 2, "em_batch": 8}
 
 
 # ---------------------------------------------------------------------------

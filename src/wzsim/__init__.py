@@ -14,16 +14,13 @@ from .coeffs import (
     DriftApproxSequence,
     DriftField,
     check_hfn,
-    correction_drift,
     lp_distance,
     lp_norm,
     mollified_sequence,
-    mollify_drift,
     ramp_approximation,
     ramp_sequence,
     schedule_chi,
     schedule_kappa,
-    validate_assumptions,
 )
 from .core import (
     Path,
@@ -31,9 +28,7 @@ from .core import (
     TimeGrid,
     ValidationError,
     make_grid,
-    sample_brownian,
     sample_brownian_batch,
-    sup_distance,
 )
 from .experiments import (
     GirsanovReport,
@@ -43,12 +38,10 @@ from .experiments import (
     WongZakaiSetup,
     fit_rate,
     girsanov_mean,
-    girsanov_weight,
     mc_mean_sup_error,
     rate_sweep,
     stability_sweep,
     tube_ladder,
-    tube_probability,
 )
 from .noise import (
     ApproxPath,

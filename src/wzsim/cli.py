@@ -33,12 +33,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
 from . import __version__
-from .coeffs import CorrectionMatrix, DriftApproxSequence, mollified_sequence, ramp_sequence
+from .coeffs import (CorrectionMatrix, DriftApproxSequence, check_hfn, lp_norm, mollified_sequence,
+                     ramp_sequence)
 from .core import RngStream, ValidationError, make_grid
 from .experiments import (
     AbortRateError,
@@ -203,7 +205,7 @@ def _build_model(cfg: RunConfig, d: int):
                               f"the command's dimension {d}")
     spar["d"] = d
     sigma = get_diffusion(sname, **spar)
-    if not sigma.elliptic:
+    if not math.isfinite(sigma.ellipticity):
         raise ValidationError(
             f"diffusion '{sigma.name}' is flagged non-elliptic (oracle-only); "
             "it cannot be used from the CLI"
@@ -245,8 +247,8 @@ def _check_p(cfg: RunConfig, p: float, d: int) -> None:
 
 
 def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
-    d = cfg.param("d", default=2, cast=int)
     family = _build_family(cfg)
+    d = cfg.param("d", default=family.required_dim or 2, cast=int)
     n = cfg.param("n", default=32, cast=int)
     samples = cfg.param("samples", default=10000, cast=int)
     t_mult = cfg.param("t_mult", default=16, cast=int)
@@ -297,11 +299,17 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
     rep = rate_sweep(setup, n_list, paths, stream)
     rows = [(n, mse, se, paths, ab) for (n, mse, se), ab in zip(rep.points, rep.aborted)]
     write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths", "aborted"], rows)
-    _write_summary(cfg, [
-        f"rate-sweep: drift={setup.drift.name} sigma={setup.sigma.name} family={setup.family.name}",
-        *(f"  n={n:5d}  mse={mse:.6e} +- {se:.2e}" for n, mse, se in rep.points),
-        f"  fitted log-log slope = {rep.slope:+.4f} +- {rep.slope_half_width:.4f}",
-    ])
+    lines = [f"rate-sweep: drift={setup.drift.name} sigma={setup.sigma.name} family={setup.family.name}",
+             *(f"  n={n:5d}  mse={mse:.6e} +- {se:.2e}" for n, mse, se in rep.points),
+             f"  fitted log-log slope = {rep.slope:+.4f} +- {rep.slope_half_width:.4f}"]
+    seq = setup.drift_seq
+    if seq is not None:
+        speed = check_hfn(seq, lp_norm(seq.base, seq.p), [n for n, _, _ in rep.points])
+        lines += [f"  n={n:5d}  log speed value = {v!r}"
+                  for n, v in zip(speed.n_list, speed.log_values.tolist())]
+        lines.append(f"  speed condition (advisory): converging={speed.converging} "
+                     f"tail_decreasing={speed.tail_decreasing}")
+    _write_summary(cfg, lines)
 
 
 def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
@@ -377,7 +385,7 @@ def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
 
 def _cmd_def31(cfg: RunConfig, stream: RngStream) -> None:
     family = _build_family(cfg)
-    d = cfg.param("d", default=1, cast=int)
+    d = cfg.param("d", default=family.required_dim or 1, cast=int)
     samples = cfg.param("samples", default=10000, cast=int)
     n_list = cfg.param("n_list", default=[4, 8, 16, 32], cast=list)
     rep = check_moment_condition(family, n_list, samples, stream, d=d)

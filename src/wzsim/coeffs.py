@@ -7,6 +7,12 @@ constants and gradients for the diffusion.  The smoothing schedules realize
 the two explicit constructions for the indicator drift: the piecewise-linear
 ramp with width parameter chi(n) and the Gaussian mollification with
 precision kappa(n).
+
+The theorem's hypotheses on a schedule are checked where a command runs
+it: ``solvers._require_c1`` verifies each b_n's declared slope bound by
+central differences, a rate sweep rejects a level whose C^1 norm breaks
+``DriftApproxSequence.check_member``'s h(n) ||b||_p bound, and reports
+``check_hfn``'s joint speed condition in its summary.
 """
 
 from __future__ import annotations
@@ -18,8 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import special
 
-from .core import RngStream, ValidationError
-from .shapes import _gl_composite
+from .core import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -34,8 +39,7 @@ class DriftField:
     ``fn`` is vectorized over a leading batch axis: input (m, d), output
     (m, d).  ``sup_value``/``sup_grad`` are present iff the field is
     declared C^1_b; ``lp_norm_fn`` supplies an analytic L^p norm when the
-    support is unbounded.  ``breakpoints`` lists the jumps and kinks of a
-    d = 1 field, so quadrature panels can be split there.
+    support is unbounded.
     """
 
     dim: int
@@ -44,7 +48,6 @@ class DriftField:
     sup_value: float | None = None
     sup_grad: float | None = None
     lp_norm_fn: Callable[[float], float] | None = None
-    breakpoints: tuple[float, ...] = ()
     name: str = "drift"
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -68,8 +71,7 @@ class DiffusionField:
     ``sigma`` maps (m, d) -> (m, d, d); ``grad`` maps (m, d) -> (m, d, d, d)
     with entry (i, j, l) = d sigma_ij / d x_l.  ``ellipticity`` is the
     constant K >= 1 with K^-1 <= xi' sigma sigma* xi <= K for unit xi;
-    fields that violate it (used only as solver oracles) carry
-    ``elliptic=False``.
+    fields that violate it (used only as solver oracles) carry K = inf.
 
     A diagonal field sigma(x) = diag(s(x_i)) also carries its scalar forms:
     ``scalar`` = s and ``scalar_grad`` = s', both applied elementwise to an
@@ -82,7 +84,6 @@ class DiffusionField:
     sigma: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     ellipticity: float = 1.0
-    elliptic: bool = True
     name: str = "diffusion"
     scalar: Callable[[np.ndarray], np.ndarray] | None = None
     scalar_grad: Callable[[np.ndarray], np.ndarray] | None = None
@@ -187,9 +188,7 @@ def indicator_drift() -> DriftField:
         x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
-    return DriftField(dim=1, fn=fn, support_radius=2.0,
-                      lp_norm_fn=lambda p: 1.0,
-                      breakpoints=(0.0, 1.0), name="indicator01")
+    return DriftField(dim=1, fn=fn, support_radius=2.0, lp_norm_fn=lambda p: 1.0, name="indicator01")
 
 
 def ramp_approximation(chi: float) -> DriftField:
@@ -214,9 +213,7 @@ def ramp_approximation(chi: float) -> DriftField:
         return np.maximum(out, 0.0, out=out)
 
     return DriftField(dim=1, fn=fn, support_radius=1.0 + 2.0 / c + 1e-9,
-                      sup_value=1.0, sup_grad=c / 2.0,
-                      breakpoints=(-2.0 / c, 0.0, 1.0, 1.0 + 2.0 / c),
-                      name=f"ramp[chi={c:g}]")
+                      sup_value=1.0, sup_grad=c / 2.0, name=f"ramp[chi={c:g}]")
 
 
 def mollified_indicator(kappa: float) -> DriftField:
@@ -243,54 +240,6 @@ def mollified_indicator(kappa: float) -> DriftField:
                       sup_value=float(special.erf(0.5 * s)),
                       sup_grad=float(grad.max()) * (1.0 + 1e-9),
                       name=f"mollified[kappa={kappa:g}]")
-
-
-def mollify_drift(b: DriftField, kappa: float, order: int = 16) -> DriftField:
-    """Gaussian convolution sqrt(kappa/2pi) * int b(x - y) exp(-kappa y^2/2) dy.
-
-    General quadrature route for any finite-support drift (d = 1); the
-    window is truncated at 10 standard deviations.  The y-panels are split
-    at the field's declared breakpoints (mapped to y = x - beta), so jumps
-    and kinks of b never sit inside a Gauss-Legendre panel.  C^1 metadata
-    is measured on a fine grid.
-    """
-    if not np.isfinite(b.support_radius):
-        raise ValidationError("mollify_drift needs a finite support radius")
-    if b.dim != 1:
-        raise ValidationError("mollify_drift quadrature is implemented for d = 1")
-    if kappa <= 0.0:
-        raise ValidationError("kappa must be positive")
-    half = 10.0 / math.sqrt(kappa)
-    gx, gw = _gl_composite(1, order)
-    # base panels keep the Gaussian well resolved even without breakpoints
-    base_edges = np.linspace(-half, half, 33)
-    beta = np.asarray(b.breakpoints, dtype=float)
-    scale = math.sqrt(kappa / (2.0 * math.pi))
-
-    def fn(x, base_edges=base_edges, beta=beta):
-        x = np.asarray(x, dtype=float)
-        m = x.shape[0]
-        xf = x[:, 0]
-        cuts = np.clip(xf[:, None] - beta[None, :], -half, half) if beta.size else \
-            np.empty((m, 0))
-        edges = np.sort(np.concatenate(
-            [np.broadcast_to(base_edges, (m, base_edges.size)), cuts], axis=1), axis=1)
-        lo = edges[:, :-1]
-        width = edges[:, 1:] - lo
-        y = lo[:, :, None] + width[:, :, None] * gx[None, None, :]
-        wq = width[:, :, None] * gw[None, None, :]
-        dens = scale * np.exp(-kappa * y**2 / 2.0)
-        vals = b((xf[:, None, None] - y).reshape(-1, 1)).reshape(y.shape)
-        return np.einsum("mpq,mpq->m", vals, wq * dens)[:, None]
-
-    radius = b.support_radius + half
-    xs = mid_grid(-radius, radius, 1 << 12)[:, None]
-    vals = fn(xs).ravel()
-    sup_v = float(np.max(np.abs(vals)))
-    sup_g = float(np.max(np.abs(np.diff(vals))) / (2 * radius / (1 << 12)))
-    return DriftField(dim=1, fn=fn, support_radius=radius,
-                      sup_value=sup_v, sup_grad=sup_g,
-                      name=f"{b.name}*gauss[kappa={kappa:g}]")
 
 
 def schedule_chi(n: int, alpha: float) -> float:
@@ -435,21 +384,8 @@ def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# correction drift and assumption checks
+# correction drift
 # ---------------------------------------------------------------------------
-
-
-def correction_drift(sigma: DiffusionField, c: CorrectionMatrix, x: np.ndarray) -> np.ndarray:
-    """Extra drift of the corrected limit equation at points x.
-
-    Component k is sum_{i,j,l} c_ij sigma_il(x) d_l sigma_jk(x); accepts a
-    single point (d,) or a batch (m, d).
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xb = x[None, :] if single else x
-    out = correction_drift_batch(sigma, c, xb)
-    return out[0] if single else out
 
 
 def correction_drift_batch(sigma: DiffusionField, c: CorrectionMatrix, x: np.ndarray,
@@ -466,51 +402,3 @@ def correction_drift_batch(sigma: DiffusionField, c: CorrectionMatrix, x: np.nda
     sig = sigma.sigma(x) if sig_vals is None else sig_vals
     dsig = sigma.grad(x)
     return np.einsum("ij,mil,mjkl->mk", c.matrix, sig, dsig)
-
-
-@dataclass(frozen=True)
-class EllipticityReport:
-    min_quotient: float
-    max_quotient: float
-    declared_k: float
-    within_bounds: bool
-
-
-def validate_assumptions(sigma: DiffusionField, sample_box: float, samples: int,
-                         stream: RngStream) -> EllipticityReport:
-    """Sample Rayleigh quotients of sigma sigma* over random (x, xi).
-
-    Flags failure when any quotient leaves [1/K, K] for the declared K.
-    """
-    if samples < 100:
-        raise ValidationError("need at least 100 samples")
-    gen = stream.generator()
-    x = gen.uniform(-sample_box, sample_box, size=(samples, sigma.dim))
-    xi = gen.standard_normal((samples, sigma.dim))
-    xi /= np.linalg.norm(xi, axis=1, keepdims=True)
-    s = sigma.sigma(x)
-    a = np.einsum("mij,mkj->mik", s, s)
-    q = np.einsum("mi,mij,mj->m", xi, a, xi)
-    lo, hi = float(q.min()), float(q.max())
-    k = sigma.ellipticity
-    ok = (sigma.elliptic and np.isfinite(k) and lo > 0.0
-          and lo >= 1.0 / k - 1e-12 and hi <= k + 1e-12)
-    return EllipticityReport(lo, hi, k, ok)
-
-
-def validate_c1(field: DriftField, stream: RngStream, points: int = 100,
-                tol: float = 1e-3) -> bool:
-    """Check declared C^1 metadata by finite differences at random points."""
-    if not field.is_c1:
-        raise ValidationError(f"field '{field.name}' carries no C^1 metadata")
-    gen = stream.generator()
-    r = min(field.support_radius, 1e6)
-    x = gen.uniform(-r, r, size=(points, field.dim))
-    h = 1e-6
-    ok = True
-    for l in range(field.dim):
-        e = np.zeros(field.dim)
-        e[l] = h
-        fd = (field(x + e) - field(x - e)) / (2 * h)
-        ok &= bool(np.max(np.sqrt((fd**2).sum(axis=1))) <= field.sup_grad * (1.0 + tol) + 1e-12)
-    return ok

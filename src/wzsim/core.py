@@ -113,11 +113,6 @@ class RngStream:
         return RngStream(self.master_seed, self.stream_id + int(offset))
 
 
-def sample_brownian(grid: TimeGrid, d: int, stream: RngStream) -> Path:
-    """Sample a standard d-dimensional Brownian path on the grid; row 0 of the batch sampler."""
-    return Path(grid, sample_brownian_batch(grid, d, stream, 1)[0])
-
-
 def sample_brownian_batch(grid: TimeGrid, d: int, stream: RngStream, count: int) -> np.ndarray:
     """Sample ``count`` independent Brownian paths, shape (count, N+1, d).
 
@@ -139,15 +134,6 @@ def sample_brownian_batch(grid: TimeGrid, d: int, stream: RngStream, count: int)
         dw = gen.standard_normal((grid.steps, d)) * sqrt_dt
         np.cumsum(dw, axis=0, out=out[i, 1:])
     return out
-
-
-def sup_distance(a: Path, b: Path) -> float:
-    """Max over grid nodes of the Euclidean distance between the two paths."""
-    if a.grid != b.grid:
-        raise ValidationError("paths live on different grids")
-    if a.dim != b.dim:
-        raise ValidationError("paths have different dimensions")
-    return float(sup_distance_values(a.values, b.values))
 
 
 def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,7 +17,10 @@ aborted at that level: left out, counted and reported per level; an abort
 of the Euler reference counts against every level.  A run in which any
 level's abort fraction exceeds ``ABORT_TOLERANCE`` raises instead of
 returning a biased estimate.  Input checks, for every level, run before the
-first path is simulated.
+first path is simulated: a rate sweep checks each level's b_n against the
+C^1 hypotheses of the theorem (its declared slope bound and, with a drift
+schedule, the h(n) ||b||_p bound on its C^1 norm).  A stability sweep runs
+b_n only through Euler, so its b_n need not be C^1.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .coeffs import (
     DriftApproxSequence,
     DriftField,
     lp_distance,
+    lp_norm,
 )
 from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_brownian_batch,
                    sup_distance_values)
@@ -122,12 +126,21 @@ def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, strea
 
     Path j uses stream.child(j) at every level: its Brownian sample and
     Euler reference are computed once and every level's random ODE runs
-    against them.  An SDE abort counts against every level.
+    against them.  An SDE abort counts against every level.  With a drift
+    schedule, every level's b_n must also meet the schedule's C^1 bound
+    (``DriftApproxSequence.check_member``) before the first path.
     """
     if paths < 30:
         raise ValidationError("need at least 30 paths")
     levels = [(n, setup.smoothed_drift(n)) for n in ns]
     _check_levels(setup.sigma, setup.family, levels, setup.config.grid())
+    seq = setup.drift_seq
+    if seq is not None:
+        norm = lp_norm(seq.base, seq.p)
+        for n, b_n in levels:
+            if not seq.check_member(n, base_norm=norm):
+                raise ValidationError(f"level n={n}: '{b_n.name}' has C^1 norm {b_n.c1_norm:g} "
+                                      f"above h(n) ||b||_p = {seq.bound(n) * norm:g}")
 
     sups, aborted = _run_paths(lambda s, m: coupled_batch(
         setup.drift, setup.sigma, setup.correction, setup.family, levels, setup.x0, s,
@@ -234,6 +247,8 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
     """
     grid = config.grid()
     ns = sorted(int(v) for v in n_levels)
+    if not ns:
+        raise ValidationError("need at least one level")
     b_ns = [seq.generator(n) for n in ns]
 
     def simulate(s: RngStream, m: int):
@@ -304,13 +319,6 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
     return sups, aborted
 
 
-def tube_probability(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-                     target: Path, epsilon: float, paths: int, stream: RngStream,
-                     batch: int = 1024) -> TubeReport:
-    """Fraction of corrected-SDE paths staying sup-within epsilon of the target."""
-    return tube_ladder(b, sigma, c, x0, target, [epsilon], paths, stream, batch)[0]
-
-
 def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                 target: Path, eps_list: Sequence[float], paths: int,
                 stream: RngStream, batch: int = 1024) -> list[TubeReport]:
@@ -341,12 +349,6 @@ class GirsanovReport:
     aborted: int
 
 
-def _require_diagonal(sigma: DiffusionField) -> None:
-    """Girsanov weights invert sigma pointwise, read from its diagonal scalar form s."""
-    if sigma.scalar is None:
-        raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
-
-
 def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
                        stream: RngStream,
                        count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -354,8 +356,11 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
 
     Y solves dY = correction(sigma, I/2) dt + sigma(Y) dW; the weight is the
     left-point discretization of exp(int b* sigma^-1 dW - 1/2 int b*(sigma
-    sigma*)^-1 b ds) along Y.  sigma must pass ``_require_diagonal``.
+    sigma*)^-1 b ds) along Y.  The weights divide by sigma's diagonal, read from
+    its scalar form s, so a field without one is rejected before any sample.
     """
+    if sigma.scalar is None:
+        raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
     d = sigma.dim
     half = CorrectionMatrix.half_identity(d)
     w = sample_brownian_batch(grid, d, stream, count)
@@ -372,20 +377,9 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
     return np.exp(log_rho), yv, st
 
 
-def girsanov_weight(b: DriftField, sigma: DiffusionField, x0, stream: RngStream,
-                    grid: TimeGrid) -> tuple[float, Path]:
-    """One Girsanov weight rho_T and the driftless reference path it rode on."""
-    _require_diagonal(sigma)
-    rho, yv, st = _driftless_weights(b, sigma, x0, grid, stream, 1)
-    if st[0] != 0:
-        raise AbortRateError(1, 1)
-    return float(rho[0]), Path(grid, yv[0])
-
-
 def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
                   stream: RngStream, grid: TimeGrid, batch: int = 1024) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
-    _require_diagonal(sigma)
 
     def simulate(s: RngStream, m: int):
         rho, _, st = _driftless_weights(b, sigma, x0, grid, s, m)

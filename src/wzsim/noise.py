@@ -12,7 +12,8 @@ with ``msub`` cells per noise block of width 1/n:
 ``block_layout`` is the one check of how the level-n blocks lie over a
 Brownian grid (a whole number of blocks, a whole number of grid cells per
 block, a dimension the family supports); ``build_approximation`` and the
-solvers' coupled runs both go through it.
+solvers' coupled runs both go through it, and the estimators reject a
+dimension the family does not support by the same rule.
 
 Every family has one evaluator pair, ``batch_values`` and ``batch_derivs``,
 and both take block-local positions ``(k, u)``: block index k (an int
@@ -252,6 +253,12 @@ class ApproxPath:
         return self.derivs_at([t])[0]
 
 
+def _check_dim(family: NoiseFamily, d: int) -> None:
+    """Reject a dimension the family does not support."""
+    if family.required_dim is not None and d != family.required_dim:
+        raise ValidationError(f"family {family.name} requires dimension {family.required_dim}, got {d}")
+
+
 def block_layout(family: NoiseFamily, grid: TimeGrid, n: int, d: int) -> tuple[int, int]:
     """(blocks, msub): the level-n noise blocks over the grid and the grid cells per block.
 
@@ -261,10 +268,7 @@ def block_layout(family: NoiseFamily, grid: TimeGrid, n: int, d: int) -> tuple[i
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    if family.required_dim is not None and d != family.required_dim:
-        raise ValidationError(
-            f"family {family.name} requires dimension {family.required_dim}, got {d}"
-        )
+    _check_dim(family, d)
     blocks = grid.horizon * n
     if abs(blocks - round(blocks)) > 1e-9:
         raise ValidationError("horizon does not hold a whole number of noise blocks")
@@ -400,8 +404,7 @@ def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    if family.required_dim is not None:
-        d = family.required_dim
+    _check_dim(family, d)
 
     def blockwise(wsub):
         out = np.empty((wsub.shape[0], BLOCKS_PER_PATH, d, d))
@@ -423,8 +426,7 @@ def estimate_c(family: NoiseFamily, n: int, t: float, samples: int, stream: RngS
     blocks = t * n
     if abs(blocks - round(blocks)) > 1e-9 or round(blocks) < 1:
         raise ValidationError("t must be a positive multiple of 1/n")
-    if family.required_dim is not None:
-        d = family.required_dim
+    _check_dim(family, d)
     c = _per_sample(lambda wsub: correction_density(family, wsub, n, msub),
                     int(round(blocks)), n, msub, d, samples, stream, batch)
     mean, se = mean_se(c)
@@ -462,9 +464,10 @@ def check_moment_condition(family: NoiseFamily, n_list: Sequence[int], samples: 
     """Estimate the two sixth moments over a range of n and fit their n-exponents."""
     if samples < 100:
         raise ValidationError("need at least 100 samples")
-    if family.required_dim is not None:
-        d = family.required_dim
+    _check_dim(family, d)
     n_list = tuple(int(n) for n in n_list)
+    if len(set(n_list)) < 2:
+        raise ValidationError("need at least two distinct levels to fit an exponent")
     mean = np.zeros((len(n_list), 2))
     se = np.zeros((len(n_list), 2))
     for idx, n in enumerate(n_list):

@@ -115,9 +115,8 @@ def sin_elliptic_diffusion(a: float = 1.0, b: float = 0.5, d: int = 1) -> Diffus
 
 
 def linear_diffusion(d: int = 1) -> DiffusionField:
-    """sigma(x) = diag(x_i).  Degenerate at 0: oracle-only, not elliptic."""
-    return _diag_field(lambda x: x, lambda x: np.ones_like(x), d,
-                       ellipticity=np.inf, elliptic=False, name="linear")
+    """sigma(x) = diag(x_i).  Degenerate at 0: oracle-only, ellipticity K = inf."""
+    return _diag_field(lambda x: x, lambda x: np.ones_like(x), d, ellipticity=np.inf, name="linear")
 
 
 def _ramp_entry(chi: float | None = None, alpha: float | None = None,

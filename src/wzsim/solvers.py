@@ -15,8 +15,9 @@ is its one-path, one-level case that also returns both paths.  The random
 ODE takes ``m_ode`` steps per noise block, however fine the reference grid
 is, and in a coupled run its values at the reference nodes come from each
 step's cubic Hermite interpolant (dense output).  It runs on a smoothed
-drift only: ``_require_c1`` rejects a drift without C^1 metadata, on every
-route and for every level before the first path is drawn.
+drift only: ``_require_c1``, the one C^1 check, rejects a drift without C^1
+metadata or whose central differences on a fixed grid exceed its declared
+slope bound, on every route and for every level before the first path.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -41,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch
+from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
 from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
 from .noise import ApproxPath, NoiseFamily, block_layout
 
@@ -239,9 +240,19 @@ def _ode_paths(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: n
 
 
 def _require_c1(b_n: DriftField) -> None:
-    """The random ODE runs on a smoothed drift: reject one without C^1 metadata."""
+    """The random ODE runs on a smoothed drift: reject one without C^1 metadata, or whose
+    central differences (step 1e-6) on a fixed grid over its support box, capped at
+    |x| <= 16, exceed the declared slope bound by more than 0.1%."""
     if not b_n.is_c1:
         raise ValidationError(f"drift '{b_n.name}' carries no C^1 metadata")
+    r, d = min(b_n.support_radius, 16.0), b_n.dim
+    axis = mid_grid(-r, r, round(4096 ** (1 / d)))
+    x = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    for e in 1e-6 * np.eye(d):
+        slope = np.sqrt((((b_n(x + e) - b_n(x - e)) / 2e-6) ** 2).sum(axis=1)).max()
+        if not slope <= b_n.sup_grad * (1.0 + 1e-3) + 1e-12:
+            raise ValidationError(f"drift '{b_n.name}' declares a C^1 slope bound {b_n.sup_grad:g}, "
+                                  f"but its central differences reach {slope:g}")
 
 
 def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,

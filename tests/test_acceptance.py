@@ -19,6 +19,7 @@ import pytest
 from wzsim.coeffs import (
     CorrectionMatrix,
     DriftApproxSequence,
+    DriftField,
     indicator_drift,
     lp_distance,
     ramp_approximation,
@@ -27,6 +28,7 @@ from wzsim.coeffs import (
 from wzsim.core import RngStream, make_grid, sample_brownian_batch
 from wzsim.experiments import (
     WongZakaiSetup,
+    fit_rate,
     girsanov_mean,
     make_target,
     mc_mean_sup_error,
@@ -218,6 +220,12 @@ def test_criterion_08_support_probe():
     verdict(8, all_ok, f"hits per radius {ladder} on shared samples: " + "  ".join(details))
 
 
+def _shifted_indicator(a: float) -> DriftField:
+    """b(x) = 1 on [a, 1 + a], 0 elsewhere; ||1_[0,1] - b||_2^2 = 2a for 0 < a < 1."""
+    return DriftField(dim=1, fn=lambda x: ((x >= a) & (x <= 1.0 + a)).astype(float),
+                      support_radius=2.0, name=f"indicator[{a:g},{1 + a:g}]")
+
+
 def test_criterion_09_stability_constant():
     b = indicator_drift()
     # identical drifts on identical streams: the sweep must report exact zero
@@ -225,17 +233,23 @@ def test_criterion_09_stability_constant():
                                 bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
     rep0 = stability_sweep(b, ident, SIN_ELL, HALF, 0.0, [16, 64], 100,
                            RngStream(99, 0), SolverConfig(n_ref=1 << 12))
-    zero_ok = all(mse == 0.0 for _, _, mse, _ in rep0.levels)
+    zeros = [mse for _, _, mse, _ in rep0.levels]
 
-    seq = ramp_sequence(alpha=0.4, p=2.0, delta=0.5)
-    rep = stability_sweep(b, seq, SIN_ELL, HALF, 0.0, [16, 64, 256], 500,
+    # shifted indicators b_n = 1_[a, 1+a], a = 1/n: the stability bound makes
+    # the mse at most C ||b - b_n||_2^2 = 2 C a, so log mse against log 2a
+    # must not fall with a slope below 1
+    seq = DriftApproxSequence(base=b, p=2.0, generator=lambda n: _shifted_indicator(1.0 / n),
+                              bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
+    rep = stability_sweep(b, seq, SIN_ELL, HALF, 0.0, [2, 5, 20, 100], 500,
                           RngStream(99, 1 << 33), SolverConfig(n_ref=1 << 13))
-    ratios = [mse / dist**2 for _, dist, mse, _ in rep.levels]
-    cap = 2.0 * rep.max_ratio
-    ratio_ok = all(np.isfinite(r) and r <= cap for r in ratios)
-    verdict(9, zero_ok and ratio_ok,
-            f"identical run mse = 0 exactly; ratios mse/dist^2 {np.round(ratios, 4)} "
-            f"all below 2 x empirical max {rep.max_ratio:.4f}")
+    d2 = [2.0 / n for n, _, _, _ in rep.levels]
+    mses = [mse for _, _, mse, _ in rep.levels]
+    positive = all(m > 0.0 for m in mses)
+    slope, half = fit_rate(list(zip(d2, mses))) if positive else (float("nan"), float("nan"))
+    verdict(9, zeros == [0.0, 0.0] and positive and slope + half >= 1.0,
+            f"identical-drift mse {zeros} (must be 0); shifted indicators: mse {np.round(mses, 5)} at "
+            f"||b-b_n||_2^2 = {np.round(d2, 4)}, fitted slope {slope:.3f} +- {half:.3f} (need >= 1 "
+            f"within the half-width)")
 
 
 def test_criterion_10_levy_area_variance():

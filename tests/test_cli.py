@@ -1,11 +1,15 @@
+import dataclasses
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wzsim import experiments
+from wzsim import cli, experiments, noise
 from wzsim.cli import main
+from wzsim.coeffs import check_hfn, ramp_approximation, ramp_sequence
 
 
 def run_cli(*args):
@@ -336,3 +340,120 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(package_env):
     out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
                          check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def _no_paths(monkeypatch):
+    """Make every sampler and solver a command could reach fail the test."""
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a path was simulated before the input was checked")
+
+    for module, name in ((experiments, "coupled_batch"), (experiments, "em_batch"),
+                         (experiments, "sample_brownian_batch"), (noise, "sample_brownian_batch")):
+        monkeypatch.setattr(module, name, unreachable)
+
+
+SWEEP_CFG = RATE_CFG.replace("drift = sin_bump", "drift = indicator01\nsequence = ramp alpha=0.4 delta=0.5") \
+    .replace("n_list = 8 16 32", "n_list = 16 32 64")
+
+
+@pytest.mark.parametrize("edit,message", [
+    # the n = 64 ramp declares a slope bound below its own slope chi/2
+    (lambda b_n, n: dataclasses.replace(b_n, sup_grad=0.01) if n == 64 else b_n,
+     "central differences reach"),
+    # the n = 64 member's C^1 norm, 26, exceeds h(64) ||b||_p
+    (lambda b_n, n: ramp_approximation(50.0) if n == 64 else b_n, "level n=64"),
+], ids=["understated_slope", "member_above_its_bound"])
+def test_rate_sweep_rejects_a_level_outside_the_hypotheses_before_any_path(
+        tmp_path, capsys, monkeypatch, edit, message):
+    def edited(alpha, p, delta):
+        seq = ramp_sequence(alpha, p, delta)
+        return dataclasses.replace(seq, generator=lambda n: edit(seq.generator(n), n))
+
+    monkeypatch.setattr(cli, "ramp_sequence", edited)
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    assert run_cli("--config", write(tmp_path, "r.ini", SWEEP_CFG.format(out=out))) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rate_sweep_summary_reports_the_speed_condition(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("--config", write(tmp_path, "r.ini", SWEEP_CFG.format(out=out))) == 0
+    summary = (out / "summary.txt").read_text()
+    logged = {int(n): float(v) for n, v in re.findall(r"n=\s*(\d+)\s+log speed value = (\S+)", summary)}
+    rep = check_hfn(ramp_sequence(0.4, 2.0, 0.5), 1.0, [16, 32, 64])
+    assert logged == dict(zip(rep.n_list, rep.log_values.tolist()))
+    assert f"converging={rep.converging} tail_decreasing={rep.tail_decreasing}" in summary
+    assert "speed" not in (out / "rate_sweep.csv").read_text()
+
+
+def test_stability_without_levels_exits_2_before_any_path(tmp_path, capsys, monkeypatch):
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    text = STABILITY_CFG.format(out=out).replace("n_list = 16 64", "n_list =")
+    assert run_cli("--config", write(tmp_path, "s.ini", text)) == 2
+    assert "level" in capsys.readouterr().err
+    assert not out.exists()
+
+
+DEF31_CFG = """
+[run]
+command = def31-check
+seed = 9
+out = {out}
+
+[model]
+family = piecewise shape=linear
+
+[params]
+samples = 200
+n_list = 4 8
+"""
+
+
+@pytest.mark.parametrize("n_list", ["", "8", "8 8"], ids=["empty", "one_level", "one_distinct_level"])
+def test_def31_needs_two_distinct_levels_before_any_sample(tmp_path, capsys, monkeypatch, n_list):
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    text = DEF31_CFG.format(out=out).replace("n_list = 4 8", f"n_list = {n_list}")
+    assert run_cli("--config", write(tmp_path, "d.ini", text)) == 2
+    assert "two distinct levels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _mcshane(config, out, d=None):
+    """config with the mcshane family, and 'd = <d>' in place of its own 'd' line (none if None)."""
+    text = re.sub(r"\nd = \d+\n", "\n", config.format(out=out))
+    return text.replace("piecewise shape=linear", "mcshane") + (f"d = {d}\n" if d else "")
+
+
+@pytest.mark.parametrize("config,d", [(COEFFS_CFG, 3), (DEF31_CFG, 1)], ids=["coeffs", "def31-check"])
+def test_a_dimension_the_family_does_not_support_exits_2(tmp_path, capsys, monkeypatch, config, d):
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    assert run_cli("--config", write(tmp_path, "m.ini", _mcshane(config, out, d))) == 2
+    assert "requires dimension 2, got" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_default_dimension_is_the_familys(tmp_path):
+    # mcshane needs d = 2: with no 'd' line both commands run in it
+    coeffs = _mcshane(COEFFS_CFG, tmp_path / "c").replace("samples = 2000", "samples = 200")
+    assert run_cli("--config", write(tmp_path, "c.ini", coeffs)) == 0
+    assert len((tmp_path / "c" / "coeffs_s.csv").read_text().splitlines()) == 2 + 4
+    assert run_cli("--config", write(tmp_path, "d.ini", _mcshane(DEF31_CFG, tmp_path / "d"))) == 0
+
+
+def test_every_param_the_cli_reads_is_in_the_readme_config_block():
+    root = Path(__file__).resolve().parent.parent
+    source = (root / "src" / "wzsim" / "cli.py").read_text(encoding="utf-8")
+    keys = set(re.findall(r"cfg\.param\(\s*\"(\w+)\"", source))
+    keys |= set(re.findall(r"cfg\.params\.get\(\s*\"(\w+)\"", source))
+    assert {"m_sub", "n_list", "eps_ladder"} <= keys
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0].lower()
+    params = block.split("[params]", 1)[1]
+    # configparser lower-cases keys, so 'T' in the README is the key 't'
+    missing = sorted(k for k in keys if not re.search(rf"(?<!\w){k}(?!\w)", params))
+    assert missing == []

@@ -2,37 +2,34 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
 
 from wzsim.coeffs import (
     CorrectionMatrix,
     DriftField,
     check_hfn,
-    correction_drift,
+    correction_drift_batch,
     indicator_drift,
     lp_distance,
     lp_norm,
     mollified_indicator,
     mollified_sequence,
-    mollify_drift,
     ramp_approximation,
     ramp_sequence,
     schedule_chi,
     schedule_kappa,
-    validate_assumptions,
-    validate_c1,
 )
 from wzsim.core import RngStream, ValidationError
 from wzsim.noise import estimate_s
 from wzsim.registry import (
+    DIFFUSIONS,
     const_diffusion,
     gaussian_bump_drift,
-    identity_diffusion,
     linear_diffusion,
     sin_bump_drift,
     sin_elliptic_diffusion,
     zero_drift,
 )
+from wzsim.solvers import _require_c1
 
 
 def ramp_lp_exact(chi: float, p: float) -> float:
@@ -161,7 +158,7 @@ def test_ramp_c1_metadata():
     chi = 6.0
     bn = ramp_approximation(chi)
     assert bn.c1_norm == pytest.approx((chi + 2.0) / 2.0)
-    assert validate_c1(bn, RngStream(4, 0))
+    _require_c1(bn)
 
 
 def test_ramp_rejects_nonpositive_chi():
@@ -174,41 +171,32 @@ def test_ramp_rejects_nonpositive_chi():
 # ---------------------------------------------------------------------------
 
 
-def test_mollify_preserves_constants_deep_inside():
-    wide = DriftField(dim=1, fn=lambda x: np.where(np.abs(x) <= 50.0, 3.25, 0.0),
-                      support_radius=50.0)
-    bn = mollify_drift(wide, kappa=4.0)
-    assert bn(np.array([[0.3]]))[0, 0] == pytest.approx(3.25, abs=1e-6)
+def _gaussian_window(x: float, kappa: float) -> float:
+    """sqrt(kappa/2pi) int_0^1 exp(-kappa (x - y)^2 / 2) dy by adaptive quadrature."""
+    from scipy import integrate
+
+    val, _ = integrate.quad(lambda y: math.exp(-kappa * (x - y) ** 2 / 2.0), 0.0, 1.0,
+                            points=[x] if 0.0 < x < 1.0 else None, epsabs=1e-13, epsrel=1e-12)
+    return math.sqrt(kappa / (2.0 * math.pi)) * val
 
 
 def test_mollified_indicator_against_gaussian_cdf_oracle():
-    # oracle: b*g_kappa(x) = Phi((x) sqrt(kappa)) - Phi((x-1) sqrt(kappa))
-    kappa = 1e4
-    quad = mollify_drift(indicator_drift(), kappa)
-    x = np.array([[0.5]])
-    oracle = 0.5 * (special.erf(0.5 * math.sqrt(kappa / 2)) - special.erf(-0.5 * math.sqrt(kappa / 2)))
-    assert abs(oracle - 1.0) < 1e-3  # the oracle itself is ~1 at this kappa
-    assert quad(x)[0, 0] == pytest.approx(oracle, abs=1e-9)
-    assert abs(quad(x)[0, 0] - 1.0) < 1e-3
-    # panels split at the indicator's jumps, so the quadrature stays sharp
-    # across the whole line
-    closed = mollified_indicator(100.0)
-    quad100 = mollify_drift(indicator_drift(), 100.0)
-    xs = np.linspace(-0.5, 1.5, 41)[:, None]
-    assert np.allclose(quad100(xs), closed(xs), atol=1e-9)
+    # the closed form (Phi(x sqrt(kappa)) - Phi((x-1) sqrt(kappa))) against the
+    # Gaussian window integrated over the indicator's support
+    for kappa in (0.5, 100.0, 1e4):
+        closed = mollified_indicator(kappa)
+        xs = np.linspace(-0.5, 1.5, 41)
+        quad = np.array([_gaussian_window(x, kappa) for x in xs])
+        assert np.allclose(closed(xs[:, None])[:, 0], quad, rtol=0.0, atol=1e-9)
+    assert abs(mollified_indicator(1e4)(np.array([[0.5]]))[0, 0] - 1.0) < 1e-3
 
 
 def test_mollified_indicator_symmetry_about_half():
-    bn = mollify_drift(indicator_drift(), 25.0)
+    bn = mollified_indicator(25.0)
     u = np.linspace(0.0, 0.49, 20)
     left = bn((0.5 - u)[:, None])
     right = bn((0.5 + u)[:, None])
     assert np.max(np.abs(left - right)) < 1e-10
-
-
-def test_mollify_rejects_unbounded_support():
-    with pytest.raises(ValidationError):
-        mollify_drift(gaussian_bump_drift(), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +318,28 @@ def test_correction_from_estimated_area_is_exact():
 def test_correction_drift_constant_sigma_vanishes():
     sig = const_diffusion(2.0, d=3)
     c = CorrectionMatrix.half_identity(3)
-    assert np.all(correction_drift(sig, c, np.array([0.4, -1.0, 2.0])) == 0.0)
+    assert np.all(correction_drift_batch(sig, c, np.array([[0.4, -1.0, 2.0]])) == 0.0)
 
 
 def test_correction_drift_linear_sigma():
     sig = linear_diffusion()
     c = CorrectionMatrix.half_identity(1)
-    x = np.array([1.7])
-    assert correction_drift(sig, c, x)[0] == pytest.approx(1.7 / 2)
+    x = np.array([[1.7]])
+    assert correction_drift_batch(sig, c, x)[0, 0] == pytest.approx(1.7 / 2)
 
 
 def test_correction_drift_sin_elliptic_values():
     sig = sin_elliptic_diffusion(1.0, 0.5)
     c = CorrectionMatrix.half_identity(1)
-    for x in (0.0, math.pi / 2, math.pi):
-        expect = (1 + 0.5 * math.sin(x)) * (0.5 * math.cos(x)) / 2
-        assert correction_drift(sig, c, np.array([x]))[0] == pytest.approx(expect, abs=1e-12)
+    x = np.array([[0.0], [math.pi / 2], [math.pi]])
+    expect = (1 + 0.5 * np.sin(x)) * (0.5 * np.cos(x)) / 2
+    assert np.allclose(correction_drift_batch(sig, c, x), expect, rtol=0.0, atol=1e-12)
 
 
 def test_correction_drift_linear_in_c():
     # doubling c means a matrix with c'+c'^T = 2I, outside the type's
     # invariant, so linearity is asserted on the raw batch evaluator
     from types import SimpleNamespace
-
-    from wzsim.coeffs import correction_drift_batch
 
     sig = sin_elliptic_diffusion(1.0, 0.5)
     x = np.array([[0.7]])
@@ -368,24 +354,29 @@ def test_correction_drift_linear_in_c():
 # ---------------------------------------------------------------------------
 
 
-def test_identity_diffusion_quotients_are_one():
-    rep = validate_assumptions(identity_diffusion(2), 5.0, 500, RngStream(1, 0))
-    assert rep.min_quotient == pytest.approx(1.0)
-    assert rep.max_quotient == pytest.approx(1.0)
-    assert rep.within_bounds
+DIFFUSION_PARAMS = {"const": {"s0": 1.7}, "sin_elliptic": {"a": 1.0, "b": 0.5}}
 
 
-def test_sin_elliptic_quotients_within_band():
-    rep = validate_assumptions(sin_elliptic_diffusion(1.0, 0.5), 10.0, 2000, RngStream(2, 0))
-    assert 0.25 - 1e-9 <= rep.min_quotient <= rep.max_quotient <= 2.25 + 1e-9
-    assert rep.within_bounds
+@pytest.mark.parametrize("name", sorted(DIFFUSIONS))
+def test_declared_ellipticity_bounds_s_squared(name):
+    # every registry diffusion is diag(s(x_i)), so the Rayleigh quotients of
+    # sigma sigma* range over s(x)^2; the declared K must bracket them
+    sigma = DIFFUSIONS[name](**DIFFUSION_PARAMS.get(name, {}))
+    s2 = sigma.scalar(np.linspace(-10.0, 10.0, 4001)[:, None]) ** 2
+    k = sigma.ellipticity
+    assert 1.0 / k - 1e-12 <= s2.min() and s2.max() <= k + 1e-12
+    if name == "identity":
+        assert k == 1.0 and np.all(s2 == 1.0)
+    if name == "sin_elliptic":
+        assert s2.min() == pytest.approx(0.25, abs=1e-6) and s2.max() == pytest.approx(2.25, abs=1e-6)
 
 
 def test_linear_diffusion_flagged_degenerate():
-    rep = validate_assumptions(linear_diffusion(), 2.0, 2000, RngStream(3, 0))
-    assert not rep.within_bounds
+    # s(x) = x vanishes at 0: no finite K holds, and the field declares K = inf
+    sigma = linear_diffusion()
+    assert sigma.ellipticity == np.inf
+    assert sigma.scalar(np.array([[0.0]]))[0, 0] == 0.0
 
 
 def test_sin_bump_metadata_consistent():
-    b = sin_bump_drift()
-    assert validate_c1(b, RngStream(8, 0))
+    _require_c1(sin_bump_drift())

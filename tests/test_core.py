@@ -6,9 +6,8 @@ from wzsim.core import (
     RngStream,
     ValidationError,
     make_grid,
-    sample_brownian,
     sample_brownian_batch,
-    sup_distance,
+    sup_distance_values,
 )
 
 
@@ -32,17 +31,17 @@ def test_make_grid_rejects_bad_args(horizon, steps):
 def test_brownian_starts_at_zero_and_is_deterministic():
     g = make_grid(1.0, 1)
     s = RngStream(12345, 7)
-    w1 = sample_brownian(g, 3, s)
-    w2 = sample_brownian(g, 3, s)
+    w1 = Path(g, sample_brownian_batch(g, 3, s, 1)[0])
+    w2 = Path(g, sample_brownian_batch(g, 3, s, 1)[0])
     assert np.all(w1.values[0] == 0.0)
     assert np.array_equal(w1.values, w2.values)
 
 
 def test_distinct_streams_differ():
     g = make_grid(1.0, 8)
-    a = sample_brownian(g, 1, RngStream(1, 0))
-    b = sample_brownian(g, 1, RngStream(1, 1))
-    assert not np.array_equal(a.values, b.values)
+    a = sample_brownian_batch(g, 1, RngStream(1, 0), 1)[0]
+    b = sample_brownian_batch(g, 1, RngStream(1, 1), 1)[0]
+    assert not np.array_equal(a, b)
 
 
 def test_batch_matches_single_paths():
@@ -50,7 +49,7 @@ def test_batch_matches_single_paths():
     s = RngStream(999, 10)
     batch = sample_brownian_batch(g, 2, s, 5)
     for i in range(5):
-        assert np.array_equal(batch[i], sample_brownian(g, 2, s.child(i)).values)
+        assert np.array_equal(batch[i], sample_brownian_batch(g, 2, s.child(i), 1)[0])
 
 
 @pytest.mark.parametrize("seed,sid", [(999, 10), (2**64 + 5, 2**64 - 2)])
@@ -99,41 +98,29 @@ def test_increment_covariance_is_dt_identity():
 
 
 def test_sup_distance_hand_values():
-    g = make_grid(1.0, 2)
-    p = Path(g, np.array([0.0, 1.0, 0.0]))
-    q = Path(g, np.array([0.0, 0.0, 2.0]))
-    assert sup_distance(p, q) == 2.0
-    assert sup_distance(p, p) == 0.0
+    p = np.array([[0.0], [1.0], [0.0]])
+    q = np.array([[0.0], [0.0], [2.0]])
+    assert sup_distance_values(p, q) == 2.0
+    assert sup_distance_values(p, p) == 0.0
 
 
 def test_sup_distance_translation():
-    g = make_grid(1.0, 8)
-    w = sample_brownian(g, 2, RngStream(3, 3))
-    v = np.array([0.6, -0.8])
-    shifted = Path(g, w.values + v)
-    assert np.isclose(sup_distance(w, shifted), 1.0)
-
-
-def test_sup_distance_rejects_mismatched_grids():
-    a = Path(make_grid(1.0, 2), np.zeros(3))
-    b = Path(make_grid(2.0, 2), np.zeros(3))
-    with pytest.raises(ValidationError):
-        sup_distance(a, b)
+    w = sample_brownian_batch(make_grid(1.0, 8), 2, RngStream(3, 3), 1)[0]
+    assert np.isclose(sup_distance_values(w, w + np.array([0.6, -0.8])), 1.0)
 
 
 def test_sup_distance_is_a_metric():
-    g = make_grid(1.0, 16)
+    # 25 triples in one call: the distances are per path, over the grid nodes
     rng = np.random.default_rng(51)
-    for _ in range(25):
-        a = Path(g, rng.standard_normal((17, 2)))
-        b = Path(g, rng.standard_normal((17, 2)))
-        c = Path(g, rng.standard_normal((17, 2)))
-        dab, dba = sup_distance(a, b), sup_distance(b, a)
-        assert dab == dba
-        assert sup_distance(a, c) <= dab + sup_distance(b, c) + 1e-12
-        assert dab > 0.0
-    a = Path(g, rng.standard_normal((17, 2)))
-    assert sup_distance(a, Path(g, a.values.copy())) == 0.0
+    a, b, c = rng.standard_normal((3, 25, 17, 2))
+    dab, dba = sup_distance_values(a, b), sup_distance_values(b, a)
+    assert np.array_equal(dab, dba)
+    assert np.all(sup_distance_values(a, c) <= dab + sup_distance_values(b, c) + 1e-12)
+    assert np.all(dab > 0.0)
+    assert np.all(sup_distance_values(a, a.copy()) == 0.0)
+    # a NaN path gives NaN, so `_run_paths` can count it as aborted
+    a[3, 5, 1] = np.nan
+    assert np.flatnonzero(np.isnan(sup_distance_values(a, b))).tolist() == [3]
 
 
 def test_path_values_are_frozen():

@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 from wzsim import experiments, solvers
-from wzsim.coeffs import CorrectionMatrix, DiffusionField, DriftApproxSequence, ramp_sequence
+from wzsim.coeffs import (CorrectionMatrix, DiffusionField, DriftApproxSequence, ramp_approximation,
+                          ramp_sequence)
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.experiments import (
     AbortRateError,
     WongZakaiSetup,
     fit_rate,
     girsanov_mean,
-    girsanov_weight,
     make_target,
     mc_mean_sup_error,
     rate_sweep,
     stability_sweep,
     tube_ladder,
-    tube_probability,
 )
 from wzsim.noise import PiecewiseShape
 from wzsim.registry import (
@@ -64,7 +63,7 @@ def _zero_sigma():
     return DiffusionField(dim=1,
                           sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
                           grad=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
-                          ellipticity=np.inf, elliptic=False,
+                          ellipticity=np.inf,
                           name="zero_sigma")
 
 
@@ -161,6 +160,12 @@ def _coupled_sigma():
                           name="coupled_sigma")
 
 
+def _ramp_seq(edit):
+    """The alpha = 0.4 ramp schedule with each member b_n replaced by edit(b_n, n)."""
+    seq = ramp_sequence(alpha=0.4, p=2.0)
+    return dataclasses.replace(seq, generator=lambda n: edit(seq.generator(n), n))
+
+
 FAIL_FAST_CALLS = {
     "rate_sweep_two_levels": lambda: rate_sweep(_setup(), [16, 32], 30, RngStream(0, 0)),
     "rate_sweep_repeated_level": lambda: rate_sweep(_setup(), [16, 32, 32], 30, RngStream(0, 0)),
@@ -170,8 +175,17 @@ FAIL_FAST_CALLS = {
         _setup(drift=indicator_drift(), seq=DriftApproxSequence(
             base=indicator_drift(), p=2.0,
             generator=lambda n: sin_bump_drift() if n == 16 else indicator_drift(),
-            bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)),
+            bound=lambda n: 1e3, noise_rate=lambda n: 0.0, delta=0.5)),
         [16, 32, 64], 30, RngStream(0, 0)),
+    # C^1 metadata at every level, but the n = 64 ramp declares a slope bound
+    # (0.01) below its own slope: the central-difference check stops the sweep
+    "rate_sweep_later_level_understates_its_slope": lambda: rate_sweep(
+        _setup(drift=indicator_drift(), seq=_ramp_seq(lambda b_n, n: dataclasses.replace(
+            b_n, sup_grad=0.01) if n == 64 else b_n)), [16, 32, 64], 30, RngStream(0, 0)),
+    # the n = 64 member's C^1 norm exceeds h(64) ||b||_p: the sequence check stops it
+    "rate_sweep_later_member_breaks_its_bound": lambda: rate_sweep(
+        _setup(drift=indicator_drift(), seq=_ramp_seq(lambda b_n, n: ramp_approximation(
+            50.0) if n == 64 else b_n)), [16, 32, 64], 30, RngStream(0, 0)),
     # no drift sequence: the random ODE would run on the indicator itself
     "mc_mean_sup_error_singular_ode_drift": lambda: mc_mean_sup_error(
         _setup(drift=indicator_drift()), 16, 30, RngStream(0, 0)),
@@ -180,8 +194,8 @@ FAIL_FAST_CALLS = {
         make_target("const", make_grid(1.0, 64), 0.0), [0.5, 0.0], 100, RngStream(0, 0)),
     "girsanov_mean_full_sigma": lambda: girsanov_mean(
         zero_drift(2), _coupled_sigma(), np.zeros(2), 100, RngStream(0, 0), make_grid(1.0, 64)),
-    "girsanov_weight_full_sigma": lambda: girsanov_weight(
-        zero_drift(2), _coupled_sigma(), np.zeros(2), RngStream(0, 0), make_grid(1.0, 64)),
+    "girsanov_weight_full_sigma": lambda: experiments._driftless_weights(
+        zero_drift(2), _coupled_sigma(), np.zeros(2), make_grid(1.0, 64), RngStream(0, 0), 1),
     # diagonal, but without the scalar form the weights read its diagonal from
     "girsanov_mean_diagonal_without_scalar_forms": lambda: girsanov_mean(
         zero_drift(), dataclasses.replace(sin_elliptic_diffusion(1.0, 0.5), scalar=None,
@@ -381,8 +395,8 @@ def test_stability_sweep_samples_and_solves_the_b_path_once_per_batch(monkeypatc
 def test_huge_radius_hits_everything():
     g = make_grid(1.0, 256)
     t = make_target("const", g, 0.0)
-    rep = tube_probability(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                           0.0, t, 1e6, 500, RngStream(12, 0))
+    (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
+                         0.0, t, [1e6], 500, RngStream(12, 0))
     assert rep.hits == rep.paths == 500
     assert rep.lower_confidence > 0.99
 
@@ -396,8 +410,8 @@ def test_simulated_path_is_in_the_bulk():
                         np.zeros((1, 1)), np.diff(w, axis=1), g.dt)
     assert st[0] == 0
     target = Path(g, vals[0])
-    rep = tube_probability(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                           0.0, target, 0.5, 10000, RngStream(13, 0))
+    (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
+                         0.0, target, [0.5], 10000, RngStream(13, 0))
     assert rep.hits > 0
 
 
@@ -409,8 +423,8 @@ def test_ladder_is_monotone_on_shared_samples():
     hits = [r.hits for r in reports]
     assert hits == sorted(hits)
     # shared samples: rerunning a single radius gives the identical count
-    single = tube_probability(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                              0.0, t, 0.5, 2000, RngStream(14, 0))
+    (single,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
+                            0.0, t, [0.5], 2000, RngStream(14, 0))
     assert single.hits == hits[1]
 
 
@@ -418,8 +432,7 @@ def test_target_must_start_at_x0():
     g = make_grid(1.0, 64)
     t = make_target("const", g, 1.0)
     with pytest.raises(ValidationError):
-        tube_probability(zero_drift(), identity_diffusion(), HALF, 0.0, t, 0.5,
-                         100, RngStream(15, 0))
+        tube_ladder(zero_drift(), identity_diffusion(), HALF, 0.0, t, [0.5], 100, RngStream(15, 0))
 
 
 def test_make_target_kinds():
@@ -439,19 +452,19 @@ def test_make_target_kinds():
 
 
 def test_zero_drift_weight_is_one():
-    rho, y = girsanov_weight(zero_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0,
-                             RngStream(16, 0), make_grid(1.0, 256))
-    assert rho == 1.0
-    assert y.values.shape == (257, 1)
+    rho, y, st = experiments._driftless_weights(zero_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0,
+                                                make_grid(1.0, 256), RngStream(16, 0), 1)
+    assert rho.tolist() == [1.0] and st.tolist() == [0]
+    assert y.shape == (1, 257, 1)
 
 
 def test_constant_drift_identity_sigma_closed_form():
     g = make_grid(1.0, 512)
     b = const_drift(0.8)
-    rho, y = girsanov_weight(b, identity_diffusion(), 0.0, RngStream(17, 3), g)
+    rho, y, _ = experiments._driftless_weights(b, identity_diffusion(), 0.0, g, RngStream(17, 3), 4)
     # Y = W here; the weight collapses to exp(b W_T - b^2 T / 2)
-    w_t = y.values[-1, 0] - y.values[0, 0]
-    assert abs(rho - np.exp(0.8 * w_t - 0.32)) < 1e-8
+    w_t = y[:, -1, 0] - y[:, 0, 0]
+    assert np.max(np.abs(rho - np.exp(0.8 * w_t - 0.32))) < 1e-8
 
 
 def test_mean_weight_is_one_within_three_se():
@@ -463,12 +476,9 @@ def test_mean_weight_is_one_within_three_se():
 
 
 def test_weights_are_positive():
-    rhos = []
-    for i in range(50):
-        rho, _ = girsanov_weight(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5),
-                                 0.0, RngStream(19, i), make_grid(1.0, 256))
-        rhos.append(rho)
-    assert np.all(np.asarray(rhos) > 0.0)
+    rhos, _, st = experiments._driftless_weights(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5),
+                                                 0.0, make_grid(1.0, 256), RngStream(19, 0), 50)
+    assert np.all(st == 0) and np.all(rhos > 0.0)
 
 
 def test_girsanov_stderr_scaling_on_doubled_paths():

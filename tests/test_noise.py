@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wzsim.core import Path, RngStream, make_grid, sample_brownian, ValidationError
+from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.noise import (
     McShane,
     Mollified,
@@ -33,7 +33,8 @@ MCS = McShane(linear_shape(), power_shape(2.0))
 
 
 def brownian(n_steps=256, d=1, seed=5, sid=0, horizon=1.0):
-    return sample_brownian(make_grid(horizon, n_steps), d, RngStream(seed, sid))
+    g = make_grid(horizon, n_steps)
+    return Path(g, sample_brownian_batch(g, d, RngStream(seed, sid), 1)[0])
 
 
 # ---------------------------------------------------------------------------

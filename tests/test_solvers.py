@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from wzsim import solvers
-from wzsim.coeffs import CorrectionMatrix
-from wzsim.core import (Path, RngStream, ValidationError, make_grid, sample_brownian,
-                        sample_brownian_batch)
+from wzsim.coeffs import CorrectionMatrix, DriftField, mollified_indicator, ramp_approximation
+from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.noise import Mollified, PiecewiseShape, block_layout, build_approximation
 from wzsim.registry import (
     const_diffusion,
     const_drift,
+    gaussian_bump_drift,
     get_diffusion,
     indicator_drift,
     linear_diffusion,
@@ -34,8 +34,13 @@ HALF = CorrectionMatrix.half_identity(1)
 LIN = PiecewiseShape(linear_shape())
 
 
+def _brownian(g, d, stream):
+    """The Brownian path of ``stream``: row 0 of a one-path batch."""
+    return Path(g, sample_brownian_batch(g, d, stream, 1)[0])
+
+
 def test_additive_noise_is_exact():
-    w = sample_brownian(make_grid(1.0, 512), 1, RngStream(1, 0))
+    w = _brownian(make_grid(1.0, 512), 1, RngStream(1, 0))
     x = solve_ito_corrected(zero_drift(), const_diffusion(2.0), HALF, 0.3, w)
     assert np.max(np.abs(x.values[:, 0] - (0.3 + 2.0 * w.values[:, 0]))) < 1e-12
 
@@ -166,7 +171,7 @@ def test_abort_pass_flags_the_first_step_of_a_path_that_comes_back(solve):
 
 
 def test_overflow_aborts_with_diagnostic():
-    w = sample_brownian(make_grid(1.0, 64), 1, RngStream(2, 0))
+    w = _brownian(make_grid(1.0, 64), 1, RngStream(2, 0))
     huge = const_drift(1e13)
     with pytest.raises(SolverAbort) as exc:
         solve_ito_corrected(huge, const_diffusion(1.0), HALF, 0.0, w)
@@ -174,7 +179,7 @@ def test_overflow_aborts_with_diagnostic():
 
 
 def test_x0_dimension_checked():
-    w = sample_brownian(make_grid(1.0, 16), 1, RngStream(3, 0))
+    w = _brownian(make_grid(1.0, 16), 1, RngStream(3, 0))
     with pytest.raises(ValidationError):
         solve_ito_corrected(zero_drift(), const_diffusion(1.0), HALF, [0.0, 1.0], w)
 
@@ -185,7 +190,7 @@ def test_x0_dimension_checked():
 
 
 def _approx(n=32, steps=512, seed=9, sid=1, family=LIN):
-    w = sample_brownian(make_grid(1.0, steps), 1, RngStream(seed, sid))
+    w = _brownian(make_grid(1.0, steps), 1, RngStream(seed, sid))
     return build_approximation(family, w, n)
 
 
@@ -195,7 +200,7 @@ def _zero_sigma():
     return DiffusionField(dim=1,
                           sigma=lambda x: np.zeros((x.shape[0], 1, 1)),
                           grad=lambda x: np.zeros((x.shape[0], 1, 1, 1)),
-                          ellipticity=np.inf, elliptic=False,
+                          ellipticity=np.inf,
                           name="zero_sigma")
 
 
@@ -255,7 +260,7 @@ def test_coupled_additive_error_equals_direct_computation():
     s0 = 1.5
     r = coupled_run(zero_drift(), zero_drift(), const_diffusion(s0), HALF, LIN,
                     16, 0.0, RngStream(5, 77), cfg)
-    w = sample_brownian(cfg.grid(), 1, RngStream(5, 77).child(0))
+    w = _brownian(cfg.grid(), 1, RngStream(5, 77).child(0))
     ap = build_approximation(LIN, w, 16)
     nodes = cfg.grid().nodes()
     direct = s0 * np.max(np.abs(w.values[:, 0] - ap.values_at(nodes)[:, 0]))
@@ -373,6 +378,40 @@ def test_coupled_identity_coupling_is_exact_for_additive_noise():
     assert r.sup_error < 1e-12
 
 
+UNDERSTATED = dataclasses.replace(ramp_approximation(6.0), sup_grad=0.01)
+
+C1_FIELDS = {
+    "zero": zero_drift(), "zero_2d": zero_drift(2), "const": const_drift(1e15),
+    "ramp": ramp_approximation(6.0), "steep_ramp": ramp_approximation(1756.0),
+    "mollified": mollified_indicator(25.0), "flat_mollified": mollified_indicator(1e-3),
+    "gaussian_bump": gaussian_bump_drift(2.0, 0.5), "sin_bump": sin_bump_drift(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(C1_FIELDS))
+def test_declared_slope_bounds_pass_the_central_difference_check(name):
+    solvers._require_c1(C1_FIELDS[name])
+
+
+@pytest.mark.parametrize("sup_grad", [0.01, 2.99])
+def test_an_understated_slope_bound_is_rejected(sup_grad):
+    # the ramp's slope is chi/2 = 3: any bound below it by more than 0.1% fails
+    with pytest.raises(ValidationError, match="central differences reach 3"):
+        solvers._require_c1(dataclasses.replace(ramp_approximation(6.0), sup_grad=sup_grad))
+    solvers._require_c1(dataclasses.replace(ramp_approximation(6.0), sup_grad=2.999))
+
+
+def test_an_understated_slope_bound_is_rejected_in_two_dimensions():
+    # b(x) = (sin x_2, 0): its slope is along the second axis only
+    def fn(x):
+        return np.stack([np.sin(x[:, 1]), np.zeros(len(x))], axis=1)
+
+    field = DriftField(dim=2, fn=fn, support_radius=np.inf, sup_value=1.0, sup_grad=1.0)
+    solvers._require_c1(field)
+    with pytest.raises(ValidationError, match="C\\^1"):
+        solvers._require_c1(dataclasses.replace(field, sup_grad=0.5))
+
+
 COUPLED_BAD_DRIFT_CALLS = {
     "coupled_run": lambda cfg: coupled_run(
         indicator_drift(), indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, 16, 0.0,
@@ -384,6 +423,13 @@ COUPLED_BAD_DRIFT_CALLS = {
     "coupled_batch_later_level": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
         [(16, sin_bump_drift()), (32, indicator_drift())], 0.0, RngStream(8, 1), cfg, 4),
+    # C^1 metadata present, but its slope bound is below the ramp's slope chi/2 = 3
+    "coupled_run_understated_slope": lambda cfg: coupled_run(
+        indicator_drift(), UNDERSTATED, sin_elliptic_diffusion(), HALF, LIN, 16, 0.0,
+        RngStream(8, 1), cfg),
+    "coupled_batch_later_level_understated_slope": lambda cfg: coupled_batch(
+        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
+        [(16, ramp_approximation(6.0)), (32, UNDERSTATED)], 0.0, RngStream(8, 1), cfg, 4),
 }
 
 

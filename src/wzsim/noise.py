@@ -6,6 +6,8 @@ with ``msub`` cells per noise block of width 1/n:
 * ``PiecewiseShape`` -- blockwise interpolation of the increments with a
   C^1 shape function f (f(u)=u gives the familiar polygonal path),
 * ``Mollified`` -- one-sided convolution with rho_n(s) = n rho(n s),
+  linear in the path: each call applies one sparse matrix from the
+  subgrid samples to the requested times,
 * ``McShane`` -- d=2 blockwise interpolation where the two components swap
   shape functions whenever the block increments have opposite signs.
 
@@ -153,6 +155,12 @@ class Mollified(NoiseFamily):
     rho_n' instead, the boundary terms vanishing because rho(0)=rho(1)=0)
     agrees with the finite-difference derivative to machine precision.
     W^n is C^1, so (k, u) is evaluated at the time s = (k + u)/n.
+
+    Both evaluators are linear in the path: each call builds the quadrature
+    as one ``scipy.sparse`` CSR matrix of shape (len(k), nsub + 1), with at
+    most nsub + 1 entries a row, and applies it to every path of the batch
+    in one product.  The matrix does not depend on the path; it is rebuilt
+    on every call and not cached.
     """
 
     kernel: MollifierKernel
@@ -192,20 +200,22 @@ class Mollified(NoiseFamily):
         valid = idx >= 0.0
         j = np.clip(j, 0, nsub - 1)
 
-        # two buffers reused across the nodes: lo = left sample, hi = right sample
-        out = np.zeros((npaths, nt, d))
-        lo = np.empty_like(out)
-        hi = np.empty_like(out)
-        for q in range(tau.shape[1]):
-            jq = j[:, q]
-            np.take(wsub, jq, axis=1, out=lo, mode="clip")
-            lo *= (1.0 - theta[:, q])[None, :, None]
-            np.take(wsub, jq + 1, axis=1, out=hi, mode="clip")
-            hi *= theta[:, q][None, :, None]
-            lo += hi
-            lo *= (wts[:, q] * valid[:, q])[None, :, None]
-            out += lo
-        return out
+        # W at a node is (1 - theta) W_j + theta W_{j+1}, so the map from the
+        # subgrid samples to the nt outputs is one sparse (nt, nsub + 1) matrix.
+        # Going through COO sums duplicate (row, col) entries, leaving at most
+        # nsub + 1 per row.  CSR adds up each row in a fixed order, so a path's
+        # result has the same bits whatever the batch size (a dense BLAS
+        # product gives no such guarantee).  Imported here so that commands
+        # without this family do not load scipy.sparse.
+        from scipy.sparse import coo_array
+
+        rows = np.broadcast_to(np.arange(nt)[:, None], j.shape)[valid]
+        j, theta, wts = j[valid], theta[valid], wts[valid]
+        op = coo_array((np.concatenate([wts * (1.0 - theta), wts * theta]),
+                        (np.concatenate([rows, rows]), np.concatenate([j, j + 1]))),
+                       shape=(nt, nsub + 1)).tocsr()
+        out = op @ wsub.transpose(1, 0, 2).reshape(nsub + 1, npaths * d)
+        return out.reshape(nt, npaths, d).transpose(1, 0, 2)
 
     def batch_values(self, wsub, n, msub, k, u):
         return self._convolve(wsub, n, msub, k, u, self.kernel.value, float(n))
@@ -375,8 +385,10 @@ def sixth_moments(family: NoiseFamily, wsub: np.ndarray, n: int, msub: int) -> n
     k, u, w = _block_quadrature(1, n, msub)
     end = family.batch_values(wsub, n, msub, np.array([0]), np.array([1.0]))[:, 0, :]
     speed = np.sqrt((family.batch_derivs(wsub, n, msub, k, u) ** 2).sum(axis=2))
-    # a row-wise sum, not ``speed @ w``: BLAS rounds a row differently by its place in the batch
-    return np.stack([(end * end).sum(axis=1) ** 3, (speed * w).sum(axis=1) ** 6], axis=1)
+    # summed node by node in time order: ``speed @ w`` (BLAS) rounds a row by its
+    # place in the batch, and ``.sum(axis=1)`` sums a one-path batch pairwise
+    length = np.cumsum(speed * w, axis=1)[:, -1]
+    return np.stack([(end * end).sum(axis=1) ** 3, length ** 6], axis=1)
 
 
 def _per_sample(functional, blocks: int, n: int, msub: int, d: int, samples: int,
@@ -393,25 +405,27 @@ def _per_sample(functional, blocks: int, n: int, msub: int, d: int, samples: int
 
 
 def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
-               d: int = 2, msub: int = 8, batch: int = 512) -> CoefficientMatrix:
+               d: int = 2, msub: int = 8, batch: int = 64) -> CoefficientMatrix:
     """Monte Carlo estimate of the area density s_ij(1/n, n).
 
     ``samples`` independent paths each contribute ``BLOCKS_PER_PATH`` block
     functionals; block slices rebased at their left endpoint are fresh
     copies of the first-block functional (the shift property of the
     construction), and disjoint blocks use disjoint increments, so all
-    sample_count = samples * BLOCKS_PER_PATH values are i.i.d.
+    sample_count = samples * BLOCKS_PER_PATH values are i.i.d.  All slices
+    of a batch go through one ``area_density`` call, so a batch of 64 paths
+    is 512 slices.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     _check_dim(family, d)
 
+    cells = np.arange(BLOCKS_PER_PATH)[:, None] * msub + np.arange(msub + 1)
+
     def blockwise(wsub):
-        out = np.empty((wsub.shape[0], BLOCKS_PER_PATH, d, d))
-        for k in range(BLOCKS_PER_PATH):
-            sl = wsub[:, k * msub : (k + 1) * msub + 1, :]
-            out[:, k] = area_density(family, sl - sl[:, :1, :], n, msub)
-        return out.reshape(-1, d, d)
+        sl = wsub[:, cells, :]                        # (m, BLOCKS_PER_PATH, msub + 1, d)
+        sl = sl - sl[:, :, :1, :]
+        return area_density(family, sl.reshape(-1, msub + 1, d), n, msub)
 
     s = _per_sample(blockwise, BLOCKS_PER_PATH, n, msub, d, samples, stream, batch)
     mean, se = mean_se(s)

@@ -5,6 +5,7 @@ import pytest
 
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.noise import (
+    CONVOLUTION_ORDER,
     McShane,
     Mollified,
     PiecewiseShape,
@@ -21,6 +22,7 @@ from wzsim.shapes import (
     MollifierKernel,
     ShapeFunction,
     bump_kernel,
+    _gl_composite,
     get_shape,
     hann_kernel,
     linear_shape,
@@ -186,6 +188,60 @@ def test_mollified_starts_at_zero_and_has_no_kinks():
     assert np.all(left != LIN.batch_derivs(wsub, 8, 64, k, np.zeros(7)))
 
 
+def _mollified_by_nodes(kernel, wsub, n, msub, k, u, deriv):
+    """Mollified W^n (deriv=False) or dW^n/ds by one gather per quadrature node.
+
+    The per-node loop the sparse operator replaced, kept as its oracle: every
+    subgrid cell of the window is split at the path's kink offset phi and
+    each part gets CONVOLUTION_ORDER Gauss-Legendre nodes.
+    """
+    fn, scale = (kernel.deriv, n * n) if deriv else (kernel.value, n)
+    t = (k + u) / n
+    h = 1.0 / (n * msub)
+    x, wq = _gl_composite(1, CONVOLUTION_ORDER)
+    phi = np.mod(t, h)
+    out = np.zeros((wsub.shape[0], t.size, wsub.shape[2]))
+    for c in range(msub):
+        for start, width in ((c * h, phi), (c * h + phi, h - phi)):
+            for xq, wgt in zip(x, wq):
+                tau = start + width * xq
+                idx = (t - tau) * (n * msub)
+                theta = idx - np.floor(idx)
+                j = np.clip(np.floor(idx).astype(np.int64), 0, wsub.shape[1] - 2)
+                w = (width * wgt * fn(tau * n) * scale * (idx >= 0.0))[None, :, None]
+                out += w * ((1.0 - theta)[None, :, None] * wsub[:, j] + theta[None, :, None] * wsub[:, j + 1])
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n,msub", [(8, 64), (16, 8), (64, 32)])
+def test_mollified_operator_matches_the_per_node_loop(n, msub, d):
+    blocks = 3
+    g = make_grid(blocks / n, blocks * msub)
+    wsub = sample_brownian_batch(g, d, RngStream(13, n), 3)
+    rng = np.random.default_rng(n + d)
+    # block starts, left limits at block ends, and times below 1/n (window clipped at 0)
+    k = np.concatenate([[0, 0, 0, 0, 1, 1, 2, 2], rng.integers(0, blocks, 40)])
+    u = np.concatenate([[0.0, 1e-3, 0.4, 1.0, 0.0, 1.0, 0.0, 1.0], rng.uniform(0.0, 1.0, 40)])
+    fam = Mollified(bump_kernel())
+    for deriv, got in ((False, fam.batch_values(wsub, n, msub, k, u)),
+                       (True, fam.batch_derivs(wsub, n, msub, k, u))):
+        ref = _mollified_by_nodes(fam.kernel, wsub, n, msub, k, u, deriv)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_mollified_path_rows_do_not_depend_on_the_batch(d):
+    n, msub = 16, 8
+    wsub = sample_brownian_batch(make_grid(4 / n, 4 * msub), d, RngStream(14, d), 7)
+    k, u = np.repeat(np.arange(4), 5), np.tile(np.linspace(0.0, 1.0, 5), 4)
+    fam = Mollified(bump_kernel())
+    batch = fam.batch_derivs(wsub, n, msub, k, u)
+    for i in range(7):
+        assert np.array_equal(batch[i], fam.batch_derivs(wsub[i:i + 1], n, msub, k, u)[0])
+
+
 @pytest.mark.parametrize("fam", [PiecewiseShape(power_shape(2.0)), MCS], ids=["piecewise", "mcshane"])
 def test_u_one_is_the_left_limit_of_block_k(fam):
     # f = u^2 has f'(1) = 2 and f'(0) = 0, so block k's slope at its right
@@ -329,21 +385,26 @@ def test_c_rejects_time_off_the_block_lattice():
 
 BATCHED_ESTIMATORS = {
     "estimate_s": lambda batch: estimate_s(MCS, 16, 100, RngStream(76, 0), batch=batch),
+    "estimate_s_mollified": lambda batch: estimate_s(Mollified(bump_kernel()), 16, 100,
+                                                     RngStream(76, 3), batch=batch),
     "estimate_c": lambda batch: estimate_c(Mollified(bump_kernel()), 16, 0.25, 100,
                                            RngStream(76, 1), batch=batch),
     "check_moment_condition": lambda batch: check_moment_condition(
         LIN, [4, 8, 16], 100, RngStream(76, 2), batch=batch),
+    "check_moment_condition_mollified": lambda batch: check_moment_condition(
+        Mollified(bump_kernel()), [4, 8, 16], 100, RngStream(76, 4), batch=batch),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(BATCHED_ESTIMATORS))
 def test_batched_and_unbatched_estimates_agree(estimator):
     # sample i always draws stream.child(i) and its value is reduced once, in
-    # sample order, so the batch size (7 and 16 do not divide the 100
-    # samples, 100 is one batch) must not change a single bit of the report
+    # sample order, so the batch size (one path at a time; 7 and 16, which do
+    # not divide the 100 samples; 100, one batch) must not change a single
+    # bit of the report
     run = BATCHED_ESTIMATORS[estimator]
     unbatched = dataclasses.astuple(run(100))
-    for batch in (7, 16):
+    for batch in (1, 7, 16):
         got = dataclasses.astuple(run(batch))
         assert all(np.array_equal(a, b) for a, b in zip(got, unbatched))
 

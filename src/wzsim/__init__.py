@@ -57,7 +57,8 @@ from .noise import (
     estimate_s,
     levy_area,
 )
-from .shapes import MollifierKernel, ShapeFunction, get_kernel, get_shape
+from .registry import get_kernel, get_shape
+from .shapes import MollifierKernel, ShapeFunction
 from .solvers import (
     SolverAbort,
     SolverConfig,

@@ -22,7 +22,12 @@ reference)::
 
 Field specs are ``name key=value ...`` with registry names; drift,
 diffusion and sequence values are numbers, and a family spec may also name
-a shape or kernel (``shape=``, ``kernel=``, ``f1=``, ``f2=``).  Every CSV
+a shape or kernel (``shape=``, ``kernel=``, ``f1=``, ``f2=``).  Every name
+is built through ``registry._build``, so an unknown name, an unknown or
+missing key and a key given twice in a spec exit 2 naming it, as does an
+unknown ``[model]`` key.  ``_build_model`` builds the model of the four
+path commands (rate-sweep, stability, tube, girsanov-check) and is the one
+place their dimension is set.  Every CSV
 starts with a provenance comment (seed, config hash, tool version), uses a
 header row, UTF-8, LF line endings and '.' decimals.  Exit codes: 0 ok,
 2 validation error, 3 aborted-path threshold breached.
@@ -35,13 +40,13 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
+from typing import NamedTuple
 
 from . import __version__
-from .coeffs import (CorrectionMatrix, DriftApproxSequence, check_hfn, lp_norm, mollified_sequence,
-                     ramp_sequence)
-from .core import RngStream, ValidationError, make_grid
+from .coeffs import CorrectionMatrix, DiffusionField, DriftApproxSequence, DriftField, check_hfn, lp_norm
+from .core import RngStream, ValidationError
 from .experiments import (
     AbortRateError,
     WongZakaiSetup,
@@ -52,10 +57,11 @@ from .experiments import (
     tube_ladder,
 )
 from .noise import check_moment_condition, estimate_c, estimate_s
-from .registry import get_diffusion, get_drift, get_family
+from .registry import get_diffusion, get_drift, get_family, get_sequence
 from .solvers import SolverConfig
 
 COMMANDS = ("coeffs", "rate-sweep", "stability", "tube", "girsanov-check", "def31-check")
+MODEL_KEYS = ("drift", "diffusion", "family", "sequence", "x0")
 
 # wide id spacing between sub-estimators of one run
 _STRIDE = 1 << 32
@@ -106,8 +112,8 @@ def _number(key: str, text: str, cast=float):
 def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
     """``name key=value ...``; every value is a number, or with ``names`` a number or a name.
 
-    A value that is not a number where one is required raises
-    ValidationError naming the key.
+    A value that is not a number where one is required, or a key given
+    twice, raises ValidationError naming the key.
     """
     parts = spec.split()
     if not parts:
@@ -118,6 +124,8 @@ def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
         if "=" not in tok:
             raise ValidationError(f"bad field parameter '{tok}' (expected key=value)")
         k, v = tok.split("=", 1)
+        if k in params:
+            raise ValidationError(f"parameter '{k}' of '{name}' is given twice")
         try:
             params[k] = float(v)
         except ValueError:
@@ -147,15 +155,18 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
         seed = int(text)  # never through float: seeds above 2^53 must stay exact
     except ValueError:
         raise ValidationError(f"parameter 'seed': '{text}' is not an integer") from None
-    cfg = RunConfig(
+    model = dict(cp.items("model")) if cp.has_section("model") else {}
+    for key in model:
+        if key not in MODEL_KEYS:
+            raise ValidationError(f"unknown key '{key}' in [model]; keys: {', '.join(MODEL_KEYS)}")
+    return RunConfig(
         command=command,
         seed=seed,
         out=FsPath(out if out is not None else cp.get("run", "out", fallback="out")),
-        model=dict(cp.items("model")) if cp.has_section("model") else {},
+        model=model,
         params=dict(cp.items("params")) if cp.has_section("params") else {},
         config_hash=hashlib.sha256(raw).hexdigest()[:16],
     )
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +203,23 @@ def _write_summary(cfg: RunConfig, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _build_model(cfg: RunConfig, d: int):
+class Model(NamedTuple):
+    """The coefficients, start and grid of one path command."""
+
+    drift: DriftField
+    sigma: DiffusionField
+    correction: CorrectionMatrix
+    x0: float
+    config: SolverConfig
+
+
+def _build_model(cfg: RunConfig, n_ref: int) -> Model:
+    """The [model] drift, diffusion and x0, and the [params] t and n_ref (default n_ref).
+
+    Every path command runs in d = 1 with the correction I/2; this is the one
+    place the CLI sets its dimension.
+    """
+    d = 1
     if "drift" not in cfg.model:
         raise ValidationError("missing 'drift' in [model]")
     if "diffusion" not in cfg.model:
@@ -210,35 +237,33 @@ def _build_model(cfg: RunConfig, d: int):
             f"diffusion '{sigma.name}' is flagged non-elliptic (oracle-only); "
             "it cannot be used from the CLI"
         )
-    return drift, sigma
+    config = SolverConfig(n_ref=cfg.param("n_ref", default=n_ref, cast=int),
+                          horizon=cfg.param("t", default=1.0))
+    return Model(drift, sigma, CorrectionMatrix.half_identity(d),
+                 _number("x0", cfg.model.get("x0", "0.0")), config)
 
 
 def _build_family(cfg: RunConfig):
-    fname, fpar = _parse_field_spec(cfg.model.get("family", "piecewise shape=linear"), names=True)
+    fname, fpar = _parse_field_spec(cfg.model.get("family", "piecewise"), names=True)
     return get_family(fname, **fpar)
 
 
-def _build_sequence(cfg: RunConfig, p: float) -> DriftApproxSequence | None:
+def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
+    """The [model] sequence at the [params] exponent p, None if absent.
+
+    p must satisfy p >= 2 and p > d unless allow_p_violation is set.
+    """
+    p = cfg.param("p", default=2.0)
     if "sequence" not in cfg.model:
         return None
     name, par = _parse_field_spec(cfg.model["sequence"])
-    alpha = par.get("alpha", 0.4)
-    delta = par.get("delta", 0.5)
-    if name == "ramp":
-        return ramp_sequence(alpha, p, delta)
-    if name == "mollified":
-        return mollified_sequence(alpha, p, delta)
-    raise ValidationError(f"unknown sequence '{name}'; known: ramp, mollified")
-
-
-def _check_p(cfg: RunConfig, p: float, d: int) -> None:
-    if p >= 2.0 and p > d:
-        return
-    if cfg.param("allow_p_violation", default=False, cast=bool):
+    seq = get_sequence(name, p, **par)
+    if p < 2.0 or p <= d:
+        if not cfg.param("allow_p_violation", default=False, cast=bool):
+            raise ValidationError(f"p={p:g} must satisfy p >= 2 and p > d={d} "
+                                  "(set allow_p_violation = true to override)")
         sys.stderr.write(f"warning: p={p:g} violates p >= 2, p > d={d} (override on)\n")
-        return
-    raise ValidationError(f"p={p:g} must satisfy p >= 2 and p > d={d} "
-                          "(set allow_p_violation = true to override)")
+    return seq
 
 
 # ---------------------------------------------------------------------------
@@ -270,26 +295,12 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _make_setup(cfg: RunConfig) -> WongZakaiSetup:
-    d = 1
-    drift, sigma = _build_model(cfg, d)
+    model = _build_model(cfg, 1 << 13)
     family = _build_family(cfg)
-    p = cfg.param("p", default=2.0)
-    seq = _build_sequence(cfg, p)
-    if seq is not None:
-        _check_p(cfg, p, d)
-    config = SolverConfig(
-        n_ref=cfg.param("n_ref", default=1 << 13, cast=int),
-        m_ode=cfg.param("m_ode", default=16, cast=int),
-        horizon=cfg.param("t", default=1.0),
-    )
-    return WongZakaiSetup(drift=drift, sigma=sigma,
-                          correction=CorrectionMatrix.half_identity(1),
-                          family=family, x0=_model_x0(cfg),
-                          config=config, drift_seq=seq)
-
-
-def _model_x0(cfg: RunConfig) -> float:
-    return _number("x0", cfg.model.get("x0", "0.0"))
+    seq = _build_sequence(cfg, model.sigma.dim)
+    config = replace(model.config, m_ode=cfg.param("m_ode", default=16, cast=int))
+    return WongZakaiSetup(drift=model.drift, sigma=model.sigma, correction=model.correction,
+                          family=family, x0=model.x0, config=config, drift_seq=seq)
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
@@ -313,19 +324,13 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
-    d = 1
-    drift, sigma = _build_model(cfg, d)
-    p = cfg.param("p", default=2.0)
-    seq = _build_sequence(cfg, p)
+    drift, sigma, correction, x0, config = _build_model(cfg, 1 << 13)
+    seq = _build_sequence(cfg, sigma.dim)
     if seq is None:
         raise ValidationError("stability needs a 'sequence' entry in [model]")
-    _check_p(cfg, p, d)
     n_list = cfg.param("n_list", default=[16, 64, 256], cast=list)
     paths = cfg.param("paths", default=500, cast=int)
-    config = SolverConfig(n_ref=cfg.param("n_ref", default=1 << 13, cast=int),
-                          horizon=cfg.param("t", default=1.0))
-    rep = stability_sweep(drift, seq, sigma, CorrectionMatrix.half_identity(1),
-                          _model_x0(cfg), n_list, paths, stream, config)
+    rep = stability_sweep(drift, seq, sigma, correction, x0, n_list, paths, stream, config)
     rows = [(lvl, dist, mse, se, ab)
             for lvl, ((n, dist, mse, se), ab) in enumerate(zip(rep.levels, rep.aborted))]
     write_csv(cfg, "stability.csv", ["level", "lp_distance", "mse", "stderr", "aborted"], rows)
@@ -338,26 +343,25 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
-    d = 1
-    drift, sigma = _build_model(cfg, d)
-    x0 = _model_x0(cfg)
+    drift, sigma, correction, x0, config = _build_model(cfg, 1 << 11)
     paths = cfg.param("paths", default=100000, cast=int)
-    grid = make_grid(cfg.param("t", default=1.0), cfg.param("n_ref", default=2048, cast=int))
     eps_ladder = [_number("eps_ladder", v) for v in cfg.params.get("eps_ladder", "").split()] or \
         [cfg.param("epsilon", default=0.5)]
-    targets = cfg.param("targets", default="const line sine", cast=str).split()
-    rows = []
-    lines = [f"tube: drift={drift.name} sigma={sigma.name} x0={x0:g} paths={paths}"]
-    for ti, kind in enumerate(targets):
+    grid = config.grid()
+    targets = []
+    for kind in cfg.param("targets", default="const line sine", cast=str).split():
         tpar = {}
         if kind == "line":
             tpar["slope"] = cfg.param("line_slope", default=1.0)
         if kind == "sine":
             tpar["amp"] = cfg.param("sine_amp", default=0.3)
             tpar["freq"] = cfg.param("sine_freq", default=1.0)
-        target = make_target(kind, grid, x0, **tpar)
-        reports = tube_ladder(drift, sigma, CorrectionMatrix.half_identity(1), x0,
-                              target, eps_ladder, paths, stream.child(ti * _STRIDE))
+        targets.append((kind, make_target(kind, grid, x0, **tpar)))
+    rows = []
+    lines = [f"tube: drift={drift.name} sigma={sigma.name} x0={x0:g} paths={paths}"]
+    for ti, (kind, target) in enumerate(targets):
+        reports = tube_ladder(drift, sigma, correction, x0, target, eps_ladder, paths,
+                              stream.child(ti * _STRIDE))
         for rep in reports:
             rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence,
                          rep.aborted))
@@ -368,11 +372,9 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
-    d = 1
-    drift, sigma = _build_model(cfg, d)
+    drift, sigma, _, x0, config = _build_model(cfg, 1 << 12)
     paths = cfg.param("paths", default=10000, cast=int)
-    grid = make_grid(cfg.param("t", default=1.0), cfg.param("n_ref", default=4096, cast=int))
-    rep = girsanov_mean(drift, sigma, _model_x0(cfg), paths, stream, grid)
+    rep = girsanov_mean(drift, sigma, x0, paths, stream, config.grid())
     write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight", "aborted"],
               [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight, rep.aborted)])
     dev = abs(rep.mean_rho - 1.0) / rep.stderr if rep.stderr > 0 else 0.0

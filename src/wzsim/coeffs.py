@@ -296,7 +296,7 @@ class DriftApproxSequence:
         return bn.c1_norm <= self.bound(n) * norm * (1.0 + tol)
 
 
-def ramp_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequence:
+def ramp_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -> DriftApproxSequence:
     """Ramp schedule for the indicator drift: chi(n) growing like sqrt(alpha log n).
 
     Valid from the first n with chi(n) > 0 (n > e^{1/alpha}).
@@ -313,7 +313,7 @@ def ramp_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequ
     )
 
 
-def mollified_sequence(alpha: float, p: float, delta: float = 0.5) -> DriftApproxSequence:
+def mollified_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -> DriftApproxSequence:
     """Mollification schedule for the indicator: kappa(n) = sqrt(alpha log n)/C - 1.
 
     C is the measured constant with C^1-norm(b_kappa) <= C (kappa + 1); for

@@ -1,7 +1,13 @@
-"""Named coefficient fields and noise families addressable from run configs.
+"""Named coefficient fields, drift schedules, noise families, shapes and kernels.
 
-Each registry field is defined once, as a vectorized numpy closed form that
-both solvers evaluate directly.
+Every name a run config can give is looked up here, in one table per kind
+(``DRIFTS``, ``DIFFUSIONS``, ``SEQUENCES``, ``FAMILIES``, ``SHAPES``,
+``KERNELS``), and built by ``_build``: an unknown name, or a parameter the
+builder does not take or needs and lacks, raises ValidationError naming it.
+Each spec default is written once, in its builder's signature.  Each registry
+field is defined once, as a vectorized numpy closed form that both solvers
+evaluate directly; a schedule's level-n drift is reached only through its
+sequence.
 """
 
 from __future__ import annotations
@@ -14,13 +20,16 @@ import numpy as np
 from .core import ValidationError
 from .coeffs import (
     DiffusionField,
+    DriftApproxSequence,
     DriftField,
     indicator_drift,
     mollified_indicator,
+    mollified_sequence,
     ramp_approximation,
+    ramp_sequence,
 )
 from .noise import McShane, Mollified, NoiseFamily, PiecewiseShape
-from .shapes import SHAPES, get_kernel
+from .shapes import KERNELS, SHAPES, MollifierKernel, ShapeFunction
 
 
 def zero_drift(d: int = 1) -> DriftField:
@@ -119,36 +128,12 @@ def linear_diffusion(d: int = 1) -> DiffusionField:
     return _diag_field(lambda x: x, lambda x: np.ones_like(x), d, ellipticity=np.inf, name="linear")
 
 
-def _ramp_entry(chi: float | None = None, alpha: float | None = None,
-                n: float | None = None) -> DriftField:
-    """Ramp surrogate, either at an explicit chi or on the alpha-schedule at level n."""
-    from .coeffs import schedule_chi
-
-    if chi is None:
-        if alpha is None or n is None:
-            raise ValidationError("ramp needs chi=.. or alpha=.. n=..")
-        chi = schedule_chi(int(n), alpha)
-    return ramp_approximation(chi)
-
-
-def _mollified_entry(kappa: float | None = None, alpha: float | None = None,
-                     n: float | None = None) -> DriftField:
-    """Mollified indicator, at an explicit kappa or on the alpha-schedule at level n."""
-    from .coeffs import mollified_sequence
-
-    if kappa is None:
-        if alpha is None or n is None:
-            raise ValidationError("mollified needs kappa=.. or alpha=.. n=..")
-        return mollified_sequence(alpha, p=2.0).generator(int(n))
-    return mollified_indicator(kappa)
-
-
 DRIFTS = {
     "zero": zero_drift,
     "const": const_drift,
-    "indicator01": lambda: indicator_drift(),
-    "ramp": _ramp_entry,
-    "mollified": _mollified_entry,
+    "indicator01": indicator_drift,
+    "ramp": ramp_approximation,
+    "mollified": mollified_indicator,
     "gaussian_bump": gaussian_bump_drift,
     "sin_bump": sin_bump_drift,
 }
@@ -158,6 +143,11 @@ DIFFUSIONS = {
     "const": const_diffusion,
     "sin_elliptic": sin_elliptic_diffusion,
     "linear": linear_diffusion,
+}
+
+SEQUENCES = {
+    "ramp": ramp_sequence,
+    "mollified": mollified_sequence,
 }
 
 
@@ -179,7 +169,7 @@ def _build(kind: str, name: str, table: dict, params: dict):
 
 
 def _piecewise(shape: str = "linear", **shape_params) -> NoiseFamily:
-    return PiecewiseShape(_build("shape", shape, SHAPES, shape_params))
+    return PiecewiseShape(get_shape(shape, **shape_params))
 
 
 def _mollified(kernel: str = "bump") -> NoiseFamily:
@@ -187,7 +177,7 @@ def _mollified(kernel: str = "bump") -> NoiseFamily:
 
 
 def _mcshane(f1: str = "linear", f2: str = "quadratic") -> NoiseFamily:
-    return McShane(_build("shape", f1, SHAPES, {}), _build("shape", f2, SHAPES, {}))
+    return McShane(get_shape(f1), get_shape(f2))
 
 
 FAMILIES = {
@@ -197,13 +187,28 @@ FAMILIES = {
 }
 
 
-def get_drift(name: str, **params) -> DriftField:
+def get_drift(name: str, /, **params) -> DriftField:
     return _build("drift", name, DRIFTS, params)
 
 
-def get_diffusion(name: str, **params) -> DiffusionField:
+def get_diffusion(name: str, /, **params) -> DiffusionField:
     return _build("diffusion", name, DIFFUSIONS, params)
 
 
-def get_family(name: str, **params) -> NoiseFamily:
+def get_sequence(name: str, p: float, /, **params) -> DriftApproxSequence:
+    """The named schedule of the indicator drift at L^p exponent p; the caller sets p."""
+    if "p" in params:
+        raise ValidationError(f"sequence '{name}': 'p' is not a spec parameter; set it in [params]")
+    return _build("sequence", name, SEQUENCES, {**params, "p": p})
+
+
+def get_family(name: str, /, **params) -> NoiseFamily:
     return _build("family", name, FAMILIES, params)
+
+
+def get_shape(name: str, /, **params) -> ShapeFunction:
+    return _build("shape", name, SHAPES, params)
+
+
+def get_kernel(name: str, /, **params) -> MollifierKernel:
+    return _build("kernel", name, KERNELS, params)

@@ -70,14 +70,6 @@ SHAPES: dict[str, Callable[..., ShapeFunction]] = {
 }
 
 
-def get_shape(name: str, **params) -> ShapeFunction:
-    try:
-        builder = SHAPES[name]
-    except KeyError:
-        raise ValidationError(f"unknown shape '{name}'; known: {sorted(SHAPES)}") from None
-    return builder(**params)
-
-
 @dataclass(frozen=True)
 class MollifierKernel:
     """Nonnegative kernel on [0,1] with unit integral, as (value, derivative).
@@ -150,9 +142,3 @@ KERNELS: dict[str, Callable[[], MollifierKernel]] = {
     "hann": hann_kernel,
 }
 
-
-def get_kernel(name: str) -> MollifierKernel:
-    try:
-        return KERNELS[name]()
-    except KeyError:
-        raise ValidationError(f"unknown kernel '{name}'; known: {sorted(KERNELS)}") from None

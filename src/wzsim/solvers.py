@@ -241,12 +241,16 @@ def _ode_paths(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: n
 
 def _require_c1(b_n: DriftField) -> None:
     """The random ODE runs on a smoothed drift: reject one without C^1 metadata, or whose
-    central differences (step 1e-6) on a fixed grid over its support box, capped at
-    |x| <= 16, exceed the declared slope bound by more than 0.1%."""
+    central differences (step 1e-6) on a fixed grid exceed the declared slope bound by
+    more than 0.1%.  Per axis the grid is uniform on the support box, capped at |x| <= 16;
+    a support beyond that adds log-spaced points out to |x| = min(radius, 2^20)."""
     if not b_n.is_c1:
         raise ValidationError(f"drift '{b_n.name}' carries no C^1 metadata")
-    r, d = min(b_n.support_radius, 16.0), b_n.dim
-    axis = mid_grid(-r, r, round(4096 ** (1 / d)))
+    r, d = b_n.support_radius, b_n.dim
+    axis = mid_grid(-min(r, 16.0), min(r, 16.0), round(4096 ** (1 / d)))
+    if r > 16.0:
+        tail = np.geomspace(16.0, min(r, 2.0 ** 20), round(1024 ** (1 / d)))
+        axis = np.concatenate([-tail[::-1], axis, tail])
     x = np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
     for e in 1e-6 * np.eye(d):
         slope = np.sqrt((((b_n(x + e) - b_n(x - e)) / 2e-6) ** 2).sum(axis=1)).max()

@@ -1,13 +1,13 @@
 import dataclasses
+import inspect
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from wzsim import cli, experiments, noise
+from wzsim import cli, experiments, noise, registry
 from wzsim.cli import main
 from wzsim.coeffs import check_hfn, ramp_approximation, ramp_sequence
 
@@ -238,10 +238,23 @@ def test_tube_command(tmp_path):
     (RATE_CFG, "shape=linear", "shape=linear bar=2", "bar"),
     # every rate-sweep runs in d = 1
     (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 d=2", "d"),
+    # a key given twice
+    (RATE_CFG, "a=1 b=0.5", "a=1 b=0.5 a=2", "a"),
+    # a schedule's level-n drift is reached only through its sequence
+    (RATE_CFG, "drift = sin_bump", "drift = ramp chi=5 alpha=0.4", "alpha"),
+    # keys a sequence does not take; p is the [params] exponent
+    (RATE_CFG, "x0 = 0.0", "sequence = ramp alpah=0.2\nx0 = 0.0", "alpah"),
+    (RATE_CFG, "x0 = 0.0", "sequence = mollified foo=1\nx0 = 0.0", "foo"),
+    (RATE_CFG, "x0 = 0.0", "sequence = ramp p=3\nx0 = 0.0", "p"),
+    (RATE_CFG, "x0 = 0.0", "sequence = zigzag\nx0 = 0.0", "zigzag"),
+    # only drift, diffusion, family, sequence and x0 are [model] keys
+    (COEFFS_CFG, "family = piecewise shape=linear", "famliy = mollified kernel=bump", "famliy"),
 ], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
         "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift",
         "unknown_drift_param", "unknown_diffusion_param", "unknown_family_param",
-        "diffusion_dim_not_the_commands"])
+        "diffusion_dim_not_the_commands", "repeated_param", "schedule_param_of_a_drift",
+        "unknown_sequence_param", "unknown_mollified_sequence_param", "sequence_exponent",
+        "unknown_sequence", "unknown_model_key"])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
     text = config.format(out=tmp_path / "o")
     assert line in text
@@ -313,18 +326,6 @@ def test_abort_threshold_exits_3(tmp_path, capsys):
     assert "aborted" in capsys.readouterr().err
 
 
-def test_schedule_parameterized_registry_fields(tmp_path):
-    from wzsim.coeffs import schedule_chi
-    from wzsim.registry import get_drift
-
-    via_schedule = get_drift("ramp", alpha=0.4, n=64)
-    explicit = get_drift("ramp", chi=schedule_chi(64, 0.4))
-    x = np.linspace(-4, 5, 101)[:, None]
-    assert np.array_equal(via_schedule(x), explicit(x))
-    mol = get_drift("mollified", alpha=0.4, n=64)
-    assert mol.is_c1
-
-
 def test_stability_command(tmp_path):
     out = tmp_path / "res"
     cfg = write(tmp_path, "s.ini", STABILITY_CFG.format(out=out))
@@ -371,7 +372,7 @@ def test_rate_sweep_rejects_a_level_outside_the_hypotheses_before_any_path(
         seq = ramp_sequence(alpha, p, delta)
         return dataclasses.replace(seq, generator=lambda n: edit(seq.generator(n), n))
 
-    monkeypatch.setattr(cli, "ramp_sequence", edited)
+    monkeypatch.setitem(registry.SEQUENCES, "ramp", edited)
     _no_paths(monkeypatch)
     out = tmp_path / "o"
     assert run_cli("--config", write(tmp_path, "r.ini", SWEEP_CFG.format(out=out))) == 2
@@ -388,6 +389,27 @@ def test_rate_sweep_summary_reports_the_speed_condition(tmp_path):
     assert logged == dict(zip(rep.n_list, rep.log_values.tolist()))
     assert f"converging={rep.converging} tail_decreasing={rep.tail_decreasing}" in summary
     assert "speed" not in (out / "rate_sweep.csv").read_text()
+
+
+def test_a_sequence_without_keys_takes_the_default_schedule(tmp_path):
+    text = SWEEP_CFG.format(out=tmp_path / "o").replace("ramp alpha=0.4 delta=0.5", "ramp")
+    seq = cli._build_sequence(cli.load_config(write(tmp_path, "r.ini", text)), 1)
+    assert (seq.name, seq.p, seq.delta) == ("ramp[alpha=0.4]", 2.0, 0.5)
+
+
+@pytest.mark.parametrize("line,bad,key", [
+    ("targets = const line", "targets = const bogus", "bogus"),
+    ("targets = const line", "targets = const line\nline_slope = steep", "line_slope"),
+    ("targets = const line", "targets = const sine\nsine_freq = fast", "sine_freq"),
+], ids=["unknown_target", "line_slope", "sine_freq"])
+def test_tube_builds_every_target_before_any_path(tmp_path, capsys, monkeypatch, line, bad, key):
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    text = TUBE_CFG.format(out=out)
+    assert line in text
+    assert run_cli("--config", write(tmp_path, "t.ini", text.replace(line, bad))) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_stability_without_levels_exits_2_before_any_path(tmp_path, capsys, monkeypatch):
@@ -458,4 +480,13 @@ def test_every_param_the_cli_reads_is_in_the_readme_config_block():
     params = block.split("[params]", 1)[1]
     # configparser lower-cases keys, so 'T' in the README is the key 't'
     missing = sorted(k for k in keys if not re.search(rf"(?<!\w){k}(?!\w)", params))
+    assert missing == []
+    # every registry name, and every key of a sequence spec, is named in [model]
+    model = block.split("[model]", 1)[1].split("[params]", 1)[0]
+    tables = (registry.DRIFTS, registry.DIFFUSIONS, registry.SEQUENCES, registry.FAMILIES,
+              registry.SHAPES, registry.KERNELS)
+    names = {name for table in tables for name in table}
+    names |= {k for b in registry.SEQUENCES.values() for k in inspect.signature(b).parameters} - {"p"}
+    assert {"indicator01", "alpha", "delta", "hann", "smoothstep"} <= names
+    missing = sorted(n for n in names if not re.search(rf"(?<!\w){n}(?!\w)", model))
     assert missing == []

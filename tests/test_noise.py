@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from wzsim import get_shape
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.noise import (
     CONVOLUTION_ORDER,
@@ -23,7 +24,6 @@ from wzsim.shapes import (
     ShapeFunction,
     bump_kernel,
     _gl_composite,
-    get_shape,
     hann_kernel,
     linear_shape,
     power_shape,

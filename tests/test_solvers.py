@@ -393,12 +393,22 @@ def test_declared_slope_bounds_pass_the_central_difference_check(name):
     solvers._require_c1(C1_FIELDS[name])
 
 
-@pytest.mark.parametrize("sup_grad", [0.01, 2.99])
-def test_an_understated_slope_bound_is_rejected(sup_grad):
+RAMP6 = ramp_approximation(6.0)
+# a drift with unbounded support that is steepest outside |x| <= 16: the
+# bump of width 100 has slope e^(-1/2)/100 = 6.07e-3 at |x| = 100
+WIDE_BUMP = gaussian_bump_drift(1.0, 100.0)
+
+
+@pytest.mark.parametrize("field,sup_grad,reach,accepted", [
     # the ramp's slope is chi/2 = 3: any bound below it by more than 0.1% fails
-    with pytest.raises(ValidationError, match="central differences reach 3"):
-        solvers._require_c1(dataclasses.replace(ramp_approximation(6.0), sup_grad=sup_grad))
-    solvers._require_c1(dataclasses.replace(ramp_approximation(6.0), sup_grad=2.999))
+    (RAMP6, 0.01, "3", 2.999),
+    (RAMP6, 2.99, "3", 2.999),
+    (WIDE_BUMP, 2e-3, "0.00606", 6.07e-3),
+], ids=["0.01", "2.99", "wide_bump_beyond_the_box"])
+def test_an_understated_slope_bound_is_rejected(field, sup_grad, reach, accepted):
+    with pytest.raises(ValidationError, match=f"central differences reach {reach}"):
+        solvers._require_c1(dataclasses.replace(field, sup_grad=sup_grad))
+    solvers._require_c1(dataclasses.replace(field, sup_grad=accepted))
 
 
 def test_an_understated_slope_bound_is_rejected_in_two_dimensions():

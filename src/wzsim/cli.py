@@ -77,9 +77,9 @@ class RunConfig:
     config_hash: str = ""
 
     def param(self, key, default=None, cast=float):
-        """[params] value of key as float, int, bool, str or list (of ints).
+        """[params] value of key as float, int, str or list (of ints).
 
-        A value that is not a number, or not an integer where one is
+        A value that is not a finite number, or not an integer where one is
         expected, raises ValidationError naming the key.
         """
         if key not in self.params:
@@ -87,8 +87,6 @@ class RunConfig:
                 raise ValidationError(f"missing required parameter '{key}'")
             return default
         raw = self.params[key]
-        if cast is bool:
-            return raw.strip().lower() in ("1", "true", "yes", "on")
         if cast is list:
             return [_number(key, v, int) for v in raw.replace(",", " ").split()]
         if cast is str:
@@ -97,11 +95,13 @@ class RunConfig:
 
 
 def _number(key: str, text: str, cast=float):
-    """text as a float, or as an int when cast is int; ValidationError naming key if it is neither."""
+    """text as a finite float, or as an int when cast is int; ValidationError naming key otherwise."""
     try:
         value = float(text)
     except ValueError:
         raise ValidationError(f"parameter '{key}': '{text.strip()}' is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"parameter '{key}': '{text.strip()}' is not finite")
     if cast is int:
         if not value.is_integer():
             raise ValidationError(f"parameter '{key}': '{text.strip()}' is not an integer")
@@ -112,8 +112,8 @@ def _number(key: str, text: str, cast=float):
 def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
     """``name key=value ...``; every value is a number, or with ``names`` a number or a name.
 
-    A value that is not a number where one is required, or a key given
-    twice, raises ValidationError naming the key.
+    A value that is not a finite number where one is required, or a key
+    given twice, raises ValidationError naming the key.
     """
     parts = spec.split()
     if not parts:
@@ -127,11 +127,12 @@ def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
         if k in params:
             raise ValidationError(f"parameter '{k}' of '{name}' is given twice")
         try:
-            params[k] = float(v)
+            float(v)
         except ValueError:
-            if not names:
-                raise ValidationError(f"parameter '{k}' of '{name}': '{v}' is not a number") from None
-            params[k] = v
+            if names:
+                params[k] = v
+                continue
+        params[k] = _number(k, v)
     return name, params
 
 
@@ -251,7 +252,7 @@ def _build_family(cfg: RunConfig):
 def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
     """The [model] sequence at the [params] exponent p, None if absent.
 
-    p must satisfy p >= 2 and p > d unless allow_p_violation is set.
+    p must satisfy the theorem's hypothesis p >= 2 and p > d.
     """
     p = cfg.param("p", default=2.0)
     if "sequence" not in cfg.model:
@@ -259,10 +260,7 @@ def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
     name, par = _parse_field_spec(cfg.model["sequence"])
     seq = get_sequence(name, p, **par)
     if p < 2.0 or p <= d:
-        if not cfg.param("allow_p_violation", default=False, cast=bool):
-            raise ValidationError(f"p={p:g} must satisfy p >= 2 and p > d={d} "
-                                  "(set allow_p_violation = true to override)")
-        sys.stderr.write(f"warning: p={p:g} violates p >= 2, p > d={d} (override on)\n")
+        raise ValidationError(f"p={p:g} must satisfy p >= 2 and p > d={d}")
     return seq
 
 

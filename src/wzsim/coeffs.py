@@ -26,6 +26,8 @@ from scipy import special
 
 from .core import ValidationError
 
+LP_CELLS = 1 << 14  # midpoint cells of lp_norm's support box in d = 1
+
 
 # ---------------------------------------------------------------------------
 # field types
@@ -127,14 +129,15 @@ class CorrectionMatrix:
 # ---------------------------------------------------------------------------
 
 
-def lp_norm(field: DriftField, p: float, cells: int = 1 << 14) -> float:
+def lp_norm(field: DriftField, p: float) -> float:
     """Composite-midpoint estimate of the L^p norm over the support box.
 
-    Requires a finite support radius, or an analytic norm declared on the
-    field (used verbatim in that case).
+    Requires a finite p >= 1 and a finite support radius, or an analytic
+    norm declared on the field (used verbatim in that case).  The box has
+    LP_CELLS cells in d = 1 and 512 x 512 in d = 2.
     """
-    if p < 1:
-        raise ValidationError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValidationError(f"p = {p} must be finite and >= 1")
     if not np.isfinite(field.support_radius):
         if field.lp_norm_fn is not None:
             return float(field.lp_norm_fn(p))
@@ -143,11 +146,11 @@ def lp_norm(field: DriftField, p: float, cells: int = 1 << 14) -> float:
         )
     r = field.support_radius
     if field.dim == 1:
-        x = mid_grid(-r, r, cells)[:, None]
+        x = mid_grid(-r, r, LP_CELLS)[:, None]
         vals = np.abs(field(x)).ravel()
-        return float((np.sum(vals**p) * (2 * r / cells)) ** (1.0 / p))
+        return float((np.sum(vals**p) * (2 * r / LP_CELLS)) ** (1.0 / p))
     if field.dim == 2:
-        m = min(cells, 1 << 9)
+        m = 1 << 9
         g = mid_grid(-r, r, m)
         xx, yy = np.meshgrid(g, g, indexing="ij")
         pts = np.column_stack([xx.ravel(), yy.ravel()])
@@ -161,7 +164,7 @@ def mid_grid(lo: float, hi: float, cells: int) -> np.ndarray:
     return lo + h * (np.arange(cells) + 0.5)
 
 
-def lp_distance(b1: DriftField, b2: DriftField, p: float, cells: int = 1 << 14) -> float:
+def lp_distance(b1: DriftField, b2: DriftField, p: float) -> float:
     """L^p norm of b1 - b2 over the union of the two supports."""
     if b1.dim != b2.dim:
         raise ValidationError("fields have different dimensions")
@@ -174,7 +177,7 @@ def lp_distance(b1: DriftField, b2: DriftField, p: float, cells: int = 1 << 14) 
         support_radius=r,
         name=f"{b1.name}-{b2.name}",
     )
-    return lp_norm(diff, p, cells)
+    return lp_norm(diff, p)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def indicator_drift() -> DriftField:
         x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
-    return DriftField(dim=1, fn=fn, support_radius=2.0, lp_norm_fn=lambda p: 1.0, name="indicator01")
+    return DriftField(dim=1, fn=fn, support_radius=2.0, name="indicator01")
 
 
 def ramp_approximation(chi: float) -> DriftField:
@@ -289,11 +292,9 @@ class DriftApproxSequence:
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must lie in (0, 1)")
 
-    def check_member(self, n: int, base_norm: float | None = None, tol: float = 1e-9) -> bool:
-        """Does b_n's declared C^1 norm respect the h(n)-bound?"""
-        bn = self.generator(n)
-        norm = base_norm if base_norm is not None else lp_norm(self.base, self.p)
-        return bn.c1_norm <= self.bound(n) * norm * (1.0 + tol)
+    def check_member(self, n: int, base_norm: float) -> bool:
+        """Does b_n's declared C^1 norm respect the h(n)-bound, to a relative 1e-9?"""
+        return self.generator(n).c1_norm <= self.bound(n) * base_norm * (1.0 + 1e-9)
 
 
 def ramp_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -> DriftApproxSequence:
@@ -358,12 +359,11 @@ class SpeedConditionReport:
     tail_decreasing: bool
 
 
-def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int],
-              threshold: float = 1.0) -> SpeedConditionReport:
+def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int]) -> SpeedConditionReport:
     """Evaluate the joint noise/drift speed expression along n_list.
 
     The verdict is advisory: ``converging`` means the last value dropped
-    below both the first value and the threshold; the report never blocks a
+    below both the first value and 1; the report never blocks a
     run.  Computed in log space so diverging schedules report inf instead
     of overflowing.
     """
@@ -377,7 +377,7 @@ def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int],
     logv = hb2 + np.log(inner)
     with np.errstate(over="ignore"):
         vals = np.exp(logv)
-    converging = bool(logv[-1] < logv[0] and logv[-1] < math.log(threshold))
+    converging = bool(logv[-1] < logv[0] and logv[-1] < 0.0)
     tail_decreasing = bool(len(logv) < 2 or logv[-1] < logv[-2])
     return SpeedConditionReport(tuple(int(n) for n in n_arr), vals, logv,
                                 converging, tail_decreasing)

@@ -84,9 +84,6 @@ class Path:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def component(self, i: int) -> np.ndarray:
-        return self.values[:, i]
-
 
 @dataclass(frozen=True)
 class RngStream:

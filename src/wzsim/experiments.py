@@ -3,8 +3,9 @@
 Every estimator runs its paths through one driver, ``_run_paths``, in
 batches with per-path counter-based streams (path i of a call uses
 ``stream.child(i)``); it keeps one value per path and level in path order,
-which the estimator reduces in that fixed order -- so results are
-byte-stable under any batch size.  A rate sweep is one such call: path j
+which the estimator reduces in that fixed order -- so results do not
+depend on the batch sizes ``SWEEP_BATCH`` and ``EULER_BATCH``, internal
+constants that the tests vary.  A rate sweep is one such call: path j
 uses ``stream.child(j)`` at every level, its Brownian sample and Euler
 reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
@@ -47,6 +48,11 @@ from .registry import zero_drift
 from .solvers import SolverConfig, _check_levels, coupled_batch, em_batch
 
 ABORT_TOLERANCE = 0.01
+# paths per batch: the multi-level sweeps, and the one-level Euler estimators
+SWEEP_BATCH = 256
+EULER_BATCH = 1024
+# one-sided confidence level of a tube's hit-probability bound
+LCB_LEVEL = 0.95
 
 
 class AbortRateError(RuntimeError):
@@ -148,10 +154,9 @@ def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, strea
     return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
 
 
-def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStream,
-                      batch: int = 256) -> MeanSupError:
+def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStream) -> MeanSupError:
     """Mean and standard error of sup_t |X_t - X^n_t|^2 over coupled draws."""
-    return _mean_sup_errors(setup, [n], paths, stream, batch)[0]
+    return _mean_sup_errors(setup, [n], paths, stream, SWEEP_BATCH)[0]
 
 
 @dataclass(frozen=True)
@@ -206,7 +211,7 @@ def rate_sweep(setup: WongZakaiSetup, n_list: Sequence[int], paths: int,
     """
     levels = sorted(int(v) for v in n_list)
     _fit_levels(levels)
-    results = _mean_sup_errors(setup, levels, paths, stream, 256)
+    results = _mean_sup_errors(setup, levels, paths, stream, SWEEP_BATCH)
     pts = tuple((n, r.estimate, r.stderr) for n, r in zip(levels, results))
     slope, half = fit_rate([(n, m) for n, m, _ in pts])
     return RateReport(pts, paths, slope, half, tuple(r.aborted for r in results))
@@ -236,8 +241,7 @@ class StabilityReport:
 
 def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionField,
                     c: CorrectionMatrix, x0, n_levels: Sequence[int], paths: int,
-                    stream: RngStream, config: SolverConfig,
-                    batch: int = 256) -> StabilityReport:
+                    stream: RngStream, config: SolverConfig) -> StabilityReport:
     """Co-simulate the b-driven and b_n-driven corrected SDEs on shared noise.
 
     Both solutions start at the same x0 and consume identical increments,
@@ -261,7 +265,7 @@ def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionFie
             sups[:, li] = sup_distance_values(xv, yv)
         return sups, st_b, st_bn
 
-    sups, aborted = _run_paths(simulate, paths, stream, batch)
+    sups, aborted = _run_paths(simulate, paths, stream, SWEEP_BATCH)
     levels = [(n, lp_distance(b, b_n, seq.p), *mean_se(v**2)) for n, b_n, v in zip(ns, b_ns, sups)]
     d2, ms = np.array([(lv[1] ** 2, lv[2]) for lv in levels]).T
     denom = float(np.sum(d2 * d2))
@@ -292,16 +296,15 @@ class TubeReport:
     aborted: int
 
 
-def _binomial_lcb(hits: int, paths: int, level: float = 0.95) -> float:
-    """Exact (Clopper-Pearson style) one-sided lower bound on the hit probability."""
+def _binomial_lcb(hits: int, paths: int) -> float:
+    """Exact (Clopper-Pearson style) one-sided LCB_LEVEL lower bound on the hit probability."""
     if hits <= 0:
         return 0.0
-    return float(special.betaincinv(hits, paths - hits + 1, 1.0 - level))
+    return float(special.betaincinv(hits, paths - hits + 1, 1.0 - LCB_LEVEL))
 
 
 def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-               target: Path, paths: int, stream: RngStream,
-               batch: int) -> tuple[np.ndarray, int]:
+               target: Path, paths: int, stream: RngStream) -> tuple[np.ndarray, int]:
     """Sup distances to the target of the paths that did not abort, and the abort count."""
     grid = target.grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -315,17 +318,17 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
         xv, st = em_batch(b, sigma, c, x0v, dw, grid.dt)
         return sup_distance_values(xv, target.values), st
 
-    (sups,), (aborted,) = _run_paths(simulate, paths, stream, batch)
+    (sups,), (aborted,) = _run_paths(simulate, paths, stream, EULER_BATCH)
     return sups, aborted
 
 
 def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
                 target: Path, eps_list: Sequence[float], paths: int,
-                stream: RngStream, batch: int = 1024) -> list[TubeReport]:
+                stream: RngStream) -> list[TubeReport]:
     """Tube reports for several radii evaluated on one shared path sample."""
     if any(eps <= 0.0 for eps in eps_list):
         raise ValidationError("epsilon must be positive")
-    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream, batch)
+    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream)
     out = []
     for eps in eps_list:
         hits = int((sups < eps).sum())
@@ -378,14 +381,14 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
 
 
 def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
-                  stream: RngStream, grid: TimeGrid, batch: int = 1024) -> GirsanovReport:
+                  stream: RngStream, grid: TimeGrid) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
 
     def simulate(s: RngStream, m: int):
         rho, _, st = _driftless_weights(b, sigma, x0, grid, s, m)
         return rho, st
 
-    (rhos,), (aborted,) = _run_paths(simulate, paths, stream, batch)
+    (rhos,), (aborted,) = _run_paths(simulate, paths, stream, EULER_BATCH)
     mean, se = mean_se(rhos)
     return GirsanovReport(mean, se, float(rhos.max()), paths, aborted)
 

@@ -32,9 +32,11 @@ s_ij(1/n, n), and the drift-correction density c_ij(t, n).  Each functional
 as a batched per-sample function of ``(family, wsub, n, msub)``.  The
 estimators are plain Monte Carlo in which sample i draws its path from
 ``stream.child(i)``; each keeps its per-sample values in sample order and
-reduces them once with ``core.mean_se``, so results are byte-identical for
-any batch size.  Time integrals use composite per-cell Gauss-Legendre, so
-piecewise-smooth integrands are resolved exactly between kinks.
+reduces them once with ``core.mean_se``, so results do not depend on the
+batch sizes ``S_BATCH``, ``C_BATCH`` and ``MOMENT_BATCH``, internal
+constants that the tests vary.  Time integrals use composite per-cell
+Gauss-Legendre, so piecewise-smooth integrands are resolved exactly
+between kinks.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ from .shapes import MollifierKernel, ShapeFunction, _gl_composite
 QUAD_ORDER = 4          # Gauss-Legendre nodes per subgrid cell in the estimators
 CONVOLUTION_ORDER = 6   # Gauss-Legendre nodes per sub-cell of the mollifier convolution
 BLOCKS_PER_PATH = 8     # first-block area functionals drawn from each path by estimate_s
+MOMENT_MSUB = 8         # Brownian subgrid cells per block in check_moment_condition
+# paths per batch of estimate_s (512 block slices), estimate_c and check_moment_condition
+S_BATCH = 64
+C_BATCH = 256
+MOMENT_BATCH = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +266,6 @@ class ApproxPath:
     def value(self, t: float) -> np.ndarray:
         return self.values_at([t])[0]
 
-    def deriv(self, t: float) -> np.ndarray:
-        return self.derivs_at([t])[0]
-
 
 def _check_dim(family: NoiseFamily, d: int) -> None:
     """Reject a dimension the family does not support."""
@@ -405,7 +409,7 @@ def _per_sample(functional, blocks: int, n: int, msub: int, d: int, samples: int
 
 
 def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
-               d: int = 2, msub: int = 8, batch: int = 64) -> CoefficientMatrix:
+               d: int = 2, msub: int = 8) -> CoefficientMatrix:
     """Monte Carlo estimate of the area density s_ij(1/n, n).
 
     ``samples`` independent paths each contribute ``BLOCKS_PER_PATH`` block
@@ -413,8 +417,8 @@ def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
     copies of the first-block functional (the shift property of the
     construction), and disjoint blocks use disjoint increments, so all
     sample_count = samples * BLOCKS_PER_PATH values are i.i.d.  All slices
-    of a batch go through one ``area_density`` call, so a batch of 64 paths
-    is 512 slices.
+    of a batch go through one ``area_density`` call, so a batch of
+    ``S_BATCH`` = 64 paths is 512 slices.
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -427,13 +431,13 @@ def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
         sl = sl - sl[:, :, :1, :]
         return area_density(family, sl.reshape(-1, msub + 1, d), n, msub)
 
-    s = _per_sample(blockwise, BLOCKS_PER_PATH, n, msub, d, samples, stream, batch)
+    s = _per_sample(blockwise, BLOCKS_PER_PATH, n, msub, d, samples, stream, S_BATCH)
     mean, se = mean_se(s)
     return CoefficientMatrix(mean, se, s.shape[0])
 
 
 def estimate_c(family: NoiseFamily, n: int, t: float, samples: int, stream: RngStream,
-               d: int = 2, msub: int = 8, batch: int = 256) -> CoefficientMatrix:
+               d: int = 2, msub: int = 8) -> CoefficientMatrix:
     """Monte Carlo estimate of the correction density c_ij(t, n), t a multiple of 1/n."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
@@ -442,7 +446,7 @@ def estimate_c(family: NoiseFamily, n: int, t: float, samples: int, stream: RngS
         raise ValidationError("t must be a positive multiple of 1/n")
     _check_dim(family, d)
     c = _per_sample(lambda wsub: correction_density(family, wsub, n, msub),
-                    int(round(blocks)), n, msub, d, samples, stream, batch)
+                    int(round(blocks)), n, msub, d, samples, stream, C_BATCH)
     mean, se = mean_se(c)
     return CoefficientMatrix(mean, se, samples)
 
@@ -473,8 +477,7 @@ class MomentCheckReport:
 
 
 def check_moment_condition(family: NoiseFamily, n_list: Sequence[int], samples: int,
-                           stream: RngStream, d: int = 1, msub: int = 8,
-                           batch: int = 2048) -> MomentCheckReport:
+                           stream: RngStream, d: int = 1) -> MomentCheckReport:
     """Estimate the two sixth moments over a range of n and fit their n-exponents."""
     if samples < 100:
         raise ValidationError("need at least 100 samples")
@@ -485,8 +488,8 @@ def check_moment_condition(family: NoiseFamily, n_list: Sequence[int], samples: 
     mean = np.zeros((len(n_list), 2))
     se = np.zeros((len(n_list), 2))
     for idx, n in enumerate(n_list):
-        moments = _per_sample(lambda wsub: sixth_moments(family, wsub, n, msub),
-                              1, n, msub, d, samples, stream.child(idx * samples), batch)
+        moments = _per_sample(lambda wsub: sixth_moments(family, wsub, n, MOMENT_MSUB), 1, n,
+                              MOMENT_MSUB, d, samples, stream.child(idx * samples), MOMENT_BATCH)
         mean[idx], se[idx] = mean_se(moments)
     ln = np.log(np.asarray(n_list, dtype=float))
     exp_end = float(np.polyfit(ln, np.log(mean[:, 0]), 1)[0])

@@ -34,8 +34,7 @@ from .shapes import KERNELS, SHAPES, MollifierKernel, ShapeFunction
 
 def zero_drift(d: int = 1) -> DriftField:
     return DriftField(dim=d, fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                      support_radius=1.0, sup_value=0.0, sup_grad=0.0,
-                      lp_norm_fn=lambda p: 0.0, name="zero")
+                      support_radius=1.0, sup_value=0.0, sup_grad=0.0, name="zero")
 
 
 def const_drift(v: float, d: int = 1) -> DriftField:

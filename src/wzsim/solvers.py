@@ -323,14 +323,6 @@ def _level_values(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w
     return _dense_values(b_n, sigma, xs, vst, h, config.n_ref), status
 
 
-def _level_sups(xv: np.ndarray, b_n: DriftField, sigma: DiffusionField, family: NoiseFamily,
-                w: np.ndarray, n: int, layout: tuple[int, int], x0,
-                config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sup distance of each Euler path in xv to its level-n random ODE, and the ODE statuses."""
-    xnv, status = _level_values(b_n, sigma, family, w, n, layout, x0, config)
-    return sup_distance_values(xv, xnv), status
-
-
 def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
                   family: NoiseFamily, levels: Sequence[tuple[int, DriftField]], x0,
                   stream: RngStream, config: SolverConfig,
@@ -348,7 +340,9 @@ def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
     sups = np.empty((count, len(levels)))
     st_ode = np.empty((count, len(levels)), dtype=np.int64)
     for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):
-        sups[:, li], st_ode[:, li] = _level_sups(xv, b_n, sigma, family, w, n, layout, x0, config)
+        xnv, st_ode[:, li] = _level_values(b_n, sigma, family, w, n, layout, x0, config)
+        sups[:, li] = sup_distance_values(xv, xnv)
+        del xnv  # one level's node values alive at a time
     return sups, st_sde, st_ode
 
 

@@ -103,15 +103,14 @@ def test_non_elliptic_diffusion_rejected(tmp_path, capsys):
     assert "non-elliptic" in capsys.readouterr().err
 
 
-def test_p_validation_with_override(tmp_path, capsys):
+def test_p_outside_the_hypothesis_exits_2(tmp_path, capsys):
     # the ramp schedule is defined from n = 16 on at alpha = 0.4
     base = (RATE_CFG.format(out=tmp_path / "o") + "p = 1.5\n").replace(
         "n_list = 8 16 32", "n_list = 16 32 64")
     seq = base.replace("[model]", "[model]\nsequence = ramp alpha=0.4 delta=0.5")
     cfg = write(tmp_path, "p.ini", seq)
     assert run_cli("--config", cfg) == 2
-    cfg2 = write(tmp_path, "p2.ini", seq + "allow_p_violation = true\n")
-    assert run_cli("--config", cfg2) == 0
+    assert "p=1.5 must satisfy p >= 2" in capsys.readouterr().err
 
 
 def test_rate_sweep_csv_schema(tmp_path):
@@ -249,12 +248,18 @@ def test_tube_command(tmp_path):
     (RATE_CFG, "x0 = 0.0", "sequence = zigzag\nx0 = 0.0", "zigzag"),
     # only drift, diffusion, family, sequence and x0 are [model] keys
     (COEFFS_CFG, "family = piecewise shape=linear", "famliy = mollified kernel=bump", "famliy"),
+    # a number must be finite
+    (RATE_CFG, "paths = 60", "paths = 60\np = nan", "p"),
+    (RATE_CFG, "x0 = 0.0", "x0 = inf", "x0"),
+    (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder = 0.5 nan", "eps_ladder"),
+    (RATE_CFG, "drift = sin_bump", "drift = ramp chi=nan", "chi"),
 ], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
         "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift",
         "unknown_drift_param", "unknown_diffusion_param", "unknown_family_param",
         "diffusion_dim_not_the_commands", "repeated_param", "schedule_param_of_a_drift",
         "unknown_sequence_param", "unknown_mollified_sequence_param", "sequence_exponent",
-        "unknown_sequence", "unknown_model_key"])
+        "unknown_sequence", "unknown_model_key", "nan_exponent", "infinite_x0",
+        "nan_ladder_entry", "nan_field_param"])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
     text = config.format(out=tmp_path / "o")
     assert line in text
@@ -490,3 +495,25 @@ def test_every_param_the_cli_reads_is_in_the_readme_config_block():
     assert {"indicator01", "alpha", "delta", "hann", "smoothstep"} <= names
     missing = sorted(n for n in names if not re.search(rf"(?<!\w){n}(?!\w)", model))
     assert missing == []
+
+
+def test_no_public_callable_takes_a_removed_knob():
+    # batch sizes, quadrature cells, the speed threshold and the member
+    # tolerance are module constants; none of them is a parameter again
+    import wzsim
+
+    knobs = {"batch", "cells", "threshold", "tol"}
+    found = []
+    for name in wzsim.__all__:
+        obj = getattr(wzsim, name)
+        if not callable(obj):
+            continue
+        members = [obj] + [m for k, m in vars(obj).items()
+                           if inspect.isclass(obj) and not k.startswith("_") and callable(m)]
+        for fn in members:
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):
+                continue
+            found += [f"{name}.{getattr(fn, '__name__', '')}({p})" for p in params if p in knobs]
+    assert found == []

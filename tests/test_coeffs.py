@@ -49,11 +49,20 @@ def ramp_lp_exact(chi: float, p: float) -> float:
 
 def test_indicator_has_unit_norm_for_every_p():
     b = indicator_drift()
-    # analytic value is declared; the quadrature must agree
+    # no analytic value is declared: both are the midpoint quadrature
     quad = DriftField(dim=1, fn=b.fn, support_radius=2.0)
     for p in (1.0, 2.0, 4.0, 7.0):
         assert lp_norm(b, p) == pytest.approx(1.0, abs=1e-12)
         assert lp_norm(quad, p) == pytest.approx(1.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan, 0.5])
+def test_lp_norm_rejects_a_non_finite_or_small_exponent(p):
+    # sin_bump's sup is 0.906, but p = inf used to give 1.0 for every field
+    with pytest.raises(ValidationError, match="must be finite and >= 1"):
+        lp_norm(sin_bump_drift(), p)
+    with pytest.raises(ValidationError, match="must be finite and >= 1"):
+        lp_distance(sin_bump_drift(), zero_drift(), p)
 
 
 def test_zero_field_has_zero_norm():

@@ -83,32 +83,35 @@ def test_estimate_is_deterministic():
 
 
 BATCHED_ESTIMATORS = {
-    "mc_mean_sup_error": lambda batch: mc_mean_sup_error(
-        _setup(), 16, 70, RngStream(4, 0), batch=batch),
+    "mc_mean_sup_error": lambda: mc_mean_sup_error(_setup(), 16, 70, RngStream(4, 0)),
     # the multi-level driver behind mc_mean_sup_error and rate_sweep
-    "mc_mean_sup_error_three_levels": lambda batch: experiments._mean_sup_errors(
-        _setup(n_ref=128, m_ode=4), [16, 32, 64], 70, RngStream(4, 4), batch),
-    "stability_sweep": lambda batch: stability_sweep(
+    "mc_mean_sup_error_three_levels": lambda: experiments._mean_sup_errors(
+        _setup(n_ref=128, m_ode=4), [16, 32, 64], 70, RngStream(4, 4), experiments.SWEEP_BATCH),
+    "stability_sweep": lambda: stability_sweep(
         indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
         sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, [16, 64], 70, RngStream(4, 1),
-        SolverConfig(n_ref=256), batch=batch),
+        SolverConfig(n_ref=256)),
     # the target path is an input echoed into every report; compare the rest
-    "tube_ladder": lambda batch: [dataclasses.replace(r, target=None) for r in tube_ladder(
+    "tube_ladder": lambda: [dataclasses.replace(r, target=None) for r in tube_ladder(
         indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
         make_target("line", make_grid(1.0, 256), 0.0), [0.25, 0.5, 1.0], 70,
-        RngStream(4, 2), batch=batch)],
-    "girsanov_mean": lambda batch: girsanov_mean(
+        RngStream(4, 2))],
+    "girsanov_mean": lambda: girsanov_mean(
         indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0, 70, RngStream(4, 3),
-        make_grid(1.0, 256), batch=batch),
+        make_grid(1.0, 256)),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(BATCHED_ESTIMATORS))
-def test_batched_and_unbatched_estimates_agree(estimator):
+def test_batched_and_unbatched_estimates_agree(monkeypatch, estimator):
     # path i always consumes stream.child(i), so the batch size (7 divides
     # the 70 paths, 16 does not, 70 is one batch) must not change a single
     # field of the report
-    run = BATCHED_ESTIMATORS[estimator]
+    def run(batch):
+        for name in ("SWEEP_BATCH", "EULER_BATCH"):
+            monkeypatch.setattr(experiments, name, batch)
+        return BATCHED_ESTIMATORS[estimator]()
+
     unbatched = run(70)
     assert run(7) == unbatched
     assert run(16) == unbatched

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wzsim import get_shape
+from wzsim import get_shape, noise
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.noise import (
     CONVOLUTION_ORDER,
@@ -384,28 +384,29 @@ def test_c_rejects_time_off_the_block_lattice():
 
 
 BATCHED_ESTIMATORS = {
-    "estimate_s": lambda batch: estimate_s(MCS, 16, 100, RngStream(76, 0), batch=batch),
-    "estimate_s_mollified": lambda batch: estimate_s(Mollified(bump_kernel()), 16, 100,
-                                                     RngStream(76, 3), batch=batch),
-    "estimate_c": lambda batch: estimate_c(Mollified(bump_kernel()), 16, 0.25, 100,
-                                           RngStream(76, 1), batch=batch),
-    "check_moment_condition": lambda batch: check_moment_condition(
-        LIN, [4, 8, 16], 100, RngStream(76, 2), batch=batch),
-    "check_moment_condition_mollified": lambda batch: check_moment_condition(
-        Mollified(bump_kernel()), [4, 8, 16], 100, RngStream(76, 4), batch=batch),
+    "estimate_s": lambda: estimate_s(MCS, 16, 100, RngStream(76, 0)),
+    "estimate_s_mollified": lambda: estimate_s(Mollified(bump_kernel()), 16, 100, RngStream(76, 3)),
+    "estimate_c": lambda: estimate_c(Mollified(bump_kernel()), 16, 0.25, 100, RngStream(76, 1)),
+    "check_moment_condition": lambda: check_moment_condition(LIN, [4, 8, 16], 100, RngStream(76, 2)),
+    "check_moment_condition_mollified": lambda: check_moment_condition(
+        Mollified(bump_kernel()), [4, 8, 16], 100, RngStream(76, 4)),
 }
 
 
 @pytest.mark.parametrize("estimator", sorted(BATCHED_ESTIMATORS))
-def test_batched_and_unbatched_estimates_agree(estimator):
+def test_batched_and_unbatched_estimates_agree(monkeypatch, estimator):
     # sample i always draws stream.child(i) and its value is reduced once, in
     # sample order, so the batch size (one path at a time; 7 and 16, which do
     # not divide the 100 samples; 100, one batch) must not change a single
     # bit of the report
-    run = BATCHED_ESTIMATORS[estimator]
-    unbatched = dataclasses.astuple(run(100))
+    def run(batch):
+        for name in ("S_BATCH", "C_BATCH", "MOMENT_BATCH"):
+            monkeypatch.setattr(noise, name, batch)
+        return dataclasses.astuple(BATCHED_ESTIMATORS[estimator]())
+
+    unbatched = run(100)
     for batch in (1, 7, 16):
-        got = dataclasses.astuple(run(batch))
+        got = run(batch)
         assert all(np.array_equal(a, b) for a, b in zip(got, unbatched))
 
 

@@ -58,7 +58,8 @@ def test_indicator_has_unit_norm_for_every_p():
 
 @pytest.mark.parametrize("p", [math.inf, -math.inf, math.nan, 0.5])
 def test_lp_norm_rejects_a_non_finite_or_small_exponent(p):
-    # sin_bump's sup is 0.906, but p = inf used to give 1.0 for every field
+    # a midpoint sum has no p = inf limit: it gave 1.0 for every field, though
+    # sin_bump's sup is 0.906
     with pytest.raises(ValidationError, match="must be finite and >= 1"):
         lp_norm(sin_bump_drift(), p)
     with pytest.raises(ValidationError, match="must be finite and >= 1"):

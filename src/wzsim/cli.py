@@ -346,25 +346,23 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
     eps_ladder = [_number("eps_ladder", v) for v in cfg.params.get("eps_ladder", "").split()] or \
         [cfg.param("epsilon", default=0.5)]
     grid = config.grid()
+    kinds = cfg.param("targets", default="const line sine", cast=str).split()
     targets = []
-    for kind in cfg.param("targets", default="const line sine", cast=str).split():
+    for kind in kinds:
         tpar = {}
         if kind == "line":
             tpar["slope"] = cfg.param("line_slope", default=1.0)
         if kind == "sine":
             tpar["amp"] = cfg.param("sine_amp", default=0.3)
             tpar["freq"] = cfg.param("sine_freq", default=1.0)
-        targets.append((kind, make_target(kind, grid, x0, **tpar)))
+        targets.append(make_target(kind, grid, x0, **tpar))
+    reports = tube_ladder(drift, sigma, correction, x0, targets, eps_ladder, paths, stream)
     rows = []
     lines = [f"tube: drift={drift.name} sigma={sigma.name} x0={x0:g} paths={paths}"]
-    for ti, (kind, target) in enumerate(targets):
-        reports = tube_ladder(drift, sigma, correction, x0, target, eps_ladder, paths,
-                              stream.child(ti * _STRIDE))
-        for rep in reports:
-            rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence,
-                         rep.aborted))
-            lines.append(f"  target={kind:5s} eps={rep.epsilon:<6g} hits={rep.hits:7d}"
-                         f"  lcb={rep.lower_confidence:.3e}")
+    for kind, rep in zip([kind for kind in kinds for _ in eps_ladder], reports):
+        rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence, rep.aborted))
+        lines.append(f"  target={kind:5s} eps={rep.epsilon:<6g} hits={rep.hits:7d}"
+                     f"  lcb={rep.lower_confidence:.3e}")
     write_csv(cfg, "tube.csv", ["target", "epsilon", "paths", "hits", "lcb", "aborted"], rows)
     _write_summary(cfg, lines)
 

@@ -205,8 +205,8 @@ def ramp_approximation(chi: float) -> DriftField:
     select of min(t + 1, 1) for x <= 1 and (chi + 2)/2 - t above, clipped at 0.
     """
     c = float(chi)
-    if c <= 0.0:
-        raise ValidationError(f"chi = {c} must be positive")
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"chi = {c} must be positive and finite")
 
     def fn(x, h=c / 2.0, k=(c + 2.0) / 2.0):
         x = np.asarray(x, dtype=float)
@@ -227,8 +227,8 @@ def mollified_indicator(kappa: float) -> DriftField:
     at x = 1/2; the slope bound is taken as the grid maximum of the exact
     derivative (s/sqrt(pi)) (exp(-x^2 s^2) - exp(-(x-1)^2 s^2)).
     """
-    if kappa <= 0.0:
-        raise ValidationError("kappa must be positive")
+    if not 0.0 < kappa < math.inf:
+        raise ValidationError(f"kappa = {kappa} must be positive and finite")
     s = math.sqrt(kappa / 2.0)
 
     def fn(x, s=s):

@@ -11,7 +11,9 @@ reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
 level estimates are therefore positively correlated, and its first level
 equals ``mc_mean_sup_error`` at that level on the same stream.  A
-stability sweep shares paths across levels the same way.
+stability sweep shares paths across levels the same way, and a tube ladder
+across its targets and radii: one Brownian sample and one Euler solve per
+path serve every target.
 
 A path whose solver status is non-zero or whose value is not finite is
 aborted at that level: left out, counted and reported per level; an abort
@@ -304,35 +306,52 @@ def _binomial_lcb(hits: int, paths: int) -> float:
 
 
 def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-               target: Path, paths: int, stream: RngStream) -> tuple[np.ndarray, int]:
-    """Sup distances to the target of the paths that did not abort, and the abort count."""
-    grid = target.grid
+               targets: Sequence[Path], paths: int,
+               stream: RngStream) -> tuple[list[np.ndarray], list[int]]:
+    """Per target, the sup distances of the paths that did not abort, and the abort count.
+
+    Each batch samples W and runs ``em_batch`` once; every target's sup
+    distance is taken from those paths, one target at a time, and an Euler
+    abort counts against every target.
+    """
+    if not targets:
+        raise ValidationError("need at least one target")
+    grid = targets[0].grid
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    if x0v.shape[0] != target.dim:
-        raise ValidationError("x0 dimension does not match the target path")
-    if np.max(np.abs(target.values[0] - x0v)) > 1e-12:
-        raise ValidationError("target path must start at x0")
+    for target in targets:
+        if target.grid != grid:
+            raise ValidationError("every target path must lie on one grid")
+        if x0v.shape[0] != target.dim:
+            raise ValidationError("x0 dimension does not match the target path")
+        if np.max(np.abs(target.values[0] - x0v)) > 1e-12:
+            raise ValidationError("target path must start at x0")
 
     def simulate(s: RngStream, m: int):
-        dw = np.diff(sample_brownian_batch(grid, target.dim, s, m), axis=1)
+        dw = np.diff(sample_brownian_batch(grid, x0v.shape[0], s, m), axis=1)
         xv, st = em_batch(b, sigma, c, x0v, dw, grid.dt)
-        return sup_distance_values(xv, target.values), st
+        return np.column_stack([sup_distance_values(xv, t.values) for t in targets]), st
 
-    (sups,), (aborted,) = _run_paths(simulate, paths, stream, EULER_BATCH)
-    return sups, aborted
+    return _run_paths(simulate, paths, stream, EULER_BATCH)
 
 
 def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-                target: Path, eps_list: Sequence[float], paths: int,
+                targets: Sequence[Path], eps_list: Sequence[float], paths: int,
                 stream: RngStream) -> list[TubeReport]:
-    """Tube reports for several radii evaluated on one shared path sample."""
+    """Tube reports for every target and radius, target-major, from one shared path sample.
+
+    Path i uses stream.child(i) for every target and radius, as a sweep's
+    paths do across its levels: each target's reports equal those of a
+    one-target call on the same stream, and the estimates of different
+    targets are correlated, so each ``lower_confidence`` is a marginal bound.
+    """
     if any(eps <= 0.0 for eps in eps_list):
         raise ValidationError("epsilon must be positive")
-    sups, aborted = _tube_sups(b, sigma, c, x0, target, paths, stream)
+    sups, aborted = _tube_sups(b, sigma, c, x0, targets, paths, stream)
     out = []
-    for eps in eps_list:
-        hits = int((sups < eps).sum())
-        out.append(TubeReport(target, eps, paths, hits, _binomial_lcb(hits, paths), aborted))
+    for target, t_sups, t_aborted in zip(targets, sups, aborted):
+        for eps in eps_list:
+            hits = int((t_sups < eps).sum())
+            out.append(TubeReport(target, eps, paths, hits, _binomial_lcb(hits, paths), t_aborted))
     return out
 
 

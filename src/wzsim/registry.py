@@ -44,6 +44,10 @@ def const_drift(v: float, d: int = 1) -> DriftField:
 
 def gaussian_bump_drift(amp: float = 1.0, width: float = 1.0) -> DriftField:
     """b(x) = amp * exp(-x^2 / 2 width^2); unbounded support, analytic L^p norm."""
+    if not (math.isfinite(amp) and 0.0 < width < math.inf):
+        raise ValidationError(f"gaussian_bump needs a finite amp and a positive finite width, "
+                              f"got {amp}, {width}")
+
     def fn(x, a=amp, w=width):
         x = np.asarray(x, dtype=float)
         return a * np.exp(-(x * x) / (2.0 * w * w))
@@ -61,6 +65,9 @@ def sin_bump_drift(radius: float = 5.0) -> DriftField:
 
     Smooth, compactly supported, C^1 bounds measured once on a fine grid.
     """
+    if not 0.0 < radius < math.inf:
+        raise ValidationError(f"radius = {radius} must be positive and finite")
+
     def fn(x, r=radius):
         x = np.asarray(x, dtype=float)
         u = x / r
@@ -101,8 +108,8 @@ def _diag_field(s, ds, d, **meta) -> DiffusionField:
 
 
 def const_diffusion(s0: float = 1.0, d: int = 1) -> DiffusionField:
-    if s0 <= 0.0:
-        raise ValidationError("s0 must be positive")
+    if not 0.0 < s0 < math.inf:
+        raise ValidationError(f"s0 = {s0} must be positive and finite")
     k = max(s0 * s0, 1.0 / (s0 * s0))
     return _diag_field(lambda x: np.full_like(x, s0), lambda x: np.zeros_like(x), d,
                        ellipticity=k, name=f"const[{s0:g}]" if s0 != 1.0 else "identity")
@@ -114,8 +121,8 @@ def identity_diffusion(d: int = 1) -> DiffusionField:
 
 def sin_elliptic_diffusion(a: float = 1.0, b: float = 0.5, d: int = 1) -> DiffusionField:
     """sigma(x) = diag(a + b sin x_i); uniformly elliptic when a > |b|."""
-    if a <= abs(b):
-        raise ValidationError("sin_elliptic needs a > |b| for uniform ellipticity")
+    if not abs(b) < a < math.inf:
+        raise ValidationError("sin_elliptic needs a finite a > |b| for uniform ellipticity")
     lo, hi = (a - abs(b)) ** 2, (a + abs(b)) ** 2
     k = max(hi, 1.0 / lo)
     return _diag_field(lambda x: a + b * np.sin(x), lambda x: b * np.cos(x), d,

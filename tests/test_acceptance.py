@@ -209,12 +209,13 @@ def test_criterion_08_support_probe():
     ladder = [0.25, 0.5, 1.0]
     all_ok = True
     details = []
-    for ti, (kind, params) in enumerate([("const", {}), ("line", {"slope": 1.0}),
-                                         ("sine", {"amp": 0.3, "freq": 1.0})]):
-        target = make_target(kind, grid, 0.0, **params)
-        reports = tube_ladder(indicator_drift(), SIN_ELL, HALF, 0.0, target,
-                              ladder, paths, RngStream(88, ti * (1 << 33)))
-        hits = [r.hits for r in reports]
+    kinds = [("const", {}), ("line", {"slope": 1.0}), ("sine", {"amp": 0.3, "freq": 1.0})]
+    # one path sample serves every target and radius
+    reports = tube_ladder(indicator_drift(), SIN_ELL, HALF, 0.0,
+                          [make_target(kind, grid, 0.0, **params) for kind, params in kinds],
+                          ladder, paths, RngStream(88, 0))
+    for ti, (kind, _) in enumerate(kinds):
+        hits = [r.hits for r in reports[ti * len(ladder):(ti + 1) * len(ladder)]]
         all_ok &= hits[1] >= 1 and hits == sorted(hits)
         details.append(f"{kind}:{hits}")
     verdict(8, all_ok, f"hits per radius {ladder} on shared samples: " + "  ".join(details))

@@ -219,6 +219,23 @@ def test_tube_command(tmp_path):
         assert hits == sorted(hits)
 
 
+def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monkeypatch):
+    # 3000 paths are three batches of 1024; each batch draws W and runs the
+    # Euler solve once, and all three targets read their sup distances from it
+    calls = {"sample_brownian_batch": 0, "em_batch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, name, counted)
+    out = tmp_path / "res"
+    text = TUBE_CFG.format(out=out).replace("targets = const line", "targets = const line sine")
+    assert run_cli("--config", write(tmp_path, "t.ini", text)) == 0
+    assert len((out / "tube.csv").read_text().splitlines()) == 2 + 3 * 3
+    assert calls == {"sample_brownian_batch": 3, "em_batch": 3}
+
+
 @pytest.mark.parametrize("config,line,bad,key", [
     (RATE_CFG, "paths = 60", "paths = forty", "paths"),
     (RATE_CFG, "n_list = 8 16 32", "n_list = 16 32 x", "n_list"),

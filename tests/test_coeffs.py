@@ -390,3 +390,23 @@ def test_linear_diffusion_flagged_degenerate():
 
 def test_sin_bump_metadata_consistent():
     _require_c1(sin_bump_drift())
+
+
+NON_FINITE_BUILDERS = {
+    "ramp_chi": ramp_approximation,
+    "mollified_kappa": mollified_indicator,
+    "const_diffusion_s0": const_diffusion,
+    "sin_elliptic_a": lambda v: sin_elliptic_diffusion(v, 0.5),
+    "sin_elliptic_b": lambda v: sin_elliptic_diffusion(1.0, v),
+    "gaussian_bump_amp": lambda v: gaussian_bump_drift(v, 1.0),
+    "gaussian_bump_width": lambda v: gaussian_bump_drift(1.0, v),
+    "sin_bump_radius": sin_bump_drift,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("builder", sorted(NON_FINITE_BUILDERS))
+def test_field_builders_reject_a_non_finite_parameter(builder, value):
+    # a check written as x <= 0 lets nan through, and x > 0 lets inf through
+    with pytest.raises(ValidationError):
+        NON_FINITE_BUILDERS[builder](value)

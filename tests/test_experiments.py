@@ -91,11 +91,12 @@ BATCHED_ESTIMATORS = {
         indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
         sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, [16, 64], 70, RngStream(4, 1),
         SolverConfig(n_ref=256)),
-    # the target path is an input echoed into every report; compare the rest
+    # the target paths are inputs echoed into every report; compare the rest.
+    # Two targets: the batches are shared across them
     "tube_ladder": lambda: [dataclasses.replace(r, target=None) for r in tube_ladder(
         indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
-        make_target("line", make_grid(1.0, 256), 0.0), [0.25, 0.5, 1.0], 70,
-        RngStream(4, 2))],
+        [make_target(kind, make_grid(1.0, 256), 0.0) for kind in ("line", "sine")],
+        [0.25, 0.5, 1.0], 70, RngStream(4, 2))],
     "girsanov_mean": lambda: girsanov_mean(
         indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0, 70, RngStream(4, 3),
         make_grid(1.0, 256)),
@@ -194,7 +195,18 @@ FAIL_FAST_CALLS = {
         _setup(drift=indicator_drift()), 16, 30, RngStream(0, 0)),
     "tube_ladder_zero_radius": lambda: tube_ladder(
         zero_drift(), identity_diffusion(), HALF, 0.0,
-        make_target("const", make_grid(1.0, 64), 0.0), [0.5, 0.0], 100, RngStream(0, 0)),
+        [make_target("const", make_grid(1.0, 64), 0.0)], [0.5, 0.0], 100, RngStream(0, 0)),
+    "tube_ladder_no_target": lambda: tube_ladder(
+        zero_drift(), identity_diffusion(), HALF, 0.0, [], [0.5], 100, RngStream(0, 0)),
+    # the second target lies on another grid, or starts away from x0
+    "tube_ladder_target_on_another_grid": lambda: tube_ladder(
+        zero_drift(), identity_diffusion(), HALF, 0.0,
+        [make_target("const", make_grid(1.0, 64), 0.0),
+         make_target("line", make_grid(1.0, 128), 0.0)], [0.5], 100, RngStream(0, 0)),
+    "tube_ladder_target_away_from_x0": lambda: tube_ladder(
+        zero_drift(), identity_diffusion(), HALF, 0.0,
+        [make_target("const", make_grid(1.0, 64), 0.0),
+         make_target("line", make_grid(1.0, 64), 1.0)], [0.5], 100, RngStream(0, 0)),
     "girsanov_mean_full_sigma": lambda: girsanov_mean(
         zero_drift(2), _coupled_sigma(), np.zeros(2), 100, RngStream(0, 0), make_grid(1.0, 64)),
     "girsanov_weight_full_sigma": lambda: experiments._driftless_weights(
@@ -399,7 +411,7 @@ def test_huge_radius_hits_everything():
     g = make_grid(1.0, 256)
     t = make_target("const", g, 0.0)
     (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                         0.0, t, [1e6], 500, RngStream(12, 0))
+                         0.0, [t], [1e6], 500, RngStream(12, 0))
     assert rep.hits == rep.paths == 500
     assert rep.lower_confidence > 0.99
 
@@ -414,7 +426,7 @@ def test_simulated_path_is_in_the_bulk():
     assert st[0] == 0
     target = Path(g, vals[0])
     (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                         0.0, target, [0.5], 10000, RngStream(13, 0))
+                         0.0, [target], [0.5], 10000, RngStream(13, 0))
     assert rep.hits > 0
 
 
@@ -422,20 +434,39 @@ def test_ladder_is_monotone_on_shared_samples():
     g = make_grid(1.0, 256)
     t = make_target("line", g, 0.0, slope=1.0)
     reports = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                          0.0, t, [0.25, 0.5, 1.0, 2.0], 2000, RngStream(14, 0))
+                          0.0, [t], [0.25, 0.5, 1.0, 2.0], 2000, RngStream(14, 0))
     hits = [r.hits for r in reports]
     assert hits == sorted(hits)
     # shared samples: rerunning a single radius gives the identical count
     (single,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                            0.0, t, [0.5], 2000, RngStream(14, 0))
+                            0.0, [t], [0.5], 2000, RngStream(14, 0))
     assert single.hits == hits[1]
+
+
+def test_each_target_equals_its_one_target_ladder():
+    # path i uses stream.child(i) for every target, so a three-target call is
+    # three one-target calls on the same stream, target-major, bit for bit
+    g = make_grid(1.0, 256)
+    targets = [make_target("const", g, 0.0), make_target("line", g, 0.0, slope=1.0),
+               make_target("sine", g, 0.0, amp=0.3, freq=1.0)]
+    ladder, stream = [0.25, 0.5, 1.0], RngStream(14, 1)
+    reports = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
+                          0.0, targets, ladder, 1500, stream)
+    assert len(reports) == 3 * len(ladder)
+    for ti, target in enumerate(targets):
+        one = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
+                          0.0, [target], ladder, 1500, stream)
+        shared = reports[ti * len(ladder):(ti + 1) * len(ladder)]
+        assert [(r.epsilon, r.hits, r.lower_confidence, r.aborted) for r in shared] == \
+            [(r.epsilon, r.hits, r.lower_confidence, r.aborted) for r in one]
+        assert all(np.array_equal(r.target.values, target.values) for r in shared)
 
 
 def test_target_must_start_at_x0():
     g = make_grid(1.0, 64)
     t = make_target("const", g, 1.0)
     with pytest.raises(ValidationError):
-        tube_ladder(zero_drift(), identity_diffusion(), HALF, 0.0, t, [0.5], 100, RngStream(15, 0))
+        tube_ladder(zero_drift(), identity_diffusion(), HALF, 0.0, [t], [0.5], 100, RngStream(15, 0))
 
 
 def test_make_target_kinds():

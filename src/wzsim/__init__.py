@@ -44,27 +44,22 @@ from .experiments import (
     tube_ladder,
 )
 from .noise import (
-    ApproxPath,
     CoefficientMatrix,
     McShane,
     Mollified,
     NoiseFamily,
     PiecewiseShape,
     block_layout,
-    build_approximation,
     check_moment_condition,
     estimate_c,
     estimate_s,
-    levy_area,
 )
 from .registry import get_kernel, get_shape
 from .shapes import MollifierKernel, ShapeFunction
 from .solvers import (
     SolverAbort,
     SolverConfig,
-    coupled_run,
     solve_ito_corrected,
-    solve_random_ode,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

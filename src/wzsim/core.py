@@ -45,13 +45,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.arange(self.steps + 1) * self.dt
 
-    def node_index(self, t: float) -> int:
-        """Index of grid node t; raises if t is not on the grid."""
-        k = int(round(t / self.dt))
-        if k < 0 or k > self.steps or abs(k * self.dt - t) > 1e-9 * max(1.0, self.horizon):
-            raise ValidationError(f"t={t} is not a node of the grid (dt={self.dt})")
-        return k
-
 
 def make_grid(horizon: float, steps: int) -> TimeGrid:
     """Build the uniform grid over [0, horizon] with the given step count."""

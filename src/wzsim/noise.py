@@ -13,9 +13,9 @@ with ``msub`` cells per noise block of width 1/n:
 
 ``block_layout`` is the one check of how the level-n blocks lie over a
 Brownian grid (a whole number of blocks, a whole number of grid cells per
-block, a dimension the family supports); ``build_approximation`` and the
-solvers' coupled runs both go through it, and the estimators reject a
-dimension the family does not support by the same rule.
+block, a dimension the family supports); the solvers' coupled runs go
+through it, and the estimators reject a dimension the family does not
+support by the same rule.
 
 Every family has one evaluator pair, ``batch_values`` and ``batch_derivs``,
 and both take block-local positions ``(k, u)``: block index k (an int
@@ -23,20 +23,18 @@ array) and offset u in [0, 1] within that block (a float array of the same
 length), i.e. the time (k + u)/n.  u = 1 is the left limit at the block's
 right end, so a derivative there is block k's even where d/ds W^n jumps at
 (k + 1)/n -- what an integrator stepping up to a kink needs.
-``_block_position`` is the one conversion from times to ``(k, u)``.
 
 The module also estimates the coefficients that decide the limit equation:
-the Levy area functional S_ij(t), the smoothed-path area density
-s_ij(1/n, n), and the drift-correction density c_ij(t, n).  Each functional
-(area density, correction density, the two sixth moments) is written once,
-as a batched per-sample function of ``(family, wsub, n, msub)``.  The
-estimators are plain Monte Carlo in which sample i draws its path from
-``stream.child(i)``; each keeps its per-sample values in sample order and
-reduces them once with ``core.mean_se``, so results do not depend on the
-batch sizes ``S_BATCH``, ``C_BATCH`` and ``MOMENT_BATCH``, internal
-constants that the tests vary.  Time integrals use composite per-cell
-Gauss-Legendre, so piecewise-smooth integrands are resolved exactly
-between kinks.
+the smoothed-path area density s_ij(1/n, n) and the drift-correction
+density c_ij(t, n).  Each functional (area density, correction density, the
+two sixth moments) is written once, as a batched per-sample function of
+``(family, wsub, n, msub)``.  The estimators are plain Monte Carlo in which
+sample i draws its path from ``stream.child(i)``; each keeps its per-sample
+values in sample order and reduces them once with ``core.mean_se``, so
+results do not depend on the batch sizes ``S_BATCH``, ``C_BATCH`` and
+``MOMENT_BATCH``, internal constants that the tests vary.  Time integrals
+use composite per-cell Gauss-Legendre, so piecewise-smooth integrands are
+resolved exactly between kinks.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, mean_se, sample_brownian_batch
+from .core import RngStream, TimeGrid, ValidationError, make_grid, mean_se, sample_brownian_batch
 from .shapes import MollifierKernel, ShapeFunction, _gl_composite
 
 QUAD_ORDER = 4          # Gauss-Legendre nodes per subgrid cell in the estimators
@@ -83,14 +81,6 @@ class NoiseFamily:
     def batch_derivs(self, wsub: np.ndarray, n: int, msub: int,
                      k: np.ndarray, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-def _block_position(times: np.ndarray, n: int, blocks: int):
-    """(k, u) of absolute times in [0, blocks/n]; the end time is (blocks - 1, 1)."""
-    tn = np.asarray(times, dtype=float) * n
-    k = np.clip(np.floor(tn).astype(np.int64), 0, blocks - 1)
-    u = tn - k
-    return k, u
 
 
 @dataclass(frozen=True)
@@ -232,39 +222,8 @@ class Mollified(NoiseFamily):
 
 
 # ---------------------------------------------------------------------------
-# approximation paths
+# noise blocks over a Brownian grid
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ApproxPath:
-    """A smoothed path W^n built from one Brownian path.
-
-    Continuous on [0, T], piecewise C^1 between the block ends k/n (C^1
-    throughout for the mollified family).  ``msub`` is the number of
-    subgrid cells per block carried by the underlying Brownian sample.
-    """
-
-    family: NoiseFamily
-    brownian: Path
-    n: int
-    msub: int
-    blocks: int
-
-    @property
-    def dim(self) -> int:
-        return self.brownian.dim
-
-    def values_at(self, times) -> np.ndarray:
-        k, u = _block_position(np.atleast_1d(times), self.n, self.blocks)
-        return self.family.batch_values(self.brownian.values[None], self.n, self.msub, k, u)[0]
-
-    def derivs_at(self, times) -> np.ndarray:
-        k, u = _block_position(np.atleast_1d(times), self.n, self.blocks)
-        return self.family.batch_derivs(self.brownian.values[None], self.n, self.msub, k, u)[0]
-
-    def value(self, t: float) -> np.ndarray:
-        return self.values_at([t])[0]
 
 
 def _check_dim(family: NoiseFamily, d: int) -> None:
@@ -293,12 +252,6 @@ def block_layout(family: NoiseFamily, grid: TimeGrid, n: int, d: int) -> tuple[i
     return blocks, int(round(msub))
 
 
-def build_approximation(family: NoiseFamily, w: Path, n: int) -> ApproxPath:
-    """Wrap a Brownian path in its smoothed approximation at level n (see ``block_layout``)."""
-    blocks, msub = block_layout(family, w.grid, n, w.dim)
-    return ApproxPath(family, w, n, msub, blocks)
-
-
 # ---------------------------------------------------------------------------
 # quadrature over whole blocks
 # ---------------------------------------------------------------------------
@@ -314,29 +267,6 @@ def _block_quadrature(blocks: int, n: int, msub: int):
     u, w = _gl_composite(cells=msub, order=QUAD_ORDER)
     k = np.repeat(np.arange(blocks), u.size)
     return k, np.tile(u, blocks), np.tile(w / n, blocks)
-
-
-# ---------------------------------------------------------------------------
-# Levy area of the raw Brownian path
-# ---------------------------------------------------------------------------
-
-
-def levy_area(w: Path, t: float) -> np.ndarray:
-    """Antisymmetric area matrix S_ij(t) of the Brownian path, by midpoint sums.
-
-    S_ij(t) = (int_0^t W^i o dW^j - W^j o dW^i) / (2t) with the Stratonovich
-    (midpoint) discretization on the path's grid; S(0) = 0 by convention.
-    """
-    if t == 0.0:
-        return np.zeros((w.dim, w.dim))
-    k = w.grid.node_index(t)
-    if k == 0:
-        return np.zeros((w.dim, w.dim))
-    v = w.values
-    mid = 0.5 * (v[:k] + v[1 : k + 1])
-    dw = v[1 : k + 1] - v[:k]
-    a = mid.T @ dw
-    return (a - a.T) / (2.0 * t)
 
 
 # ---------------------------------------------------------------------------

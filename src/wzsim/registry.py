@@ -38,6 +38,8 @@ def zero_drift(d: int = 1) -> DriftField:
 
 
 def const_drift(v: float, d: int = 1) -> DriftField:
+    if not math.isfinite(v):
+        raise ValidationError(f"const drift value {v} must be finite")
     return DriftField(dim=d, fn=lambda x: np.full_like(np.asarray(x, dtype=float), v),
                       sup_value=abs(v), sup_grad=0.0, name=f"const[{v:g}]")
 

@@ -7,17 +7,15 @@ steps aligned so every kink of the smoothed path is a step boundary.  A
 coupled batch samples W and solves the corrected Euler SDE once per path,
 whatever the number of levels n it is asked for; then, one level at a
 time, it lays the level-n blocks over the same grid with
-``noise.block_layout``, steps the random ODE through ``_ode_paths`` (the
-one Runge-Kutta route over whole noise blocks; ``solve_random_ode`` is its
-row 0 for a single smoothed path) and keeps only the sup error per path,
-so a level's arrays are freed before the next level starts.  ``coupled_run``
-is its one-path, one-level case that also returns both paths.  The random
-ODE takes ``m_ode`` steps per noise block, however fine the reference grid
-is, and in a coupled run its values at the reference nodes come from each
-step's cubic Hermite interpolant (dense output).  It runs on a smoothed
-drift only: ``_require_c1``, the one C^1 check, rejects a drift without C^1
-metadata or whose central differences on a fixed grid exceed its declared
-slope bound, on every route and for every level before the first path.
+``noise.block_layout``, steps the random ODE in ``_level_values`` (the one
+Runge-Kutta route over whole noise blocks) and keeps only the sup error per
+path, so a level's arrays are freed before the next level starts.  The
+random ODE takes ``m_ode`` steps per noise block, however fine the
+reference grid is, and in a coupled run its values at the reference nodes
+come from each step's cubic Hermite interpolant (dense output).  It runs on
+a smoothed drift only: ``_require_c1``, the one C^1 check, rejects a drift
+without C^1 metadata or whose central differences on a fixed grid exceed
+its declared slope bound, for every level before the first path.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -44,7 +42,7 @@ import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
 from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
-from .noise import ApproxPath, NoiseFamily, block_layout
+from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
 
@@ -135,7 +133,12 @@ def em_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
 
 def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
                         x0, w: Path) -> Path:
-    """Integrate one corrected-SDE path on the grid of the Brownian sample w."""
+    """Integrate one corrected-SDE path on the grid of the Brownian sample w.
+
+    Row 0 of a one-path ``em_batch`` that raises ``SolverAbort`` instead of
+    returning a status.  No command calls it; the benchmark's
+    ``oracle_single_path`` workload does, to time the per-call overhead.
+    """
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape[0] != w.dim:
         raise ValidationError("x0 dimension does not match the Brownian path")
@@ -224,21 +227,6 @@ def _dense_values(b: DriftField, sigma: DiffusionField, xs: np.ndarray,
     return out
 
 
-def _ode_paths(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: np.ndarray,
-               n: int, msub: int, blocks: int, x0,
-               m_ode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """RK4 paths of dx/ds = b_n(x) + sigma(x) dW^n/ds over ``blocks`` whole noise blocks.
-
-    w: Brownian samples (paths, blocks * msub + 1, d) laid out by
-    ``block_layout``.  Returns the step-end values (paths, blocks * m_ode +
-    1, d), the abort status per path, the stage drivers and the step length.
-    """
-    h = 1.0 / (n * m_ode)
-    vst = _stage_derivs(family, w, n, msub, blocks, m_ode)
-    xs, status = rk4_batch(b_n, sigma, x0, vst, h)
-    return xs, status, vst, h
-
-
 def _require_c1(b_n: DriftField) -> None:
     """The random ODE runs on a smoothed drift: reject one without C^1 metadata, or whose
     central differences (step 1e-6) on a fixed grid exceed the declared slope bound by
@@ -259,33 +247,9 @@ def _require_c1(b_n: DriftField) -> None:
                                   f"but its central differences reach {slope:g}")
 
 
-def solve_random_ode(b_n: DriftField, sigma: DiffusionField, wn: ApproxPath,
-                     x0, m_ode: int = 16) -> Path:
-    """Integrate dx/ds = b_n(x) + sigma(x) dW^n/ds over all noise blocks of wn.
-
-    Returns the solution sampled on the ODE step grid (m_ode steps per block).
-    """
-    if m_ode < 4:
-        raise ValidationError("m_ode must be >= 4")
-    _require_c1(b_n)
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
-    xs, status, _, _ = _ode_paths(b_n, sigma, wn.family, wn.brownian.values[None], wn.n,
-                                  wn.msub, wn.blocks, x0v[None], m_ode)
-    if status[0] != 0:
-        raise SolverAbort(int(status[0]))
-    return Path(make_grid(wn.blocks / wn.n, wn.blocks * m_ode), xs[0])
-
-
 # ---------------------------------------------------------------------------
 # coupled runs on shared noise
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoupledRun:
-    x: Path
-    xn: Path
-    sup_error: float
 
 
 def _check_levels(sigma: DiffusionField, family: NoiseFamily,
@@ -299,27 +263,20 @@ def _check_levels(sigma: DiffusionField, family: NoiseFamily,
     return [block_layout(family, grid, n, sigma.dim) for n, _ in levels]
 
 
-def _sde_paths(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-               stream: RngStream, config: SolverConfig,
-               count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Brownian samples (count, n_ref + 1, d), path i from stream.child(i), and their
-    corrected Euler paths and statuses: the half of a coupled run no level changes."""
-    grid = config.grid()
-    w = sample_brownian_batch(grid, sigma.dim, stream, count)
-    xv, status = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
-    return w, xv, status
-
-
 def _level_values(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: np.ndarray,
                   n: int, layout: tuple[int, int], x0,
                   config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """Random-ODE values of level n at the reference nodes of w, and the ODE statuses.
 
-    The step values and stage drivers are freed on return; only the
-    (paths, n_ref + 1, d) node values leave this scope.
+    RK4 steps dx/ds = b_n(x) + sigma(x) dW^n/ds over the ``blocks`` whole
+    noise blocks of ``layout``, m_ode steps per block.  The step values and
+    stage drivers are freed on return; only the (paths, n_ref + 1, d) node
+    values leave this scope.
     """
     blocks, msub = layout
-    xs, status, vst, h = _ode_paths(b_n, sigma, family, w, n, msub, blocks, x0, config.m_ode)
+    h = 1.0 / (n * config.m_ode)
+    vst = _stage_derivs(family, w, n, msub, blocks, config.m_ode)
+    xs, status = rk4_batch(b_n, sigma, x0, vst, h)
     return _dense_values(b_n, sigma, xs, vst, h, config.n_ref), status
 
 
@@ -335,8 +292,10 @@ def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
     Returns sup errors (count, L), the SDE status (count,) and the ODE
     statuses (count, L); sup errors of aborted paths are NaN.
     """
-    layouts = _check_levels(sigma, family, levels, config.grid())
-    w, xv, st_sde = _sde_paths(b, sigma, c, x0, stream, config, count)
+    grid = config.grid()
+    layouts = _check_levels(sigma, family, levels, grid)
+    w = sample_brownian_batch(grid, sigma.dim, stream, count)
+    xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
     sups = np.empty((count, len(levels)))
     st_ode = np.empty((count, len(levels)), dtype=np.int64)
     for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):
@@ -345,17 +304,3 @@ def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
         del xnv  # one level's node values alive at a time
     return sups, st_sde, st_ode
 
-
-def coupled_run(b: DriftField, b_n: DriftField, sigma: DiffusionField,
-                c: CorrectionMatrix, family: NoiseFamily, n: int, x0,
-                stream: RngStream, config: SolverConfig) -> CoupledRun:
-    """One shared-noise draw at one level: corrected SDE vs random ODE, plus their sup distance."""
-    (layout,) = _check_levels(sigma, family, [(n, b_n)], config.grid())
-    w, xv, st_sde = _sde_paths(b, sigma, c, x0, stream, config, 1)
-    xnv, st_ode = _level_values(b_n, sigma, family, w, n, layout, x0, config)
-    for st in (st_sde, st_ode):
-        if st[0] != 0:
-            raise SolverAbort(int(st[0]))
-    grid = config.grid()
-    return CoupledRun(Path(grid, xv[0]), Path(grid, xnv[0]),
-                      float(sup_distance_values(xv[0], xnv[0])))

@@ -367,6 +367,16 @@ def test_importing_the_cli_leaves_scipy_stats_unloaded(package_env):
     assert out.stdout.strip() == "[]"
 
 
+def test_the_benchmark_tracer_finds_every_name_it_wraps(package_env):
+    # perfbench/layers.py wraps package functions by name (solve_ito_corrected,
+    # mc_mean_sup_error, _tube_sups, ...): deleting one breaks traced benchmark runs
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    code = f"import sys; sys.path.insert(0, {str(perfbench)!r}); import layers; layers.Tracer().install()"
+    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+
+
 def _no_paths(monkeypatch):
     """Make every sampler and solver a command could reach fail the test."""
     def unreachable(*args, **kwargs):

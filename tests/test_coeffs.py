@@ -23,6 +23,7 @@ from wzsim.noise import estimate_s
 from wzsim.registry import (
     DIFFUSIONS,
     const_diffusion,
+    const_drift,
     gaussian_bump_drift,
     linear_diffusion,
     sin_bump_drift,
@@ -393,6 +394,7 @@ def test_sin_bump_metadata_consistent():
 
 
 NON_FINITE_BUILDERS = {
+    "const_drift_v": const_drift,
     "ramp_chi": ramp_approximation,
     "mollified_kappa": mollified_indicator,
     "const_diffusion_s0": const_diffusion,

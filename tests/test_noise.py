@@ -11,12 +11,11 @@ from wzsim.noise import (
     Mollified,
     PiecewiseShape,
     area_density,
-    build_approximation,
+    block_layout,
     check_moment_condition,
     correction_density,
     estimate_c,
     estimate_s,
-    levy_area,
     sixth_moments,
 )
 from wzsim.shapes import (
@@ -37,6 +36,16 @@ MCS = McShane(linear_shape(), power_shape(2.0))
 def brownian(n_steps=256, d=1, seed=5, sid=0, horizon=1.0):
     g = make_grid(horizon, n_steps)
     return Path(g, sample_brownian_batch(g, d, RngStream(seed, sid), 1)[0])
+
+
+def at_times(family, w, n, times, derivs=False):
+    """W^n (or dW^n/ds with derivs) of the path w at absolute times, shape (len(times), d)."""
+    blocks, msub = block_layout(family, w.grid, n, w.dim)
+    # block positions (k, u) of the times; the end time is (blocks - 1, 1)
+    tn = np.atleast_1d(np.asarray(times, dtype=float)) * n
+    k = np.clip(np.floor(tn).astype(np.int64), 0, blocks - 1)
+    evaluate = family.batch_derivs if derivs else family.batch_values
+    return evaluate(w.values[None], n, msub, k, tn - k)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -76,28 +85,25 @@ def test_bad_kernel_rejected():
 
 
 # ---------------------------------------------------------------------------
-# building approximations
+# smoothed paths of one Brownian path
 # ---------------------------------------------------------------------------
 
 
 def test_piecewise_linear_is_the_polygonal_interpolant():
     w = brownian(256, d=2)
-    ap = build_approximation(LIN, w, 8)
     # block endpoints reproduce the Brownian path exactly
-    for k in range(9):
-        assert np.allclose(ap.value(k / 8), w.values[k * 32], atol=1e-14)
+    assert np.allclose(at_times(LIN, w, 8, np.arange(9) / 8), w.values[::32], atol=1e-14)
     # mid-block values are the linear interpolant
     t = 3 / 8 + 1 / 16
     expect = 0.5 * (w.values[96] + w.values[128])
-    assert np.allclose(ap.value(t), expect, atol=1e-13)
+    assert np.allclose(at_times(LIN, w, 8, t)[0], expect, atol=1e-13)
 
 
 def test_endpoint_interpolation_any_shape():
     w = brownian(256)
     for shape in [power_shape(2.0), smoothstep_shape()]:
-        ap = build_approximation(PiecewiseShape(shape), w, 8)
-        for k in range(9):
-            assert np.allclose(ap.value(k / 8), w.values[k * 32], atol=1e-13)
+        ends = at_times(PiecewiseShape(shape), w, 8, np.arange(9) / 8)
+        assert np.allclose(ends, w.values[::32], atol=1e-13)
 
 
 def test_zero_path_maps_to_zero_for_every_family():
@@ -105,9 +111,8 @@ def test_zero_path_maps_to_zero_for_every_family():
     z2 = Path(g, np.zeros((257, 2)))
     ts = np.linspace(0.0, 1.0, 17)
     for fam in [LIN, Mollified(bump_kernel()), McShane(linear_shape(), power_shape(2.0))]:
-        ap = build_approximation(fam, z2, 8)
-        assert np.all(ap.values_at(ts) == 0.0)
-        assert np.all(ap.derivs_at(ts) == 0.0)
+        assert np.all(at_times(fam, z2, 8, ts) == 0.0)
+        assert np.all(at_times(fam, z2, 8, ts, derivs=True) == 0.0)
 
 
 def test_mcshane_swaps_shapes_on_negative_increment_product():
@@ -118,9 +123,8 @@ def test_mcshane_swaps_shapes_on_negative_increment_product():
     vals[:, 1] = -np.linspace(0.0, 1.0, 9)   # dW2 = -1
     w = Path(g, vals)
     fam = McShane(linear_shape(), power_shape(2.0))
-    ap = build_approximation(fam, w, 1)
     u = 0.3
-    got = ap.value(u)
+    got = at_times(fam, w, 1, u)[0]
     assert got[0] == pytest.approx(u**2 * 1.0)     # f2 on component 1
     assert got[1] == pytest.approx(u * (-1.0))     # f1 on component 2
 
@@ -131,9 +135,8 @@ def test_mcshane_keeps_shapes_on_positive_product():
     vals[:, 0] = np.linspace(0.0, 1.0, 9)
     vals[:, 1] = np.linspace(0.0, 2.0, 9)
     w = Path(g, vals)
-    ap = build_approximation(McShane(linear_shape(), power_shape(2.0)), w, 1)
     u = 0.3
-    got = ap.value(u)
+    got = at_times(McShane(linear_shape(), power_shape(2.0)), w, 1, u)[0]
     assert got[0] == pytest.approx(u)
     assert got[1] == pytest.approx(u**2 * 2.0)
 
@@ -144,43 +147,42 @@ def test_linearity_in_the_brownian_path():
     for fam, alphas in [(LIN, (2.5, -1.3)),
                         (Mollified(bump_kernel()), (2.5, -1.3)),
                         (McShane(linear_shape(), power_shape(2.0)), (2.5,))]:
-        base = build_approximation(fam, w, 8).values_at(ts)
+        base = at_times(fam, w, 8, ts)
         for a in alphas:
-            scaled = build_approximation(fam, Path(w.grid, a * np.asarray(w.values)), 8)
-            assert np.allclose(scaled.values_at(ts), a * base, atol=1e-12)
+            scaled = at_times(fam, Path(w.grid, a * np.asarray(w.values)), 8, ts)
+            assert np.allclose(scaled, a * base, atol=1e-12)
 
 
 def test_grid_incompatibility_rejected():
     w = brownian(100)  # spacing 1/100 does not divide 1/8
     with pytest.raises(ValidationError):
-        build_approximation(LIN, w, 8)
+        block_layout(LIN, w.grid, 8, w.dim)
 
 
 def test_mcshane_requires_dimension_two():
     w = brownian(256, d=1)
     with pytest.raises(ValidationError):
-        build_approximation(McShane(linear_shape(), linear_shape()), w, 8)
+        block_layout(McShane(linear_shape(), linear_shape()), w.grid, 8, w.dim)
 
 
 def test_mollified_smoothness_fd_vs_analytic_derivative():
     w = brownian(512, seed=3, sid=5)
-    ap = build_approximation(Mollified(bump_kernel()), w, 8)
+    fam = Mollified(bump_kernel())
     rng = np.random.default_rng(0)
     ts = rng.uniform(0.2, 0.95, 100)
-    analytic = ap.derivs_at(ts)
+    analytic = at_times(fam, w, 8, ts, derivs=True)
     h = 1e-6
-    fd = (ap.values_at(ts + h) - ap.values_at(ts - h)) / (2 * h)
+    fd = (at_times(fam, w, 8, ts + h) - at_times(fam, w, 8, ts - h)) / (2 * h)
     assert np.max(np.abs(fd - analytic)) < 1e-4
 
 
 def test_mollified_starts_at_zero_and_has_no_kinks():
     w = brownian(512)
-    ap = build_approximation(Mollified(bump_kernel()), w, 8)
-    assert np.all(ap.value(0.0) == 0.0)
+    fam = Mollified(bump_kernel())
+    assert np.all(at_times(fam, w, 8, 0.0) == 0.0)
     # at each inner block end the left limit (k - 1, u=1) and the right
     # start (k, u=0) are one and the same time for the mollified family ...
     wsub, k = w.values[None], np.arange(1, 8)
-    fam = ap.family
     assert np.array_equal(fam.batch_derivs(wsub, 8, 64, k - 1, np.ones(7)),
                           fam.batch_derivs(wsub, 8, 64, k, np.zeros(7)))
     # ... while the polygonal path's slope jumps there
@@ -261,30 +263,6 @@ def test_u_one_is_the_left_limit_of_block_k(fam):
     assert np.allclose(got, n * slope * dw, rtol=1e-14, atol=0.0)
     right = fam.batch_derivs(wsub, n, msub, k[1:], np.zeros(n - 1))[0]
     assert np.all(got[:-1] != right)
-
-
-# ---------------------------------------------------------------------------
-# Levy area
-# ---------------------------------------------------------------------------
-
-
-def test_levy_area_is_skew_with_zero_diagonal():
-    w = brownian(1024, d=3, seed=21)
-    s = levy_area(w, 1.0)
-    assert np.all(np.diag(s) == 0.0)
-    assert np.array_equal(s, -s.T)
-    assert np.any(s != 0.0)
-
-
-def test_levy_area_zero_time_convention():
-    w = brownian(16, d=2)
-    assert np.all(levy_area(w, 0.0) == 0.0)
-
-
-def test_levy_area_off_grid_time_rejected():
-    w = brownian(16, d=2)
-    with pytest.raises(ValidationError):
-        levy_area(w, 0.4142)
 
 
 # ---------------------------------------------------------------------------

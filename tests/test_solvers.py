@@ -6,7 +6,7 @@ import pytest
 from wzsim import solvers
 from wzsim.coeffs import CorrectionMatrix, DriftField, mollified_indicator, ramp_approximation
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
-from wzsim.noise import Mollified, PiecewiseShape, block_layout, build_approximation
+from wzsim.noise import Mollified, PiecewiseShape, block_layout
 from wzsim.registry import (
     const_diffusion,
     const_drift,
@@ -23,11 +23,9 @@ from wzsim.solvers import (
     SolverAbort,
     SolverConfig,
     coupled_batch,
-    coupled_run,
     em_batch,
     rk4_batch,
     solve_ito_corrected,
-    solve_random_ode,
 )
 
 HALF = CorrectionMatrix.half_identity(1)
@@ -189,9 +187,29 @@ def test_x0_dimension_checked():
 # ---------------------------------------------------------------------------
 
 
-def _approx(n=32, steps=512, seed=9, sid=1, family=LIN):
-    w = _brownian(make_grid(1.0, steps), 1, RngStream(seed, sid))
-    return build_approximation(family, w, n)
+def _block_positions(t, n, blocks):
+    """Block positions (k, u) of times t in [0, blocks/n]; the end time is (blocks - 1, 1)."""
+    k = np.clip(np.floor(t * n).astype(np.int64), 0, blocks - 1)
+    return k, t * n - k
+
+
+def _level_batch(n, family=LIN, steps=512):
+    """The Brownian path of RngStream(9, 1) on ``steps`` cells as a one-path batch, and
+    its level-n (blocks, msub)."""
+    g = make_grid(1.0, steps)
+    return sample_brownian_batch(g, 1, RngStream(9, 1), 1), block_layout(family, g, n, 1)
+
+
+def _random_ode(b_n, sigma, x0, m_ode, family=LIN, n=32):
+    """RK4 path of dx/ds = b_n(x) + sigma(x) dW^n/ds, m_ode steps per block, on
+    ``_level_batch``: the step times, the step values and W^n at the step times."""
+    w, (blocks, msub) = _level_batch(n, family)
+    vst = solvers._stage_derivs(family, w, n, msub, blocks, m_ode)
+    xs, status = rk4_batch(b_n, sigma, np.array([[x0]]), vst, 1.0 / (n * m_ode))
+    assert status[0] == 0
+    t = make_grid(blocks / n, blocks * m_ode).nodes()
+    wn = family.batch_values(w, n, msub, *_block_positions(t, n, blocks))
+    return t, xs[0, :, 0], wn[0, :, 0]
 
 
 def _zero_sigma():
@@ -205,38 +223,30 @@ def _zero_sigma():
 
 
 def test_ode_constant_drift_no_noise():
-    ap = _approx()
-    x = solve_random_ode(const_drift(1.7), _zero_sigma(), ap, 0.2, m_ode=8)
-    t = x.grid.nodes()
-    assert np.max(np.abs(x.values[:, 0] - (0.2 + 1.7 * t))) < 1e-10
+    t, x, _ = _random_ode(const_drift(1.7), _zero_sigma(), 0.2, m_ode=8)
+    assert np.max(np.abs(x - (0.2 + 1.7 * t))) < 1e-10
 
 
 def test_ode_additive_noise_reproduces_the_smoothed_path():
-    ap = _approx()
-    x = solve_random_ode(zero_drift(), const_diffusion(3.0), ap, 0.5, m_ode=8)
-    t = x.grid.nodes()
-    wn = ap.values_at(t)[:, 0]
-    assert np.max(np.abs(x.values[:, 0] - (0.5 + 3.0 * (wn - wn[0])))) < 1e-8
+    _, x, wn = _random_ode(zero_drift(), const_diffusion(3.0), 0.5, m_ode=8)
+    assert np.max(np.abs(x - (0.5 + 3.0 * (wn - wn[0])))) < 1e-8
 
 
 @pytest.mark.parametrize("family,tol", [(LIN, 1e-6), (Mollified(bump_kernel()), 1e-5)])
 def test_ode_exponential_oracle(family, tol):
     # the mollified driver is sharply peaked (bump kernel), which costs the
     # one-step integrator about a digit relative to the polygonal driver
-    ap = _approx(family=family)
-    x = solve_random_ode(zero_drift(), linear_diffusion(), ap, 1.0, m_ode=16)
-    t = x.grid.nodes()
-    wn = ap.values_at(t)[:, 0]
+    _, x, wn = _random_ode(zero_drift(), linear_diffusion(), 1.0, m_ode=16, family=family)
     oracle = np.exp(wn - wn[0])
-    assert np.max(np.abs(x.values[:, 0] / oracle - 1.0)) < tol
+    assert np.max(np.abs(x / oracle - 1.0)) < tol
 
 
 def test_kink_alignment_two_half_windows_equal_one():
     # blocks 2..3 in one run, and block 2 then block 3 restarted from its end value
-    ap = _approx(n=8)
+    w, (blocks, msub) = _level_batch(8)
     b, sigma, m_ode = sin_bump_drift(), sin_elliptic_diffusion(), 8
-    vst = solvers._stage_derivs(LIN, ap.brownian.values[None], ap.n, ap.msub, ap.blocks, m_ode)
-    h = 1.0 / (ap.n * m_ode)
+    vst = solvers._stage_derivs(LIN, w, 8, msub, blocks, m_ode)
+    h = 1.0 / (8 * m_ode)
     full, _ = rk4_batch(b, sigma, np.array([[0.4]]), vst[:, 2 * m_ode:4 * m_ode], h)
     first, _ = rk4_batch(b, sigma, np.array([[0.4]]), vst[:, 2 * m_ode:3 * m_ode], h)
     second, _ = rk4_batch(b, sigma, first[:, -1], vst[:, 3 * m_ode:4 * m_ode], h)
@@ -244,10 +254,8 @@ def test_kink_alignment_two_half_windows_equal_one():
 
 
 def test_ode_requires_smooth_drift_metadata():
-    ap = _approx()
-    singular = indicator_drift()
-    with pytest.raises(ValidationError):
-        solve_random_ode(singular, const_diffusion(1.0), ap, 0.0)
+    with pytest.raises(ValidationError, match="carries no C\\^1 metadata"):
+        solvers._require_c1(indicator_drift())
 
 
 # ---------------------------------------------------------------------------
@@ -256,36 +264,23 @@ def test_ode_requires_smooth_drift_metadata():
 
 
 def test_coupled_additive_error_equals_direct_computation():
+    # zero drift and sigma = s0: X = s0 W and x^n = s0 W^n, so the sup error
+    # is s0 sup |W - W^n| over the reference nodes
     cfg = SolverConfig(n_ref=1 << 10, m_ode=16)
     s0 = 1.5
-    r = coupled_run(zero_drift(), zero_drift(), const_diffusion(s0), HALF, LIN,
-                    16, 0.0, RngStream(5, 77), cfg)
-    w = _brownian(cfg.grid(), 1, RngStream(5, 77).child(0))
-    ap = build_approximation(LIN, w, 16)
-    nodes = cfg.grid().nodes()
-    direct = s0 * np.max(np.abs(w.values[:, 0] - ap.values_at(nodes)[:, 0]))
-    assert abs(r.sup_error - direct) < 1e-10
+    sup, _, _ = coupled_batch(zero_drift(), const_diffusion(s0), HALF, LIN, [(16, zero_drift())],
+                              0.0, RngStream(5, 77), cfg, 4)
+    w = sample_brownian_batch(cfg.grid(), 1, RngStream(5, 77), 4)
+    wn = LIN.batch_values(w, 16, 64, *_block_positions(cfg.grid().nodes(), 16, 16))
+    direct = s0 * np.max(np.abs(w - wn)[:, :, 0], axis=1)
+    assert np.max(np.abs(sup[:, 0] - direct)) < 1e-10
 
 
 def test_coupled_run_is_deterministic():
     cfg = SolverConfig(n_ref=1 << 10, m_ode=16)
-    args = (sin_bump_drift(), sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN,
-            16, 0.0, RngStream(5, 78), cfg)
-    assert coupled_run(*args).sup_error == coupled_run(*args).sup_error
-
-
-def test_coupled_run_is_row_zero_of_the_batched_route():
-    cfg = SolverConfig(n_ref=1 << 9, m_ode=16)
-    b, sigma, stream = sin_bump_drift(), sin_elliptic_diffusion(), RngStream(5, 79)
-    r = coupled_run(b, b, sigma, HALF, LIN, 16, 0.0, stream, cfg)
-    w, xv, _ = solvers._sde_paths(b, sigma, HALF, 0.0, stream, cfg, 4)
-    xnv, _ = solvers._level_values(b, sigma, LIN, w, 16, block_layout(LIN, cfg.grid(), 16, 1),
-                                   0.0, cfg)
-    sup, _, _ = coupled_batch(b, sigma, HALF, LIN, [(16, b)], 0.0, stream, cfg, 4)
-    assert sup.shape == (4, 1)
-    assert np.array_equal(r.x.values, xv[0])
-    assert np.array_equal(r.xn.values, xnv[0])
-    assert r.sup_error == sup[0, 0]
+    args = (sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, sin_bump_drift())],
+            0.0, RngStream(5, 78), cfg, 2)
+    assert np.array_equal(coupled_batch(*args)[0], coupled_batch(*args)[0])
 
 
 def test_each_level_of_a_coupled_batch_equals_its_one_level_batch():
@@ -373,9 +368,9 @@ def test_coupled_identity_coupling_is_exact_for_additive_noise():
     # n = n_ref with the polygonal family: the smoothed path hits every grid
     # node, both solvers are exact, so the coupled error vanishes
     cfg = SolverConfig(n_ref=256, m_ode=16)
-    r = coupled_run(zero_drift(), zero_drift(), const_diffusion(2.0), HALF, LIN,
-                    256, 0.0, RngStream(7, 0), cfg)
-    assert r.sup_error < 1e-12
+    sup, _, _ = coupled_batch(zero_drift(), const_diffusion(2.0), HALF, LIN, [(256, zero_drift())],
+                              0.0, RngStream(7, 0), cfg, 1)
+    assert sup[0, 0] < 1e-12
 
 
 UNDERSTATED = dataclasses.replace(ramp_approximation(6.0), sup_grad=0.01)
@@ -423,9 +418,6 @@ def test_an_understated_slope_bound_is_rejected_in_two_dimensions():
 
 
 COUPLED_BAD_DRIFT_CALLS = {
-    "coupled_run": lambda cfg: coupled_run(
-        indicator_drift(), indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, 16, 0.0,
-        RngStream(8, 1), cfg),
     "coupled_batch": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
         RngStream(8, 1), cfg, 4),
@@ -434,9 +426,9 @@ COUPLED_BAD_DRIFT_CALLS = {
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
         [(16, sin_bump_drift()), (32, indicator_drift())], 0.0, RngStream(8, 1), cfg, 4),
     # C^1 metadata present, but its slope bound is below the ramp's slope chi/2 = 3
-    "coupled_run_understated_slope": lambda cfg: coupled_run(
-        indicator_drift(), UNDERSTATED, sin_elliptic_diffusion(), HALF, LIN, 16, 0.0,
-        RngStream(8, 1), cfg),
+    "coupled_batch_understated_slope": lambda cfg: coupled_batch(
+        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, UNDERSTATED)], 0.0,
+        RngStream(8, 1), cfg, 4),
     "coupled_batch_later_level_understated_slope": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
         [(16, ramp_approximation(6.0)), (32, UNDERSTATED)], 0.0, RngStream(8, 1), cfg, 4),
@@ -457,5 +449,5 @@ def test_coupled_routes_reject_a_drift_without_c1_metadata_before_sampling(monke
 def test_coupled_rejects_incompatible_n_ref():
     cfg = SolverConfig(n_ref=1000, m_ode=16)
     with pytest.raises(ValidationError):
-        coupled_run(zero_drift(), zero_drift(), const_diffusion(1.0), HALF, LIN,
-                    16, 0.0, RngStream(8, 0), cfg)
+        coupled_batch(zero_drift(), const_diffusion(1.0), HALF, LIN, [(16, zero_drift())], 0.0,
+                      RngStream(8, 0), cfg, 1)

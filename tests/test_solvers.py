@@ -418,6 +418,10 @@ def test_an_understated_slope_bound_is_rejected_in_two_dimensions():
 
 
 COUPLED_BAD_DRIFT_CALLS = {
+    # a batch of one path
+    "coupled_run": lambda cfg: coupled_batch(
+        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
+        RngStream(8, 1), cfg, 1),
     "coupled_batch": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
         RngStream(8, 1), cfg, 4),
@@ -426,9 +430,9 @@ COUPLED_BAD_DRIFT_CALLS = {
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
         [(16, sin_bump_drift()), (32, indicator_drift())], 0.0, RngStream(8, 1), cfg, 4),
     # C^1 metadata present, but its slope bound is below the ramp's slope chi/2 = 3
-    "coupled_batch_understated_slope": lambda cfg: coupled_batch(
+    "coupled_run_understated_slope": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, UNDERSTATED)], 0.0,
-        RngStream(8, 1), cfg, 4),
+        RngStream(8, 1), cfg, 1),
     "coupled_batch_later_level_understated_slope": lambda cfg: coupled_batch(
         indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
         [(16, ramp_approximation(6.0)), (32, UNDERSTATED)], 0.0, RngStream(8, 1), cfg, 4),

@@ -20,17 +20,19 @@ reference)::
     n_ref = 8192
     ...
 
+``COMMANDS`` lists each command's ``[model]`` keys and ``[params]`` keys with
+their defaults; any other section, ``[run]`` key other than command, seed and
+out, or key the command does not read exits 2 naming it.
 Field specs are ``name key=value ...`` with registry names; drift,
 diffusion and sequence values are numbers, and a family spec may also name
 a shape or kernel (``shape=``, ``kernel=``, ``f1=``, ``f2=``).  Every name
 is built through ``registry._build``, so an unknown name, an unknown or
-missing key and a key given twice in a spec exit 2 naming it, as does an
-unknown ``[model]`` key.  ``_build_model`` builds the model of the four
-path commands (rate-sweep, stability, tube, girsanov-check) and is the one
-place their dimension is set.  Every CSV
-starts with a provenance comment (seed, config hash, tool version), uses a
-header row, UTF-8, LF line endings and '.' decimals.  Exit codes: 0 ok,
-2 validation error, 3 aborted-path threshold breached.
+missing key and a key given twice in a spec exit 2 naming it.
+``_build_model`` builds the model of the four path commands (rate-sweep,
+stability, tube, girsanov-check) and is the one place their dimension is
+set.  Every CSV starts with a provenance comment (seed, config hash, tool
+version), uses a header row, UTF-8, LF line endings and '.' decimals.  Exit
+codes: 0 ok, 2 validation error, 3 aborted-path threshold breached.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path as FsPath
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .coeffs import CorrectionMatrix, DiffusionField, DriftApproxSequence, DriftField, check_hfn, lp_norm
@@ -60,9 +62,6 @@ from .noise import check_moment_condition, estimate_c, estimate_s
 from .registry import get_diffusion, get_drift, get_family, get_sequence
 from .solvers import SolverConfig
 
-COMMANDS = ("coeffs", "rate-sweep", "stability", "tube", "girsanov-check", "def31-check")
-MODEL_KEYS = ("drift", "diffusion", "family", "sequence", "x0")
-
 # wide id spacing between sub-estimators of one run
 _STRIDE = 1 << 32
 
@@ -73,25 +72,8 @@ class RunConfig:
     seed: int
     out: FsPath
     model: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # every [params] key of the command, typed
     config_hash: str = ""
-
-    def param(self, key, default=None, cast=float):
-        """[params] value of key as float, int, str or list (of ints).
-
-        A value that is not a finite number, or not an integer where one is
-        expected, raises ValidationError naming the key.
-        """
-        if key not in self.params:
-            if default is None:
-                raise ValidationError(f"missing required parameter '{key}'")
-            return default
-        raw = self.params[key]
-        if cast is list:
-            return [_number(key, v, int) for v in raw.replace(",", " ").split()]
-        if cast is str:
-            return raw.strip()
-        return _number(key, raw, cast)
 
 
 def _number(key: str, text: str, cast=float):
@@ -107,6 +89,15 @@ def _number(key: str, text: str, cast=float):
             raise ValidationError(f"parameter '{key}': '{text.strip()}' is not an integer")
         return int(value)
     return value
+
+
+def _param(key: str, text: str, default):
+    """text as a value of default's type: str, a list of its first entry's type, float, or int."""
+    if isinstance(default, str):
+        return text.strip()
+    if isinstance(default, list):
+        return [_number(key, v, type(default[0])) for v in text.replace(",", " ").split()]
+    return _number(key, text, float if isinstance(default, float) else int)
 
 
 def _parse_field_spec(spec: str, names: bool = False) -> tuple[str, dict]:
@@ -151,21 +142,29 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     command = cp.get("run", "command").strip()
     if command not in COMMANDS:
         raise ValidationError(f"unknown command '{command}'; commands: {', '.join(COMMANDS)}")
+    spec = COMMANDS[command]
+    keys = {"run": ("command", "seed", "out"), "model": spec.model, "params": tuple(spec.params)}
+    # configparser copies [DEFAULT] keys into every section, so it is checked first
+    for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
+        if section not in keys:
+            raise ValidationError(f"unknown section [{section}]; sections: {', '.join(keys)}")
+        for key in cp.options(section):
+            if key not in keys[section]:
+                raise ValidationError(f"{command} reads no key '{key}' in [{section}]; "
+                                      f"its keys: {', '.join(keys[section])}")
     text = cp.get("run", "seed", fallback="0") if seed is None else seed
     try:
         seed = int(text)  # never through float: seeds above 2^53 must stay exact
     except ValueError:
         raise ValidationError(f"parameter 'seed': '{text}' is not an integer") from None
-    model = dict(cp.items("model")) if cp.has_section("model") else {}
-    for key in model:
-        if key not in MODEL_KEYS:
-            raise ValidationError(f"unknown key '{key}' in [model]; keys: {', '.join(MODEL_KEYS)}")
+    given = dict(cp.items("params")) if cp.has_section("params") else {}
     return RunConfig(
         command=command,
         seed=seed,
         out=FsPath(out if out is not None else cp.get("run", "out", fallback="out")),
-        model=model,
-        params=dict(cp.items("params")) if cp.has_section("params") else {},
+        model=dict(cp.items("model")) if cp.has_section("model") else {},
+        params={key: _param(key, given[key], default) if key in given else default
+                for key, default in spec.params.items()},
         config_hash=hashlib.sha256(raw).hexdigest()[:16],
     )
 
@@ -214,8 +213,8 @@ class Model(NamedTuple):
     config: SolverConfig
 
 
-def _build_model(cfg: RunConfig, n_ref: int) -> Model:
-    """The [model] drift, diffusion and x0, and the [params] t and n_ref (default n_ref).
+def _build_model(cfg: RunConfig) -> Model:
+    """The [model] drift, diffusion and x0, and the [params] t and n_ref.
 
     Every path command runs in d = 1 with the correction I/2; this is the one
     place the CLI sets its dimension.
@@ -238,8 +237,7 @@ def _build_model(cfg: RunConfig, n_ref: int) -> Model:
             f"diffusion '{sigma.name}' is flagged non-elliptic (oracle-only); "
             "it cannot be used from the CLI"
         )
-    config = SolverConfig(n_ref=cfg.param("n_ref", default=n_ref, cast=int),
-                          horizon=cfg.param("t", default=1.0))
+    config = SolverConfig(n_ref=cfg.params["n_ref"], horizon=cfg.params["t"])
     return Model(drift, sigma, CorrectionMatrix.half_identity(d),
                  _number("x0", cfg.model.get("x0", "0.0")), config)
 
@@ -254,7 +252,7 @@ def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
 
     p must satisfy the theorem's hypothesis p >= 2 and p > d.
     """
-    p = cfg.param("p", default=2.0)
+    p = cfg.params["p"]
     if "sequence" not in cfg.model:
         return None
     name, par = _parse_field_spec(cfg.model["sequence"])
@@ -271,12 +269,9 @@ def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
 
 def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
     family = _build_family(cfg)
-    d = cfg.param("d", default=family.required_dim or 2, cast=int)
-    n = cfg.param("n", default=32, cast=int)
-    samples = cfg.param("samples", default=10000, cast=int)
-    t_mult = cfg.param("t_mult", default=16, cast=int)
-    msub = cfg.param("m_sub", default=8, cast=int)
-    t = t_mult / n
+    n, samples, msub = (cfg.params[k] for k in ("n", "samples", "m_sub"))
+    d = family.required_dim or 2 if cfg.params["d"] is None else cfg.params["d"]
+    t = cfg.params["t_mult"] / n
     s_est = estimate_s(family, n, samples, stream, d=d, msub=msub)
     c_est = estimate_c(family, n, t, samples, stream.child(_STRIDE), d=d, msub=msub)
     dd = s_est.dim
@@ -293,19 +288,18 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _make_setup(cfg: RunConfig) -> WongZakaiSetup:
-    model = _build_model(cfg, 1 << 13)
+    model = _build_model(cfg)
     family = _build_family(cfg)
     seq = _build_sequence(cfg, model.sigma.dim)
-    config = replace(model.config, m_ode=cfg.param("m_ode", default=16, cast=int))
+    config = replace(model.config, m_ode=cfg.params["m_ode"])
     return WongZakaiSetup(drift=model.drift, sigma=model.sigma, correction=model.correction,
                           family=family, x0=model.x0, config=config, drift_seq=seq)
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
     setup = _make_setup(cfg)
-    n_list = cfg.param("n_list", default=[16, 32, 64, 128, 256, 512], cast=list)
-    paths = cfg.param("paths", default=500, cast=int)
-    rep = rate_sweep(setup, n_list, paths, stream)
+    paths = cfg.params["paths"]
+    rep = rate_sweep(setup, cfg.params["n_list"], paths, stream)
     rows = [(n, mse, se, paths, ab) for (n, mse, se), ab in zip(rep.points, rep.aborted)]
     write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths", "aborted"], rows)
     lines = [f"rate-sweep: drift={setup.drift.name} sigma={setup.sigma.name} family={setup.family.name}",
@@ -322,13 +316,12 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, correction, x0, config = _build_model(cfg, 1 << 13)
+    drift, sigma, correction, x0, config = _build_model(cfg)
     seq = _build_sequence(cfg, sigma.dim)
     if seq is None:
         raise ValidationError("stability needs a 'sequence' entry in [model]")
-    n_list = cfg.param("n_list", default=[16, 64, 256], cast=list)
-    paths = cfg.param("paths", default=500, cast=int)
-    rep = stability_sweep(drift, seq, sigma, correction, x0, n_list, paths, stream, config)
+    paths = cfg.params["paths"]
+    rep = stability_sweep(drift, seq, sigma, correction, x0, cfg.params["n_list"], paths, stream, config)
     rows = [(lvl, dist, mse, se, ab)
             for lvl, ((n, dist, mse, se), ab) in enumerate(zip(rep.levels, rep.aborted))]
     write_csv(cfg, "stability.csv", ["level", "lp_distance", "mse", "stderr", "aborted"], rows)
@@ -341,21 +334,10 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, correction, x0, config = _build_model(cfg, 1 << 11)
-    paths = cfg.param("paths", default=100000, cast=int)
-    eps_ladder = [_number("eps_ladder", v) for v in cfg.params.get("eps_ladder", "").split()] or \
-        [cfg.param("epsilon", default=0.5)]
-    grid = config.grid()
-    kinds = cfg.param("targets", default="const line sine", cast=str).split()
-    targets = []
-    for kind in kinds:
-        tpar = {}
-        if kind == "line":
-            tpar["slope"] = cfg.param("line_slope", default=1.0)
-        if kind == "sine":
-            tpar["amp"] = cfg.param("sine_amp", default=0.3)
-            tpar["freq"] = cfg.param("sine_freq", default=1.0)
-        targets.append(make_target(kind, grid, x0, **tpar))
+    drift, sigma, correction, x0, config = _build_model(cfg)
+    paths, eps_ladder = cfg.params["paths"], cfg.params["eps_ladder"]
+    kinds = cfg.params["targets"].split()
+    targets = [make_target(kind, config.grid(), x0) for kind in kinds]
     reports = tube_ladder(drift, sigma, correction, x0, targets, eps_ladder, paths, stream)
     rows = []
     lines = [f"tube: drift={drift.name} sigma={sigma.name} x0={x0:g} paths={paths}"]
@@ -368,8 +350,8 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, _, x0, config = _build_model(cfg, 1 << 12)
-    paths = cfg.param("paths", default=10000, cast=int)
+    drift, sigma, _, x0, config = _build_model(cfg)
+    paths = cfg.params["paths"]
     rep = girsanov_mean(drift, sigma, x0, paths, stream, config.grid())
     write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight", "aborted"],
               [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight, rep.aborted)])
@@ -383,10 +365,9 @@ def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
 
 def _cmd_def31(cfg: RunConfig, stream: RngStream) -> None:
     family = _build_family(cfg)
-    d = cfg.param("d", default=family.required_dim or 1, cast=int)
-    samples = cfg.param("samples", default=10000, cast=int)
-    n_list = cfg.param("n_list", default=[4, 8, 16, 32], cast=list)
-    rep = check_moment_condition(family, n_list, samples, stream, d=d)
+    samples = cfg.params["samples"]
+    d = family.required_dim or 1 if cfg.params["d"] is None else cfg.params["d"]
+    rep = check_moment_condition(family, cfg.params["n_list"], samples, stream, d=d)
     rows = []
     for i, n in enumerate(rep.n_list):
         rows.append(("endpoint6", n, float(rep.endpoint_moment[i]), float(rep.endpoint_stderr[i]), samples))
@@ -399,20 +380,38 @@ def _cmd_def31(cfg: RunConfig, stream: RngStream) -> None:
     ])
 
 
-_DISPATCH = {
-    "coeffs": _cmd_coeffs,
-    "rate-sweep": _cmd_rate_sweep,
-    "stability": _cmd_stability,
-    "tube": _cmd_tube,
-    "girsanov-check": _cmd_girsanov,
-    "def31-check": _cmd_def31,
+class Command(NamedTuple):
+    """A command's function, its [model] keys, and its [params] keys with their defaults."""
+
+    run: Callable[[RunConfig, RngStream], None]
+    model: tuple[str, ...]
+    params: dict
+
+
+_PATH_MODEL = ("drift", "diffusion", "x0")
+
+# a key's type is its default's; d's default None is an int, the family's own dimension
+COMMANDS = {
+    "coeffs": Command(_cmd_coeffs, ("family",),
+                      {"d": None, "n": 32, "samples": 10000, "t_mult": 16, "m_sub": 8}),
+    "rate-sweep": Command(_cmd_rate_sweep, (*_PATH_MODEL, "family", "sequence"),
+                          {"t": 1.0, "n_ref": 8192, "m_ode": 16, "p": 2.0,
+                           "n_list": [16, 32, 64, 128, 256, 512], "paths": 500}),
+    "stability": Command(_cmd_stability, (*_PATH_MODEL, "sequence"),
+                         {"t": 1.0, "n_ref": 8192, "p": 2.0, "n_list": [16, 64, 256], "paths": 500}),
+    "tube": Command(_cmd_tube, _PATH_MODEL,
+                    {"t": 1.0, "n_ref": 2048, "paths": 100000, "eps_ladder": [0.5],
+                     "targets": "const line sine"}),
+    "girsanov-check": Command(_cmd_girsanov, _PATH_MODEL, {"t": 1.0, "n_ref": 4096, "paths": 10000}),
+    "def31-check": Command(_cmd_def31, ("family",),
+                           {"d": None, "samples": 10000, "n_list": [4, 8, 16, 32]}),
 }
 
 
 def run(cfg: RunConfig) -> int:
     """Execute one command; returns the process exit code."""
     try:
-        _DISPATCH[cfg.command](cfg, RngStream(cfg.seed, 0))
+        COMMANDS[cfg.command].run(cfg, RngStream(cfg.seed, 0))
     except (ValidationError, AbortRateError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2 if isinstance(e, ValidationError) else 3

@@ -344,6 +344,8 @@ def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
     one-target call on the same stream, and the estimates of different
     targets are correlated, so each ``lower_confidence`` is a marginal bound.
     """
+    if not eps_list:
+        raise ValidationError("need at least one radius")
     if any(eps <= 0.0 for eps in eps_list):
         raise ValidationError("epsilon must be positive")
     sups, aborted = _tube_sups(b, sigma, c, x0, targets, paths, stream)
@@ -417,16 +419,15 @@ def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
 # ---------------------------------------------------------------------------
 
 
-def make_target(kind: str, grid: TimeGrid, x0: float, **params) -> Path:
-    """Deterministic target paths starting at x0: const, line, sine."""
+def make_target(kind: str, grid: TimeGrid, x0: float, *, slope: float = 1.0, amp: float = 0.3,
+                freq: float = 1.0) -> Path:
+    """Deterministic target paths starting at x0: const, line (slope), sine (amp, freq)."""
     t = grid.nodes()
     if kind == "const":
         v = np.full_like(t, x0)
     elif kind == "line":
-        v = x0 + params.get("slope", 1.0) * t
+        v = x0 + slope * t
     elif kind == "sine":
-        amp = params.get("amp", 0.3)
-        freq = params.get("freq", 1.0)
         v = x0 + amp * np.sin(2.0 * math.pi * freq * t)
     else:
         raise ValidationError(f"unknown target '{kind}'; known: const, line, sine")

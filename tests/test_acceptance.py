@@ -269,22 +269,19 @@ seed = 4242
 out = PLACEHOLDER
 
 [model]
-drift = indicator01
-diffusion = sin_elliptic a=1 b=0.5
-family = piecewise shape=linear
-sequence = ramp alpha=0.4 delta=0.5
-x0 = 0.0
+{model}
 
 [params]
-n = 16
-samples = 1500
-t_mult = 8
-d = 2
-n_ref = 512
-m_ode = 8
-n_list = 16 32 64
-paths = 60
+{params}
 """
+
+# each command's own [model] and [params] keys: a key it does not read exits 2
+REPRO_KEYS = {
+    "coeffs": ("family = piecewise shape=linear", "n = 16\nsamples = 1500\nt_mult = 8\nd = 2"),
+    "rate-sweep": ("drift = indicator01\ndiffusion = sin_elliptic a=1 b=0.5\n"
+                   "family = piecewise shape=linear\nsequence = ramp alpha=0.4 delta=0.5\nx0 = 0.0",
+                   "n_ref = 512\nm_ode = 8\nn_list = 16 32 64\npaths = 60"),
+}
 
 
 @pytest.mark.parametrize("command,csvs", [
@@ -293,7 +290,8 @@ paths = 60
 ])
 def test_criterion_11_reproducibility(tmp_path, package_env, command, csvs):
     cfg = tmp_path / "run.ini"
-    cfg.write_text(CFG_REPRO.format(command=command), encoding="utf-8")
+    model, params = REPRO_KEYS[command]
+    cfg.write_text(CFG_REPRO.format(command=command, model=model, params=params), encoding="utf-8")
     outs = [tmp_path / "a", tmp_path / "b"]
     for out in outs:
         subprocess.run([sys.executable, "-m", "wzsim.cli", "--config", str(cfg),

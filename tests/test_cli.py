@@ -263,7 +263,7 @@ def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monke
     (RATE_CFG, "x0 = 0.0", "sequence = mollified foo=1\nx0 = 0.0", "foo"),
     (RATE_CFG, "x0 = 0.0", "sequence = ramp p=3\nx0 = 0.0", "p"),
     (RATE_CFG, "x0 = 0.0", "sequence = zigzag\nx0 = 0.0", "zigzag"),
-    # only drift, diffusion, family, sequence and x0 are [model] keys
+    # a [model] key no command reads
     (COEFFS_CFG, "family = piecewise shape=linear", "famliy = mollified kernel=bump", "famliy"),
     # a number must be finite
     (RATE_CFG, "paths = 60", "paths = 60\np = nan", "p"),
@@ -501,11 +501,63 @@ def test_the_default_dimension_is_the_familys(tmp_path):
     assert run_cli("--config", write(tmp_path, "d.ini", _mcshane(DEF31_CFG, tmp_path / "d"))) == 0
 
 
+@pytest.mark.parametrize("config,line,bad,named", [
+    # a [params] key no command reads
+    (COEFFS_CFG, "n = 32", "n = 32\nsample = 10", "'sample'"),
+    (RATE_CFG, "paths = 60", "paths = 60\nn_reff = 64", "'n_reff'"),
+    (STABILITY_CFG, "paths = 60", "paths = 60\npath = 3", "'path'"),
+    (TUBE_CFG, "paths = 3000", "paths = 3000\nn_reff = 64\npath = 3", "'n_reff'"),
+    (GIRSANOV_CFG, "paths = 1000", "paths = 1000\nn_reff = 64", "'n_reff'"),
+    (DEF31_CFG, "samples = 200", "samples = 200\nsample = 10", "'sample'"),
+    # a [params] key that only another command reads
+    (STABILITY_CFG, "paths = 60", "paths = 60\nm_ode = 8", "'m_ode'"),
+    (DEF31_CFG, "samples = 200", "samples = 200\nn_ref = 64", "'n_ref'"),
+    (TUBE_CFG, "paths = 3000", "paths = 3000\nd = 1", "'d'"),
+    # epsilon is no alias of eps_ladder, and an empty ladder has no radius
+    (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder =\nepsilon = 0.7", "'epsilon'"),
+    (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder =", "need at least one radius"),
+    # a [model] key the command does not read
+    (GIRSANOV_CFG, "x0 = 0.0", "x0 = 0.0\nsequence = ramp alpha=0.4", "'sequence'"),
+    (GIRSANOV_CFG, "x0 = 0.0", "x0 = 0.0\nfamily = mcshane", "'family'"),
+    (COEFFS_CFG, "[model]", "[model]\ndrift = indicator01", "'drift'"),
+    # a misspelt [run] key or section; [DEFAULT] keys reach every section
+    (GIRSANOV_CFG, "seed = 5", "sed = 5", "'sed'"),
+    (GIRSANOV_CFG, "[params]", "[param]", "[param]"),
+    (GIRSANOV_CFG, "[run]", "[DEFAULT]\nseed = 1\n\n[run]", "[DEFAULT]"),
+], ids=["coeffs_unknown", "rate_sweep_unknown", "stability_unknown", "tube_unknown",
+        "girsanov_unknown", "def31_unknown", "stability_m_ode", "def31_n_ref", "tube_d",
+        "tube_epsilon", "tube_empty_ladder", "girsanov_sequence", "girsanov_family",
+        "coeffs_drift", "run_key", "section", "default_section"])
+def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, config, line, bad, named):
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    text = config.format(out=out)
+    assert line in text
+    assert run_cli("--config", write(tmp_path, "k.ini", text.replace(line, bad))) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_golden_and_benchmark_config_loads(tmp_path, monkeypatch):
+    # a key the table rejects would turn a benchmark run into exit 2; perfbench/
+    # is imported through sys.path, as the tracer test does
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.modules.pop("workloads", None)
+    paths = sorted((root / "tests" / "data" / "golden").glob("*.ini"))
+    paths += [write(tmp_path, f"{name}.ini", wl.config)
+              for name, wl in workloads.WORKLOADS.items() if wl.config is not None]
+    assert len(paths) == 7 + 3
+    for path in paths:
+        assert cli.load_config(str(path)).command in cli.COMMANDS
+
+
 def test_every_param_the_cli_reads_is_in_the_readme_config_block():
     root = Path(__file__).resolve().parent.parent
-    source = (root / "src" / "wzsim" / "cli.py").read_text(encoding="utf-8")
-    keys = set(re.findall(r"cfg\.param\(\s*\"(\w+)\"", source))
-    keys |= set(re.findall(r"cfg\.params\.get\(\s*\"(\w+)\"", source))
+    keys = {key for command in cli.COMMANDS.values() for key in command.params}
     assert {"m_sub", "n_list", "eps_ladder"} <= keys
     readme = (root / "README.md").read_text(encoding="utf-8")
     block = readme.split("```ini\n", 1)[1].split("```", 1)[0].lower()

@@ -198,6 +198,9 @@ FAIL_FAST_CALLS = {
         [make_target("const", make_grid(1.0, 64), 0.0)], [0.5, 0.0], 100, RngStream(0, 0)),
     "tube_ladder_no_target": lambda: tube_ladder(
         zero_drift(), identity_diffusion(), HALF, 0.0, [], [0.5], 100, RngStream(0, 0)),
+    "tube_ladder_no_radius": lambda: tube_ladder(
+        zero_drift(), identity_diffusion(), HALF, 0.0,
+        [make_target("const", make_grid(1.0, 64), 0.0)], [], 100, RngStream(0, 0)),
     # the second target lies on another grid, or starts away from x0
     "tube_ladder_target_on_another_grid": lambda: tube_ladder(
         zero_drift(), identity_diffusion(), HALF, 0.0,
@@ -478,6 +481,9 @@ def test_make_target_kinds():
     assert sine.values[0, 0] == 0.0
     with pytest.raises(ValidationError):
         make_target("spiral", g, 0.0)
+    # a misspelt shape keyword raises instead of falling back to the default
+    with pytest.raises(TypeError):
+        make_target("line", g, 0.0, slop=2.0)
 
 
 # ---------------------------------------------------------------------------

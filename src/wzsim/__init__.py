@@ -35,7 +35,6 @@ from .experiments import (
     RateReport,
     StabilityReport,
     TubeReport,
-    WongZakaiSetup,
     fit_rate,
     girsanov_mean,
     mc_mean_sup_error,
@@ -56,10 +55,6 @@ from .noise import (
 )
 from .registry import get_kernel, get_shape
 from .shapes import MollifierKernel, ShapeFunction
-from .solvers import (
-    SolverAbort,
-    SolverConfig,
-    solve_ito_corrected,
-)
+from .solvers import Model, SolverAbort, solve_ito_corrected
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -28,9 +28,11 @@ diffusion and sequence values are numbers, and a family spec may also name
 a shape or kernel (``shape=``, ``kernel=``, ``f1=``, ``f2=``).  Every name
 is built through ``registry._build``, so an unknown name, an unknown or
 missing key and a key given twice in a spec exit 2 naming it.
-``_build_model`` builds the model of the four path commands (rate-sweep,
-stability, tube, girsanov-check) and is the one place their dimension is
-set.  Every CSV starts with a provenance comment (seed, config hash, tool
+``_build_model`` builds the one ``solvers.Model`` of the four path commands
+(rate-sweep, stability, tube, girsanov-check): d = 1, the correction I/2,
+and the grid of ``t`` and ``n_ref``; ``Model`` checks that its parts share
+that dimension.  A value is text to configparser (no ``%`` interpolation).
+Every CSV starts with a provenance comment (seed, config hash, tool
 version), uses a header row, UTF-8, LF line endings and '.' decimals.  Exit
 codes: 0 ok, 2 validation error, 3 aborted-path threshold breached.
 """
@@ -42,25 +44,24 @@ import configparser
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .coeffs import CorrectionMatrix, DiffusionField, DriftApproxSequence, DriftField, check_hfn, lp_norm
-from .core import RngStream, ValidationError
+from .coeffs import CorrectionMatrix, DriftApproxSequence, check_hfn, lp_norm
+from .core import RngStream, ValidationError, make_grid
 from .experiments import (
     AbortRateError,
-    WongZakaiSetup,
     girsanov_mean,
     make_target,
     rate_sweep,
     stability_sweep,
     tube_ladder,
 )
-from .noise import check_moment_condition, estimate_c, estimate_s
+from .noise import NoiseFamily, check_moment_condition, estimate_c, estimate_s
 from .registry import get_diffusion, get_drift, get_family, get_sequence
-from .solvers import SolverConfig
+from .solvers import Model
 
 # wide id spacing between sub-estimators of one run
 _STRIDE = 1 << 32
@@ -132,7 +133,8 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
     if not p.is_file():
         raise ValidationError(f"config file not found: {path}")
     raw = p.read_bytes()
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation: '%' in a value is text, which _number then rejects naming its key
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         cp.read_string(raw.decode("utf-8"))
     except (configparser.Error, UnicodeDecodeError) as e:
@@ -203,21 +205,10 @@ def _write_summary(cfg: RunConfig, lines: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 
-class Model(NamedTuple):
-    """The coefficients, start and grid of one path command."""
-
-    drift: DriftField
-    sigma: DiffusionField
-    correction: CorrectionMatrix
-    x0: float
-    config: SolverConfig
-
-
 def _build_model(cfg: RunConfig) -> Model:
-    """The [model] drift, diffusion and x0, and the [params] t and n_ref.
+    """The [model] drift, diffusion and x0 on the grid of the [params] t and n_ref.
 
-    Every path command runs in d = 1 with the correction I/2; this is the one
-    place the CLI sets its dimension.
+    Every path command runs in d = 1 with the correction I/2.
     """
     d = 1
     if "drift" not in cfg.model:
@@ -237,12 +228,12 @@ def _build_model(cfg: RunConfig) -> Model:
             f"diffusion '{sigma.name}' is flagged non-elliptic (oracle-only); "
             "it cannot be used from the CLI"
         )
-    config = SolverConfig(n_ref=cfg.params["n_ref"], horizon=cfg.params["t"])
-    return Model(drift, sigma, CorrectionMatrix.half_identity(d),
-                 _number("x0", cfg.model.get("x0", "0.0")), config)
+    x0 = _number("x0", cfg.model.get("x0", "0.0"))
+    grid = make_grid(cfg.params["t"], cfg.params["n_ref"])
+    return Model(drift, sigma, CorrectionMatrix.half_identity(d), x0, grid)
 
 
-def _build_family(cfg: RunConfig):
+def _build_family(cfg: RunConfig) -> NoiseFamily:
     fname, fpar = _parse_field_spec(cfg.model.get("family", "piecewise"), names=True)
     return get_family(fname, **fpar)
 
@@ -287,25 +278,21 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
     _write_summary(cfg, lines)
 
 
-def _make_setup(cfg: RunConfig) -> WongZakaiSetup:
+def _make_setup(cfg: RunConfig) -> tuple[Model, NoiseFamily, DriftApproxSequence | None]:
+    """The rate sweep's model, noise family and drift schedule (None if absent)."""
     model = _build_model(cfg)
-    family = _build_family(cfg)
-    seq = _build_sequence(cfg, model.sigma.dim)
-    config = replace(model.config, m_ode=cfg.params["m_ode"])
-    return WongZakaiSetup(drift=model.drift, sigma=model.sigma, correction=model.correction,
-                          family=family, x0=model.x0, config=config, drift_seq=seq)
+    return model, _build_family(cfg), _build_sequence(cfg, model.dim)
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
-    setup = _make_setup(cfg)
+    model, family, seq = _make_setup(cfg)
     paths = cfg.params["paths"]
-    rep = rate_sweep(setup, cfg.params["n_list"], paths, stream)
+    rep = rate_sweep(model, family, cfg.params["n_list"], paths, stream, seq, m_ode=cfg.params["m_ode"])
     rows = [(n, mse, se, paths, ab) for (n, mse, se), ab in zip(rep.points, rep.aborted)]
     write_csv(cfg, "rate_sweep.csv", ["n", "mse", "stderr", "paths", "aborted"], rows)
-    lines = [f"rate-sweep: drift={setup.drift.name} sigma={setup.sigma.name} family={setup.family.name}",
+    lines = [f"rate-sweep: drift={model.drift.name} sigma={model.sigma.name} family={family.name}",
              *(f"  n={n:5d}  mse={mse:.6e} +- {se:.2e}" for n, mse, se in rep.points),
              f"  fitted log-log slope = {rep.slope:+.4f} +- {rep.slope_half_width:.4f}"]
-    seq = setup.drift_seq
     if seq is not None:
         speed = check_hfn(seq, lp_norm(seq.base, seq.p), [n for n, _, _ in rep.points])
         lines += [f"  n={n:5d}  log speed value = {v!r}"
@@ -316,17 +303,17 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, correction, x0, config = _build_model(cfg)
-    seq = _build_sequence(cfg, sigma.dim)
+    model = _build_model(cfg)
+    seq = _build_sequence(cfg, model.dim)
     if seq is None:
         raise ValidationError("stability needs a 'sequence' entry in [model]")
     paths = cfg.params["paths"]
-    rep = stability_sweep(drift, seq, sigma, correction, x0, cfg.params["n_list"], paths, stream, config)
+    rep = stability_sweep(model, seq, cfg.params["n_list"], paths, stream)
     rows = [(lvl, dist, mse, se, ab)
             for lvl, ((n, dist, mse, se), ab) in enumerate(zip(rep.levels, rep.aborted))]
     write_csv(cfg, "stability.csv", ["level", "lp_distance", "mse", "stderr", "aborted"], rows)
     _write_summary(cfg, [
-        f"stability: drift={drift.name} sequence={seq.name} sigma={sigma.name} paths={paths}",
+        f"stability: drift={model.drift.name} sequence={seq.name} sigma={model.sigma.name} paths={paths}",
         *(f"  n={n:5d}  ||b-b_n||_p={dist:.5f}  mse={mse:.6e} +- {se:.2e}"
           for n, dist, mse, se in rep.levels),
         f"  fitted constant mse/dist^2 = {rep.fitted_constant:.5f}; max ratio = {rep.max_ratio:.5f}",
@@ -334,13 +321,13 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, correction, x0, config = _build_model(cfg)
+    model = _build_model(cfg)
     paths, eps_ladder = cfg.params["paths"], cfg.params["eps_ladder"]
     kinds = cfg.params["targets"].split()
-    targets = [make_target(kind, config.grid(), x0) for kind in kinds]
-    reports = tube_ladder(drift, sigma, correction, x0, targets, eps_ladder, paths, stream)
+    targets = [make_target(kind, model.grid, model.x0) for kind in kinds]
+    reports = tube_ladder(model, targets, eps_ladder, paths, stream)
     rows = []
-    lines = [f"tube: drift={drift.name} sigma={sigma.name} x0={x0:g} paths={paths}"]
+    lines = [f"tube: drift={model.drift.name} sigma={model.sigma.name} x0={model.x0:g} paths={paths}"]
     for kind, rep in zip([kind for kind in kinds for _ in eps_ladder], reports):
         rows.append((kind, rep.epsilon, rep.paths, rep.hits, rep.lower_confidence, rep.aborted))
         lines.append(f"  target={kind:5s} eps={rep.epsilon:<6g} hits={rep.hits:7d}"
@@ -350,14 +337,14 @@ def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_girsanov(cfg: RunConfig, stream: RngStream) -> None:
-    drift, sigma, _, x0, config = _build_model(cfg)
+    model = _build_model(cfg)
     paths = cfg.params["paths"]
-    rep = girsanov_mean(drift, sigma, x0, paths, stream, config.grid())
+    rep = girsanov_mean(model, paths, stream)
     write_csv(cfg, "girsanov.csv", ["paths", "mean_rho", "stderr", "max_weight", "aborted"],
               [(rep.paths, rep.mean_rho, rep.stderr, rep.max_weight, rep.aborted)])
     dev = abs(rep.mean_rho - 1.0) / rep.stderr if rep.stderr > 0 else 0.0
     _write_summary(cfg, [
-        f"girsanov-check: drift={drift.name} sigma={sigma.name} paths={paths}",
+        f"girsanov-check: drift={model.drift.name} sigma={model.sigma.name} paths={paths}",
         f"  mean(rho_T) = {rep.mean_rho:.5f} +- {rep.stderr:.5f} "
         f"(|mean-1| = {dev:.2f} SE); max weight = {rep.max_weight:.3f}",
     ])

@@ -1,5 +1,11 @@
 """Monte Carlo harnesses: convergence rates, stability, tubes, Girsanov weights.
 
+Every estimator takes the SDE as its first argument, one ``solvers.Model``
+(drift, sigma, correction, x0, grid) whose dimensions its constructor has
+checked; what varies around it comes as arguments: a rate sweep's noise
+family, drift schedule and ``m_ode``, a stability sweep's schedule, a tube
+ladder's targets on the model's grid and its radii.
+
 Every estimator runs its paths through one driver, ``_run_paths``, in
 batches with per-path counter-based streams (path i of a call uses
 ``stream.child(i)``); it keeps one value per path and level in path order,
@@ -23,31 +29,25 @@ returning a biased estimate.  Input checks, for every level, run before the
 first path is simulated: a rate sweep checks each level's b_n against the
 C^1 hypotheses of the theorem (its declared slope bound and, with a drift
 schedule, the h(n) ||b||_p bound on its C^1 norm).  A stability sweep runs
-b_n only through Euler, so its b_n need not be C^1.
+b_n only through Euler, so its b_n need not be C^1; every level's b_n must
+have the model's dimension.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy import special
 
-from .coeffs import (
-    CorrectionMatrix,
-    DiffusionField,
-    DriftApproxSequence,
-    DriftField,
-    lp_distance,
-    lp_norm,
-)
+from .coeffs import DriftApproxSequence, lp_distance, lp_norm
 from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_brownian_batch,
                    sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
-from .solvers import SolverConfig, _check_levels, coupled_batch, em_batch
+from .solvers import Model, _check_levels, coupled_batch, em_batch
 
 ABORT_TOLERANCE = 0.01
 # paths per batch: the multi-level sweeps, and the one-level Euler estimators
@@ -99,28 +99,6 @@ def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, ...]],
 
 
 @dataclass(frozen=True)
-class WongZakaiSetup:
-    """Coefficients of one coupled simulation family.
-
-    ``drift_seq`` supplies the smoothed drift b_n fed to the random ODE;
-    when absent the drift itself is used on both routes (smooth case).
-    """
-
-    drift: DriftField
-    sigma: DiffusionField
-    correction: CorrectionMatrix
-    family: NoiseFamily
-    x0: float
-    config: SolverConfig
-    drift_seq: DriftApproxSequence | None = None
-
-    def smoothed_drift(self, n: int) -> DriftField:
-        if self.drift_seq is None:
-            return self.drift
-        return self.drift_seq.generator(n)
-
-
-@dataclass(frozen=True)
 class MeanSupError:
     estimate: float
     stderr: float
@@ -128,21 +106,23 @@ class MeanSupError:
     aborted: int
 
 
-def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, stream: RngStream,
-                     batch: int) -> list[MeanSupError]:
+def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths: int,
+                     stream: RngStream, seq: DriftApproxSequence | None,
+                     m_ode: int) -> list[MeanSupError]:
     """mc_mean_sup_error at every level in ns from one run of shared coupled draws.
 
-    Path j uses stream.child(j) at every level: its Brownian sample and
-    Euler reference are computed once and every level's random ODE runs
-    against them.  An SDE abort counts against every level.  With a drift
-    schedule, every level's b_n must also meet the schedule's C^1 bound
-    (``DriftApproxSequence.check_member``) before the first path.
+    The random ODE of level n runs on seq's b_n, or on the model's drift
+    when seq is None (smooth case).  Path j uses stream.child(j) at every
+    level: its Brownian sample and Euler reference are computed once and
+    every level's random ODE runs against them.  An SDE abort counts against
+    every level.  With a drift schedule, every level's b_n must also meet the
+    schedule's C^1 bound (``DriftApproxSequence.check_member``) before the
+    first path.
     """
     if paths < 30:
         raise ValidationError("need at least 30 paths")
-    levels = [(n, setup.smoothed_drift(n)) for n in ns]
-    _check_levels(setup.sigma, setup.family, levels, setup.config.grid())
-    seq = setup.drift_seq
+    levels = [(n, model.drift if seq is None else seq.generator(n)) for n in ns]
+    _check_levels(model, family, levels, m_ode)
     if seq is not None:
         norm = lp_norm(seq.base, seq.p)
         for n, b_n in levels:
@@ -150,15 +130,15 @@ def _mean_sup_errors(setup: WongZakaiSetup, ns: Sequence[int], paths: int, strea
                 raise ValidationError(f"level n={n}: '{b_n.name}' has C^1 norm {b_n.c1_norm:g} "
                                       f"above h(n) ||b||_p = {seq.bound(n) * norm:g}")
 
-    sups, aborted = _run_paths(lambda s, m: coupled_batch(
-        setup.drift, setup.sigma, setup.correction, setup.family, levels, setup.x0, s,
-        setup.config, m), paths, stream, batch)
+    sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode=m_ode),
+                               paths, stream, SWEEP_BATCH)
     return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
 
 
-def mc_mean_sup_error(setup: WongZakaiSetup, n: int, paths: int, stream: RngStream) -> MeanSupError:
+def mc_mean_sup_error(model: Model, family: NoiseFamily, n: int, paths: int, stream: RngStream,
+                      seq: DriftApproxSequence | None = None, m_ode: int = 16) -> MeanSupError:
     """Mean and standard error of sup_t |X_t - X^n_t|^2 over coupled draws."""
-    return _mean_sup_errors(setup, [n], paths, stream, SWEEP_BATCH)[0]
+    return _mean_sup_errors(model, family, [n], paths, stream, seq, m_ode)[0]
 
 
 @dataclass(frozen=True)
@@ -203,17 +183,18 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     return slope, half
 
 
-def rate_sweep(setup: WongZakaiSetup, n_list: Sequence[int], paths: int,
-               stream: RngStream) -> RateReport:
+def rate_sweep(model: Model, family: NoiseFamily, n_list: Sequence[int], paths: int,
+               stream: RngStream, seq: DriftApproxSequence | None = None,
+               m_ode: int = 16) -> RateReport:
     """mc_mean_sup_error across levels on shared draws, plus the fitted slope.
 
-    Every level sees the same paths, so level 0 equals
-    ``mc_mean_sup_error(setup, levels[0], paths, stream)`` and neighbouring
-    levels' estimates are positively correlated.
+    Every level sees the same paths, so level 0 equals ``mc_mean_sup_error``
+    at that level with the same arguments, and neighbouring levels'
+    estimates are positively correlated.
     """
     levels = sorted(int(v) for v in n_list)
     _fit_levels(levels)
-    results = _mean_sup_errors(setup, levels, paths, stream, SWEEP_BATCH)
+    results = _mean_sup_errors(model, family, levels, paths, stream, seq, m_ode)
     pts = tuple((n, r.estimate, r.stderr) for n, r in zip(levels, results))
     slope, half = fit_rate([(n, m) for n, m, _ in pts])
     return RateReport(pts, paths, slope, half, tuple(r.aborted for r in results))
@@ -241,24 +222,25 @@ class StabilityReport:
     aborted: tuple[int, ...]
 
 
-def stability_sweep(b: DriftField, seq: DriftApproxSequence, sigma: DiffusionField,
-                    c: CorrectionMatrix, x0, n_levels: Sequence[int], paths: int,
-                    stream: RngStream, config: SolverConfig) -> StabilityReport:
-    """Co-simulate the b-driven and b_n-driven corrected SDEs on shared noise.
+def stability_sweep(model: Model, seq: DriftApproxSequence, n_levels: Sequence[int], paths: int,
+                    stream: RngStream) -> StabilityReport:
+    """Co-simulate the model's SDE and its b_n-driven copies on shared noise.
 
-    Both solutions start at the same x0 and consume identical increments,
-    so the reported mse isolates the drift-difference term of the stability
-    bound.  Path j uses stream.child(j) at every level; its increments and
-    b-driven path are computed once, and an abort of the latter counts at every level.
+    The b_n-driven copy swaps the model's drift b for seq's b_n.  Both
+    solutions start at the same x0 and consume identical increments, so the
+    reported mse isolates the drift-difference term of the stability bound.
+    Path j uses stream.child(j) at every level; its increments and b-driven
+    path are computed once, and an abort of the latter counts at every level.
     """
-    grid = config.grid()
     ns = sorted(int(v) for v in n_levels)
     if not ns:
         raise ValidationError("need at least one level")
-    b_ns = [seq.generator(n) for n in ns]
+    b, sigma, c, x0, grid = model.drift, model.sigma, model.correction, model.x0, model.grid
+    # a level's model runs the Model check on its b_n before any path
+    b_ns = [replace(model, drift=seq.generator(n)).drift for n in ns]
 
     def simulate(s: RngStream, m: int):
-        dw = np.diff(sample_brownian_batch(grid, sigma.dim, s, m), axis=1)
+        dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
         xv, st_b = em_batch(b, sigma, c, x0, dw, grid.dt)
         sups = np.empty((m, len(ns)))
         st_bn = np.empty((m, len(ns)), dtype=np.int64)
@@ -305,8 +287,7 @@ def _binomial_lcb(hits: int, paths: int) -> float:
     return float(special.betaincinv(hits, paths - hits + 1, 1.0 - LCB_LEVEL))
 
 
-def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-               targets: Sequence[Path], paths: int,
+def _tube_sups(model: Model, targets: Sequence[Path], paths: int,
                stream: RngStream) -> tuple[list[np.ndarray], list[int]]:
     """Per target, the sup distances of the paths that did not abort, and the abort count.
 
@@ -316,26 +297,24 @@ def _tube_sups(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
     """
     if not targets:
         raise ValidationError("need at least one target")
-    grid = targets[0].grid
-    x0v = np.atleast_1d(np.asarray(x0, dtype=float))
+    grid = model.grid
     for target in targets:
         if target.grid != grid:
-            raise ValidationError("every target path must lie on one grid")
-        if x0v.shape[0] != target.dim:
-            raise ValidationError("x0 dimension does not match the target path")
-        if np.max(np.abs(target.values[0] - x0v)) > 1e-12:
+            raise ValidationError("every target path must lie on the model's grid")
+        if target.dim != model.dim:
+            raise ValidationError(f"a target path has dimension {target.dim}, the model {model.dim}")
+        if np.max(np.abs(target.values[0] - model.x0)) > 1e-12:
             raise ValidationError("target path must start at x0")
 
     def simulate(s: RngStream, m: int):
-        dw = np.diff(sample_brownian_batch(grid, x0v.shape[0], s, m), axis=1)
-        xv, st = em_batch(b, sigma, c, x0v, dw, grid.dt)
+        dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
+        xv, st = em_batch(model.drift, model.sigma, model.correction, model.x0, dw, grid.dt)
         return np.column_stack([sup_distance_values(xv, t.values) for t in targets]), st
 
     return _run_paths(simulate, paths, stream, EULER_BATCH)
 
 
-def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
-                targets: Sequence[Path], eps_list: Sequence[float], paths: int,
+def tube_ladder(model: Model, targets: Sequence[Path], eps_list: Sequence[float], paths: int,
                 stream: RngStream) -> list[TubeReport]:
     """Tube reports for every target and radius, target-major, from one shared path sample.
 
@@ -346,9 +325,9 @@ def tube_ladder(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix, x0,
     """
     if not eps_list:
         raise ValidationError("need at least one radius")
-    if any(eps <= 0.0 for eps in eps_list):
-        raise ValidationError("epsilon must be positive")
-    sups, aborted = _tube_sups(b, sigma, c, x0, targets, paths, stream)
+    if not all(0.0 < eps < math.inf for eps in eps_list):
+        raise ValidationError(f"every radius must be positive and finite, got {list(eps_list)}")
+    sups, aborted = _tube_sups(model, targets, paths, stream)
     out = []
     for target, t_sups, t_aborted in zip(targets, sups, aborted):
         for eps in eps_list:
@@ -373,23 +352,22 @@ class GirsanovReport:
     aborted: int
 
 
-def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
-                       stream: RngStream,
+def _driftless_weights(model: Model, stream: RngStream,
                        count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate Y (driftless Stratonovich reference, Ito form) and its weights.
+    """Simulate Y (the model without its drift b, Ito form) and its weights.
 
-    Y solves dY = correction(sigma, I/2) dt + sigma(Y) dW; the weight is the
-    left-point discretization of exp(int b* sigma^-1 dW - 1/2 int b*(sigma
-    sigma*)^-1 b ds) along Y.  The weights divide by sigma's diagonal, read from
-    its scalar form s, so a field without one is rejected before any sample.
+    Y solves dY = correction(sigma, c) dt + sigma(Y) dW from x0, with the
+    model's c; the weight is the left-point discretization of exp(int b*
+    sigma^-1 dW - 1/2 int b*(sigma sigma*)^-1 b ds) along Y.  The weights
+    divide by sigma's diagonal, read from its scalar form s, so a field
+    without one is rejected before any sample.
     """
+    b, sigma, grid, d = model.drift, model.sigma, model.grid, model.dim
     if sigma.scalar is None:
         raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
-    d = sigma.dim
-    half = CorrectionMatrix.half_identity(d)
     w = sample_brownian_batch(grid, d, stream, count)
     dw = np.diff(w, axis=1)
-    yv, st = em_batch(zero_drift(d), sigma, half, x0, dw, grid.dt)
+    yv, st = em_batch(zero_drift(d), sigma, model.correction, model.x0, dw, grid.dt)
     y = yv[:, :-1, :]
     m, steps, _ = y.shape
     flat = y.reshape(-1, d)
@@ -401,12 +379,11 @@ def _driftless_weights(b: DriftField, sigma: DiffusionField, x0, grid: TimeGrid,
     return np.exp(log_rho), yv, st
 
 
-def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
-                  stream: RngStream, grid: TimeGrid) -> GirsanovReport:
+def girsanov_mean(model: Model, paths: int, stream: RngStream) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
 
     def simulate(s: RngStream, m: int):
-        rho, _, st = _driftless_weights(b, sigma, x0, grid, s, m)
+        rho, _, st = _driftless_weights(model, s, m)
         return rho, st
 
     (rhos,), (aborted,) = _run_paths(simulate, paths, stream, EULER_BATCH)
@@ -422,6 +399,9 @@ def girsanov_mean(b: DriftField, sigma: DiffusionField, x0, paths: int,
 def make_target(kind: str, grid: TimeGrid, x0: float, *, slope: float = 1.0, amp: float = 0.3,
                 freq: float = 1.0) -> Path:
     """Deterministic target paths starting at x0: const, line (slope), sine (amp, freq)."""
+    for name, v in (("x0", x0), ("slope", slope), ("amp", amp), ("freq", freq)):
+        if not math.isfinite(v):
+            raise ValidationError(f"target parameter '{name}' = {v} is not finite")
     t = grid.nodes()
     if kind == "const":
         v = np.full_like(t, x0)

@@ -1,5 +1,12 @@
 """Path solvers: corrected Euler SDE and the smoothed-noise random ODE.
 
+``Model`` is the one SDE that every path estimator takes first: drift b,
+diffusion sigma, correction matrix c, start x0 and the reference grid on
+[0, T].  Its constructor checks that b, sigma and c share one dimension d
+and that x0 is a scalar or has shape (d,), so a mismatch is a named error
+before any path.  The step loops ``em_batch`` and ``rk4_batch`` take the
+coefficients one by one, as the levels of a sweep swap in their own b_n.
+
 Both solvers run on shared noise: the Euler route consumes the Brownian
 increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
@@ -10,9 +17,10 @@ time, it lays the level-n blocks over the same grid with
 ``noise.block_layout``, steps the random ODE in ``_level_values`` (the one
 Runge-Kutta route over whole noise blocks) and keeps only the sup error per
 path, so a level's arrays are freed before the next level starts.  The
-random ODE takes ``m_ode`` steps per noise block, however fine the
-reference grid is, and in a coupled run its values at the reference nodes
-come from each step's cubic Hermite interpolant (dense output).  It runs on
+random ODE takes ``m_ode`` steps per noise block (a keyword of
+``coupled_batch``, at least 4), however fine the reference grid is, and
+in a coupled run its values at the reference nodes come from each step's
+cubic Hermite interpolant (dense output).  It runs on
 a smoothed drift only: ``_require_c1``, the one C^1 check, rejects a drift
 without C^1 metadata or whose central differences on a fixed grid exceed
 its declared slope bound, for every level before the first path.
@@ -41,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
-from .core import Path, RngStream, TimeGrid, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
+from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch, sup_distance_values
 from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
@@ -56,24 +64,35 @@ class SolverAbort(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Grid resolution shared by coupled runs.
+class Model:
+    """One SDE dX = (b(X) + correction) dt + sigma(X) dW from x0 on a time grid.
 
-    ``n_ref`` reference-grid steps over the horizon; the random ODE takes
-    ``m_ode`` Runge-Kutta steps per noise block, and its values at reference
-    nodes between step ends are read from the steps' Hermite interpolants.
+    The correction drift is ``correction_drift_batch`` of sigma and the
+    matrix c.  drift, sigma and correction share one dimension d, and x0 is
+    a scalar (every coordinate) or has shape (d,); the constructor raises
+    ``ValidationError`` otherwise, so every estimator that takes a Model
+    sees a consistent one before its first path.
     """
 
-    n_ref: int
-    m_ode: int = 16
-    horizon: float = 1.0
+    drift: DriftField
+    sigma: DiffusionField
+    correction: CorrectionMatrix
+    x0: float | np.ndarray
+    grid: TimeGrid
 
     def __post_init__(self):
-        if self.n_ref < 1 or self.m_ode < 4:
-            raise ValidationError("need n_ref >= 1 and m_ode >= 4")
+        d = self.sigma.dim
+        for part, dim in (("drift", self.drift.dim), ("correction", self.correction.dim)):
+            if dim != d:
+                raise ValidationError(f"{part} has dimension {dim}, sigma '{self.sigma.name}' {d}")
+        if np.shape(self.x0) not in ((), (d,)):
+            raise ValidationError(f"x0 of shape {np.shape(self.x0)} is neither a scalar nor of shape ({d},)")
+        if not np.all(np.isfinite(self.x0)):
+            raise ValidationError("x0 must be finite")
 
-    def grid(self) -> TimeGrid:
-        return make_grid(self.horizon, self.n_ref)
+    @property
+    def dim(self) -> int:
+        return self.sigma.dim
 
 
 def _sigma_at(sigma: DiffusionField, x: np.ndarray) -> np.ndarray:
@@ -252,55 +271,59 @@ def _require_c1(b_n: DriftField) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _check_levels(sigma: DiffusionField, family: NoiseFamily,
-                  levels: Sequence[tuple[int, DriftField]], grid: TimeGrid) -> list[tuple[int, int]]:
-    """Each level's (blocks, msub) over the grid, once every level's b_n has passed ``_require_c1``.
+def _check_levels(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
+                  m_ode: int) -> list[tuple[int, int]]:
+    """Each level's (blocks, msub) over the model's grid, once m_ode >= 4 and every
+    level's b_n has the model's dimension and has passed ``_require_c1``.
 
     levels: (n, b_n) pairs.  Callers run this before the first path is drawn.
     """
+    if m_ode < 4:
+        raise ValidationError(f"need m_ode >= 4, got {m_ode}")
     for _, b_n in levels:
+        if b_n.dim != model.dim:
+            raise ValidationError(f"drift '{b_n.name}' has dimension {b_n.dim}, the model {model.dim}")
         _require_c1(b_n)
-    return [block_layout(family, grid, n, sigma.dim) for n, _ in levels]
+    return [block_layout(family, model.grid, n, model.dim) for n, _ in levels]
 
 
-def _level_values(b_n: DriftField, sigma: DiffusionField, family: NoiseFamily, w: np.ndarray,
-                  n: int, layout: tuple[int, int], x0,
-                  config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Random-ODE values of level n at the reference nodes of w, and the ODE statuses.
+def _level_values(model: Model, b_n: DriftField, family: NoiseFamily, w: np.ndarray, n: int,
+                  layout: tuple[int, int], m_ode: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random-ODE values of level n at the model's grid nodes, and the ODE statuses.
 
-    RK4 steps dx/ds = b_n(x) + sigma(x) dW^n/ds over the ``blocks`` whole
-    noise blocks of ``layout``, m_ode steps per block.  The step values and
-    stage drivers are freed on return; only the (paths, n_ref + 1, d) node
-    values leave this scope.
+    RK4 steps dx/ds = b_n(x) + sigma(x) dW^n/ds from the model's x0 over the
+    ``blocks`` whole noise blocks of ``layout``, m_ode steps per block, with
+    the Brownian sample w on the model's grid.  The step values and stage
+    drivers are freed on return; only the (paths, n_ref + 1, d) node values
+    leave this scope.
     """
     blocks, msub = layout
-    h = 1.0 / (n * config.m_ode)
-    vst = _stage_derivs(family, w, n, msub, blocks, config.m_ode)
-    xs, status = rk4_batch(b_n, sigma, x0, vst, h)
-    return _dense_values(b_n, sigma, xs, vst, h, config.n_ref), status
+    h = 1.0 / (n * m_ode)
+    vst = _stage_derivs(family, w, n, msub, blocks, m_ode)
+    xs, status = rk4_batch(b_n, model.sigma, model.x0, vst, h)
+    return _dense_values(b_n, model.sigma, xs, vst, h, model.grid.steps), status
 
 
-def coupled_batch(b: DriftField, sigma: DiffusionField, c: CorrectionMatrix,
-                  family: NoiseFamily, levels: Sequence[tuple[int, DriftField]], x0,
-                  stream: RngStream, config: SolverConfig,
-                  count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Co-simulate the corrected SDE and the random ODE of every level on shared noise.
+def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
+                  stream: RngStream, count: int,
+                  m_ode: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Co-simulate the model's corrected SDE and the random ODE of every level on shared noise.
 
-    levels: (n, b_n) pairs.  W is sampled and the Euler reference solved
+    levels: (n, b_n) pairs; the random ODE takes m_ode RK4 steps per noise
+    block.  W is sampled on the model's grid and the Euler reference solved
     once, path i from stream.child(i); then each level in turn lays out its
     blocks over the same W, steps its ODE and keeps one sup error per path.
     Returns sup errors (count, L), the SDE status (count,) and the ODE
     statuses (count, L); sup errors of aborted paths are NaN.
     """
-    grid = config.grid()
-    layouts = _check_levels(sigma, family, levels, grid)
-    w = sample_brownian_batch(grid, sigma.dim, stream, count)
-    xv, st_sde = em_batch(b, sigma, c, x0, np.diff(w, axis=1), grid.dt)
+    layouts = _check_levels(model, family, levels, m_ode)
+    grid = model.grid
+    w = sample_brownian_batch(grid, model.dim, stream, count)
+    xv, st_sde = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)
     sups = np.empty((count, len(levels)))
     st_ode = np.empty((count, len(levels)), dtype=np.int64)
     for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):
-        xnv, st_ode[:, li] = _level_values(b_n, sigma, family, w, n, layout, x0, config)
+        xnv, st_ode[:, li] = _level_values(model, b_n, family, w, n, layout, m_ode)
         sups[:, li] = sup_distance_values(xv, xnv)
         del xnv  # one level's node values alive at a time
     return sups, st_sde, st_ode
-

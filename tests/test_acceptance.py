@@ -27,7 +27,6 @@ from wzsim.coeffs import (
 )
 from wzsim.core import RngStream, make_grid, sample_brownian_batch
 from wzsim.experiments import (
-    WongZakaiSetup,
     fit_rate,
     girsanov_mean,
     make_target,
@@ -51,7 +50,7 @@ from wzsim.registry import (
     zero_drift,
 )
 from wzsim.shapes import bump_kernel, linear_shape, power_shape
-from wzsim.solvers import SolverConfig, em_batch, rk4_batch, _stage_derivs
+from wzsim.solvers import Model, em_batch, rk4_batch, _stage_derivs
 
 HALF = CorrectionMatrix.half_identity(1)
 LIN = PiecewiseShape(linear_shape())
@@ -96,10 +95,8 @@ def test_criterion_01_exponential_oracles():
 
 
 def test_criterion_02_smooth_coefficient_rate():
-    setup = WongZakaiSetup(drift=sin_bump_drift(), sigma=SIN_ELL, correction=HALF,
-                           family=LIN, x0=0.0,
-                           config=SolverConfig(n_ref=1 << 13, m_ode=16))
-    rep = rate_sweep(setup, [2**k for k in range(4, 10)], 500, RngStream(2024, 0))
+    model = Model(sin_bump_drift(), SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 13))
+    rep = rate_sweep(model, LIN, [2**k for k in range(4, 10)], 500, RngStream(2024, 0), m_ode=16)
     ok = -1.2 <= rep.slope <= -0.7
     verdict(2, ok, f"fitted mse slope {rep.slope:+.3f} in [-1.2, -0.7] "
                    f"(half-width {rep.slope_half_width:.3f})")
@@ -109,13 +106,10 @@ def test_criterion_03_singular_drift_convergence():
     # x0 sits inside the widest ramp flank only (width 2/chi: 18.8, 3.4, 2.0),
     # so the drift mismatch the paths see collapses across the levels
     seq = ramp_sequence(alpha=0.4, p=2.0, delta=0.5)
-    setup = WongZakaiSetup(drift=indicator_drift(), sigma=SIN_ELL, correction=HALF,
-                           family=LIN, x0=-4.0,
-                           config=SolverConfig(n_ref=1 << 13, m_ode=16),
-                           drift_seq=seq)
+    model = Model(indicator_drift(), SIN_ELL, HALF, -4.0, make_grid(1.0, 1 << 13))
     mses = []
     for i, n in enumerate([2**4, 2**6, 2**8]):
-        r = mc_mean_sup_error(setup, n, 500, RngStream(31337, i * 500))
+        r = mc_mean_sup_error(model, LIN, n, 500, RngStream(31337, i * 500), seq, m_ode=16)
         mses.append(r.estimate)
     ok = mses[-1] < mses[0] / 4
     verdict(3, ok, "mse " + " -> ".join(f"{m:.3e}" for m in mses) +
@@ -190,8 +184,8 @@ def test_criterion_06_published_lp_identity():
 
 
 def test_criterion_07_girsanov_mean_one():
-    rep = girsanov_mean(indicator_drift(), SIN_ELL, 0.0, 10_000, RngStream(77, 0),
-                        make_grid(1.0, 1 << 12))
+    rep = girsanov_mean(Model(indicator_drift(), SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 12)),
+                        10_000, RngStream(77, 0))
     dev = abs(rep.mean_rho - 1.0)
     verdict(7, dev < 3 * rep.stderr,
             f"mean weight {rep.mean_rho:.4f} +- {rep.stderr:.4f} "
@@ -206,7 +200,7 @@ def test_criterion_08_support_probe():
     details = []
     kinds = [("const", {}), ("line", {"slope": 1.0}), ("sine", {"amp": 0.3, "freq": 1.0})]
     # one path sample serves every target and radius
-    reports = tube_ladder(indicator_drift(), SIN_ELL, HALF, 0.0,
+    reports = tube_ladder(Model(indicator_drift(), SIN_ELL, HALF, 0.0, grid),
                           [make_target(kind, grid, 0.0, **params) for kind, params in kinds],
                           ladder, paths, RngStream(88, 0))
     for ti, (kind, _) in enumerate(kinds):
@@ -227,8 +221,8 @@ def test_criterion_09_stability_constant():
     # identical drifts on identical streams: the sweep must report exact zero
     ident = DriftApproxSequence(base=b, p=2.0, generator=lambda n: b,
                                 bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
-    rep0 = stability_sweep(b, ident, SIN_ELL, HALF, 0.0, [16, 64], 100,
-                           RngStream(99, 0), SolverConfig(n_ref=1 << 12))
+    rep0 = stability_sweep(Model(b, SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 12)), ident, [16, 64], 100,
+                           RngStream(99, 0))
     zeros = [mse for _, _, mse, _ in rep0.levels]
 
     # shifted indicators b_n = 1_[a, 1+a], a = 1/n: the stability bound makes
@@ -236,8 +230,8 @@ def test_criterion_09_stability_constant():
     # must not fall with a slope below 1
     seq = DriftApproxSequence(base=b, p=2.0, generator=lambda n: _shifted_indicator(1.0 / n),
                               bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
-    rep = stability_sweep(b, seq, SIN_ELL, HALF, 0.0, [2, 5, 20, 100], 500,
-                          RngStream(99, 1 << 33), SolverConfig(n_ref=1 << 13))
+    rep = stability_sweep(Model(b, SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 13)), seq, [2, 5, 20, 100], 500,
+                          RngStream(99, 1 << 33))
     d2 = [2.0 / n for n, _, _, _ in rep.levels]
     mses = [mse for _, _, mse, _ in rep.levels]
     positive = all(m > 0.0 for m in mses)

@@ -270,13 +270,15 @@ def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monke
     (RATE_CFG, "x0 = 0.0", "x0 = inf", "x0"),
     (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder = 0.5 nan", "eps_ladder"),
     (RATE_CFG, "drift = sin_bump", "drift = ramp chi=nan", "chi"),
+    # '%' is text, not configparser interpolation
+    (GIRSANOV_CFG, "paths = 1000", "paths = 10%", "paths"),
 ], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
         "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift",
         "unknown_drift_param", "unknown_diffusion_param", "unknown_family_param",
         "diffusion_dim_not_the_commands", "repeated_param", "schedule_param_of_a_drift",
         "unknown_sequence_param", "unknown_mollified_sequence_param", "sequence_exponent",
         "unknown_sequence", "unknown_model_key", "nan_exponent", "infinite_x0",
-        "nan_ladder_entry", "nan_field_param"])
+        "nan_ladder_entry", "nan_field_param", "percent"])
 def test_malformed_number_exits_2_naming_the_key(tmp_path, capsys, config, line, bad, key):
     text = config.format(out=tmp_path / "o")
     assert line in text
@@ -576,12 +578,23 @@ def test_every_param_the_cli_reads_is_in_the_readme_config_block():
     assert missing == []
 
 
+def test_the_readme_library_sketch_runs(package_env):
+    # the block as written, in a child Python; its slope lies in criterion 02's window
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library sketch", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
+                         timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert -1.2 <= float(out.stdout.split()[-1]) <= -0.7
+
+
 def test_no_public_callable_takes_a_removed_knob():
     # batch sizes, quadrature cells, the speed threshold and the member
-    # tolerance are module constants, not parameters of the public API
+    # tolerance are module constants, not parameters of the public API; and
+    # the SDE comes as one Model, not as a second config or setup bundle
     import wzsim
 
-    knobs = {"batch", "cells", "threshold", "tol"}
+    knobs = {"batch", "cells", "threshold", "tol", "config", "setup"}
     found = []
     for name in wzsim.__all__:
         obj = getattr(wzsim, name)

@@ -9,7 +9,6 @@ from wzsim.coeffs import (CorrectionMatrix, DiffusionField, DriftApproxSequence,
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
 from wzsim.experiments import (
     AbortRateError,
-    WongZakaiSetup,
     fit_rate,
     girsanov_mean,
     make_target,
@@ -29,22 +28,17 @@ from wzsim.registry import (
     zero_drift,
 )
 from wzsim.shapes import linear_shape
-from wzsim.solvers import SolverConfig, em_batch
+from wzsim.solvers import Model, em_batch
 
 HALF = CorrectionMatrix.half_identity(1)
 LIN = PiecewiseShape(linear_shape())
+SIN_ELL = sin_elliptic_diffusion(1.0, 0.5)
 
 
-def _setup(drift=None, sigma=None, n_ref=1 << 10, m_ode=16, x0=0.0, seq=None):
-    return WongZakaiSetup(
-        drift=drift if drift is not None else sin_bump_drift(),
-        sigma=sigma if sigma is not None else sin_elliptic_diffusion(1.0, 0.5),
-        correction=HALF,
-        family=LIN,
-        x0=x0,
-        config=SolverConfig(n_ref=n_ref, m_ode=m_ode),
-        drift_seq=seq,
-    )
+def _model(drift=None, sigma=None, n_ref=1 << 10, x0=0.0, c=HALF):
+    """The d = 1 model of sin_bump (or drift) and sin_elliptic (or sigma) on [0, 1]."""
+    return Model(drift if drift is not None else sin_bump_drift(),
+                 sigma if sigma is not None else SIN_ELL, c, x0, make_grid(1.0, n_ref))
 
 
 # ---------------------------------------------------------------------------
@@ -53,8 +47,8 @@ def _setup(drift=None, sigma=None, n_ref=1 << 10, m_ode=16, x0=0.0, seq=None):
 
 
 def test_zero_setup_reports_exact_zero():
-    s = _setup(drift=zero_drift(), sigma=_zero_sigma())
-    r = mc_mean_sup_error(s, 16, 50, RngStream(1, 0))
+    m = _model(drift=zero_drift(), sigma=_zero_sigma())
+    r = mc_mean_sup_error(m, LIN, 16, 50, RngStream(1, 0))
     assert r.estimate == 0.0
     assert r.aborted == 0
 
@@ -68,38 +62,35 @@ def _zero_sigma():
 
 
 def test_estimate_shrinks_at_finer_noise_levels():
-    s = _setup(n_ref=1 << 11)
-    coarse = mc_mean_sup_error(s, 16, 200, RngStream(2, 0))
-    fine = mc_mean_sup_error(s, 64, 200, RngStream(2, 0))
+    m = _model(n_ref=1 << 11)
+    coarse = mc_mean_sup_error(m, LIN, 16, 200, RngStream(2, 0))
+    fine = mc_mean_sup_error(m, LIN, 64, 200, RngStream(2, 0))
     margin = 3 * np.hypot(coarse.stderr, fine.stderr)
     assert fine.estimate < coarse.estimate - margin
 
 
 def test_estimate_is_deterministic():
-    s = _setup()
-    a = mc_mean_sup_error(s, 16, 60, RngStream(3, 9))
-    b = mc_mean_sup_error(s, 16, 60, RngStream(3, 9))
+    m = _model()
+    a = mc_mean_sup_error(m, LIN, 16, 60, RngStream(3, 9))
+    b = mc_mean_sup_error(m, LIN, 16, 60, RngStream(3, 9))
     assert a.estimate == b.estimate and a.stderr == b.stderr
 
 
 BATCHED_ESTIMATORS = {
-    "mc_mean_sup_error": lambda: mc_mean_sup_error(_setup(), 16, 70, RngStream(4, 0)),
+    "mc_mean_sup_error": lambda: mc_mean_sup_error(_model(), LIN, 16, 70, RngStream(4, 0)),
     # the multi-level driver behind mc_mean_sup_error and rate_sweep
     "mc_mean_sup_error_three_levels": lambda: experiments._mean_sup_errors(
-        _setup(n_ref=128, m_ode=4), [16, 32, 64], 70, RngStream(4, 4), experiments.SWEEP_BATCH),
+        _model(n_ref=128), LIN, [16, 32, 64], 70, RngStream(4, 4), None, 4),
     "stability_sweep": lambda: stability_sweep(
-        indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
-        sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, [16, 64], 70, RngStream(4, 1),
-        SolverConfig(n_ref=256)),
+        _model(indicator_drift(), n_ref=256), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
+        [16, 64], 70, RngStream(4, 1)),
     # the target paths are inputs echoed into every report; compare the rest.
     # Two targets: the batches are shared across them
     "tube_ladder": lambda: [dataclasses.replace(r, target=None) for r in tube_ladder(
-        indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
+        _model(indicator_drift(), n_ref=256),
         [make_target(kind, make_grid(1.0, 256), 0.0) for kind in ("line", "sine")],
         [0.25, 0.5, 1.0], 70, RngStream(4, 2))],
-    "girsanov_mean": lambda: girsanov_mean(
-        indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0, 70, RngStream(4, 3),
-        make_grid(1.0, 256)),
+    "girsanov_mean": lambda: girsanov_mean(_model(indicator_drift(), n_ref=256), 70, RngStream(4, 3)),
 }
 
 
@@ -170,55 +161,87 @@ def _ramp_seq(edit):
     return dataclasses.replace(seq, generator=lambda n: edit(seq.generator(n), n))
 
 
+# d = 2 parts, for models whose parts disagree
+SIN_ELL_2 = sin_elliptic_diffusion(1.0, 0.5, d=2)
+HALF_2 = CorrectionMatrix.half_identity(2)
+GRID_64 = make_grid(1.0, 64)
+
 FAIL_FAST_CALLS = {
-    "rate_sweep_two_levels": lambda: rate_sweep(_setup(), [16, 32], 30, RngStream(0, 0)),
-    "rate_sweep_repeated_level": lambda: rate_sweep(_setup(), [16, 32, 32], 30, RngStream(0, 0)),
+    "rate_sweep_two_levels": lambda: rate_sweep(_model(), LIN, [16, 32], 30, RngStream(0, 0)),
+    "rate_sweep_repeated_level": lambda: rate_sweep(_model(), LIN, [16, 32, 32], 30, RngStream(0, 0)),
+    "rate_sweep_m_ode_below_4": lambda: rate_sweep(_model(), LIN, [16, 32, 64], 30, RngStream(0, 0),
+                                                   m_ode=3),
     # smooth at n = 16, singular at n = 32: one batch spans every level, so
     # the later level must be checked before the first path
     "rate_sweep_later_level_not_c1": lambda: rate_sweep(
-        _setup(drift=indicator_drift(), seq=DriftApproxSequence(
+        _model(drift=indicator_drift()), LIN, [16, 32, 64], 30, RngStream(0, 0), DriftApproxSequence(
             base=indicator_drift(), p=2.0,
             generator=lambda n: sin_bump_drift() if n == 16 else indicator_drift(),
             bound=lambda n: 1e3, noise_rate=lambda n: 0.0, delta=0.5)),
-        [16, 32, 64], 30, RngStream(0, 0)),
     # C^1 metadata at every level, but the n = 64 ramp declares a slope bound
     # (0.01) below its own slope: the central-difference check stops the sweep
     "rate_sweep_later_level_understates_its_slope": lambda: rate_sweep(
-        _setup(drift=indicator_drift(), seq=_ramp_seq(lambda b_n, n: dataclasses.replace(
-            b_n, sup_grad=0.01) if n == 64 else b_n)), [16, 32, 64], 30, RngStream(0, 0)),
+        _model(drift=indicator_drift()), LIN, [16, 32, 64], 30, RngStream(0, 0),
+        _ramp_seq(lambda b_n, n: dataclasses.replace(b_n, sup_grad=0.01) if n == 64 else b_n)),
     # the n = 64 member's C^1 norm exceeds h(64) ||b||_p: the sequence check stops it
     "rate_sweep_later_member_breaks_its_bound": lambda: rate_sweep(
-        _setup(drift=indicator_drift(), seq=_ramp_seq(lambda b_n, n: ramp_approximation(
-            50.0) if n == 64 else b_n)), [16, 32, 64], 30, RngStream(0, 0)),
+        _model(drift=indicator_drift()), LIN, [16, 32, 64], 30, RngStream(0, 0),
+        _ramp_seq(lambda b_n, n: ramp_approximation(50.0) if n == 64 else b_n)),
+    # a d = 1 schedule on a d = 2 model
+    "rate_sweep_level_of_another_dimension": lambda: rate_sweep(
+        Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64), LIN, [16, 32, 64], 30, RngStream(0, 0),
+        ramp_sequence(alpha=0.4, p=2.0)),
+    "rate_sweep_x0_of_another_dimension": lambda: rate_sweep(
+        _model(x0=np.zeros(2)), LIN, [16, 32, 64], 30, RngStream(0, 0)),
     # no drift sequence: the random ODE would run on the indicator itself
     "mc_mean_sup_error_singular_ode_drift": lambda: mc_mean_sup_error(
-        _setup(drift=indicator_drift()), 16, 30, RngStream(0, 0)),
+        _model(drift=indicator_drift()), LIN, 16, 30, RngStream(0, 0)),
+    "stability_sweep_drift_of_another_dimension": lambda: stability_sweep(
+        Model(indicator_drift(), SIN_ELL_2, HALF_2, np.zeros(2), GRID_64),
+        ramp_sequence(alpha=0.4, p=2.0), [16, 64], 100, RngStream(0, 0)),
+    "stability_sweep_level_of_another_dimension": lambda: stability_sweep(
+        Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64),
+        ramp_sequence(alpha=0.4, p=2.0), [16, 64], 100, RngStream(0, 0)),
     "tube_ladder_zero_radius": lambda: tube_ladder(
-        zero_drift(), identity_diffusion(), HALF, 0.0,
-        [make_target("const", make_grid(1.0, 64), 0.0)], [0.5, 0.0], 100, RngStream(0, 0)),
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0)], [0.5, 0.0], 100, RngStream(0, 0)),
+    "tube_ladder_nan_radius": lambda: tube_ladder(
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0)], [0.5, float("nan")], 100, RngStream(0, 0)),
+    "tube_ladder_infinite_radius": lambda: tube_ladder(
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0)], [0.5, float("inf")], 100, RngStream(0, 0)),
     "tube_ladder_no_target": lambda: tube_ladder(
-        zero_drift(), identity_diffusion(), HALF, 0.0, [], [0.5], 100, RngStream(0, 0)),
+        _model(zero_drift(), identity_diffusion(), n_ref=64), [], [0.5], 100, RngStream(0, 0)),
     "tube_ladder_no_radius": lambda: tube_ladder(
-        zero_drift(), identity_diffusion(), HALF, 0.0,
-        [make_target("const", make_grid(1.0, 64), 0.0)], [], 100, RngStream(0, 0)),
-    # the second target lies on another grid, or starts away from x0
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0)], [], 100, RngStream(0, 0)),
+    # the second target lies on another grid than the model's, or starts away from x0
     "tube_ladder_target_on_another_grid": lambda: tube_ladder(
-        zero_drift(), identity_diffusion(), HALF, 0.0,
-        [make_target("const", make_grid(1.0, 64), 0.0),
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0),
          make_target("line", make_grid(1.0, 128), 0.0)], [0.5], 100, RngStream(0, 0)),
     "tube_ladder_target_away_from_x0": lambda: tube_ladder(
-        zero_drift(), identity_diffusion(), HALF, 0.0,
-        [make_target("const", make_grid(1.0, 64), 0.0),
-         make_target("line", make_grid(1.0, 64), 1.0)], [0.5], 100, RngStream(0, 0)),
+        _model(zero_drift(), identity_diffusion(), n_ref=64),
+        [make_target("const", GRID_64, 0.0),
+         make_target("line", GRID_64, 1.0)], [0.5], 100, RngStream(0, 0)),
+    "tube_ladder_correction_of_another_dimension": lambda: tube_ladder(
+        _model(indicator_drift(), n_ref=64, c=HALF_2),
+        [make_target("const", GRID_64, 0.0)], [0.5], 100, RngStream(0, 0)),
+    "make_target_nan_x0": lambda: make_target("const", GRID_64, float("nan")),
+    "make_target_nan_slope": lambda: make_target("line", GRID_64, 0.0, slope=float("nan")),
+    "make_target_nan_amp": lambda: make_target("sine", GRID_64, 0.0, amp=float("nan")),
+    "make_target_infinite_freq": lambda: make_target("sine", GRID_64, 0.0, freq=float("inf")),
     "girsanov_mean_full_sigma": lambda: girsanov_mean(
-        zero_drift(2), _coupled_sigma(), np.zeros(2), 100, RngStream(0, 0), make_grid(1.0, 64)),
+        Model(zero_drift(2), _coupled_sigma(), HALF_2, np.zeros(2), GRID_64), 100, RngStream(0, 0)),
     "girsanov_weight_full_sigma": lambda: experiments._driftless_weights(
-        zero_drift(2), _coupled_sigma(), np.zeros(2), make_grid(1.0, 64), RngStream(0, 0), 1),
+        Model(zero_drift(2), _coupled_sigma(), HALF_2, np.zeros(2), GRID_64), RngStream(0, 0), 1),
     # diagonal, but without the scalar form the weights read its diagonal from
     "girsanov_mean_diagonal_without_scalar_forms": lambda: girsanov_mean(
-        zero_drift(), dataclasses.replace(sin_elliptic_diffusion(1.0, 0.5), scalar=None,
-                                          scalar_grad=None),
-        0.0, 100, RngStream(0, 0), make_grid(1.0, 64)),
+        _model(zero_drift(), dataclasses.replace(SIN_ELL, scalar=None, scalar_grad=None), n_ref=64),
+        100, RngStream(0, 0)),
+    "girsanov_mean_drift_of_another_dimension": lambda: girsanov_mean(
+        Model(indicator_drift(), SIN_ELL_2, HALF_2, np.zeros(2), GRID_64), 100, RngStream(0, 0)),
 }
 
 
@@ -234,26 +257,26 @@ def test_bad_input_is_rejected_before_any_path(monkeypatch, call):
 
 
 def test_identity_coupling_additive_noise_is_exact_zero():
-    s = _setup(drift=zero_drift(), sigma=const_diffusion(2.0), n_ref=256)
-    r = mc_mean_sup_error(s, 256, 40, RngStream(5, 0))
+    m = _model(drift=zero_drift(), sigma=const_diffusion(2.0), n_ref=256)
+    r = mc_mean_sup_error(m, LIN, 256, 40, RngStream(5, 0))
     assert r.estimate < 1e-24
 
 
 def test_abort_threshold_raises():
-    s = _setup(drift=const_drift(1e15), sigma=const_diffusion(1.0), n_ref=256)
+    m = _model(drift=const_drift(1e15), sigma=const_diffusion(1.0), n_ref=256)
     with pytest.raises(AbortRateError):
-        mc_mean_sup_error(s, 16, 40, RngStream(6, 0))
+        mc_mean_sup_error(m, LIN, 16, 40, RngStream(6, 0))
 
 
 def test_requires_minimum_paths():
     with pytest.raises(ValidationError):
-        mc_mean_sup_error(_setup(), 16, 10, RngStream(0, 0))
+        mc_mean_sup_error(_model(), LIN, 16, 10, RngStream(0, 0))
 
 
 def test_stderr_scaling_on_doubled_paths():
-    s = _setup(n_ref=1 << 10)
-    small = mc_mean_sup_error(s, 16, 250, RngStream(7, 0))
-    big = mc_mean_sup_error(s, 16, 500, RngStream(7, 0))
+    m = _model(n_ref=1 << 10)
+    small = mc_mean_sup_error(m, LIN, 16, 250, RngStream(7, 0))
+    big = mc_mean_sup_error(m, LIN, 16, 500, RngStream(7, 0))
     ratio = big.stderr / small.stderr
     assert 0.6 <= ratio <= 0.85
 
@@ -305,11 +328,10 @@ def test_quantiles_equal_scipy_stats_bit_for_bit():
 
 
 def test_rate_sweep_level_zero_is_mc_mean_sup_error_bit_for_bit():
-    s = _setup(n_ref=256, seq=ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
-               drift=indicator_drift())
+    m, seq = _model(n_ref=256, drift=indicator_drift()), ramp_sequence(alpha=0.4, p=2.0, delta=0.5)
     levels, paths, stream = [16, 32, 64], 40, RngStream(8, 3)
-    rep = rate_sweep(s, levels, paths, stream)
-    r = mc_mean_sup_error(s, levels[0], paths, stream)
+    rep = rate_sweep(m, LIN, levels, paths, stream, seq)
+    r = mc_mean_sup_error(m, LIN, levels[0], paths, stream, seq)
     assert rep.points[0] == (levels[0], r.estimate, r.stderr)
     assert rep.aborted[0] == r.aborted
 
@@ -324,13 +346,12 @@ def test_rate_sweep_samples_and_solves_the_reference_once_per_batch(monkeypatch)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(solvers, name, counted)
-    rate_sweep(_setup(n_ref=64, m_ode=4), [4, 8, 16, 32], 300, RngStream(8, 4))
+    rate_sweep(_model(n_ref=64), LIN, [4, 8, 16, 32], 300, RngStream(8, 4), m_ode=4)
     assert calls == {"sample_brownian_batch": 2, "em_batch": 2, "rk4_batch": 8}
 
 
 def test_rate_sweep_reports_negative_slope():
-    s = _setup(n_ref=1 << 11)
-    rep = rate_sweep(s, [16, 32, 64, 128], 120, RngStream(8, 0))
+    rep = rate_sweep(_model(n_ref=1 << 11), LIN, [16, 32, 64, 128], 120, RngStream(8, 0))
     assert rep.slope < -0.5
     assert len(rep.points) == 4
 
@@ -347,8 +368,7 @@ def test_stability_identity_sequence_is_exact_zero():
     ident = DriftApproxSequence(base=b, p=2.0, generator=lambda n: b,
                                 bound=lambda n: 1.0, noise_rate=lambda n: 0.0,
                                 delta=0.5)
-    rep = stability_sweep(b, ident, sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
-                          [16, 64], 60, RngStream(9, 0), SolverConfig(n_ref=1 << 10))
+    rep = stability_sweep(_model(b), ident, [16, 64], 60, RngStream(9, 0))
     assert all(mse == 0.0 for _, _, mse, _ in rep.levels)
     assert all(dist == 0.0 for _, dist, _, _ in rep.levels)
 
@@ -368,18 +388,16 @@ def test_stability_ramp_sequence_mse_drops():
     # start left of the plateau: the widest ramp still reaches x0 = -4, the
     # narrower ones do not, so the drift mismatch the paths see collapses
     seq = ramp_sequence(alpha=0.4, p=2.0, delta=0.5)
-    rep = stability_sweep(indicator_drift(), seq, sin_elliptic_diffusion(1.0, 0.5),
-                          HALF, -4.0, [16, 64, 256], 200, RngStream(11, 0),
-                          SolverConfig(n_ref=1 << 11))
+    rep = stability_sweep(_model(indicator_drift(), n_ref=1 << 11, x0=-4.0), seq, [16, 64, 256], 200,
+                          RngStream(11, 0))
     mses = [mse for _, _, mse, _ in rep.levels]
     assert mses == sorted(mses, reverse=True)
     assert mses[-1] < mses[0] / 4
 
 
 def _ramp_stability(levels, paths, stream, n_ref=256):
-    return stability_sweep(indicator_drift(), ramp_sequence(alpha=0.4, p=2.0, delta=0.5),
-                           sin_elliptic_diffusion(1.0, 0.5), HALF, -4.0, levels, paths,
-                           stream, SolverConfig(n_ref=n_ref))
+    return stability_sweep(_model(indicator_drift(), n_ref=n_ref, x0=-4.0),
+                           ramp_sequence(alpha=0.4, p=2.0, delta=0.5), levels, paths, stream)
 
 
 def test_each_stability_level_equals_its_one_level_sweep():
@@ -413,8 +431,7 @@ def test_stability_sweep_samples_and_solves_the_b_path_once_per_batch(monkeypatc
 def test_huge_radius_hits_everything():
     g = make_grid(1.0, 256)
     t = make_target("const", g, 0.0)
-    (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                         0.0, [t], [1e6], 500, RngStream(12, 0))
+    (rep,) = tube_ladder(_model(indicator_drift(), n_ref=256), [t], [1e6], 500, RngStream(12, 0))
     assert rep.hits == rep.paths == 500
     assert rep.lower_confidence > 0.99
 
@@ -428,21 +445,19 @@ def test_simulated_path_is_in_the_bulk():
                         np.zeros((1, 1)), np.diff(w, axis=1), g.dt)
     assert st[0] == 0
     target = Path(g, vals[0])
-    (rep,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                         0.0, [target], [0.5], 10000, RngStream(13, 0))
+    (rep,) = tube_ladder(_model(indicator_drift(), n_ref=512), [target], [0.5], 10000, RngStream(13, 0))
     assert rep.hits > 0
 
 
 def test_ladder_is_monotone_on_shared_samples():
     g = make_grid(1.0, 256)
     t = make_target("line", g, 0.0, slope=1.0)
-    reports = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                          0.0, [t], [0.25, 0.5, 1.0, 2.0], 2000, RngStream(14, 0))
+    reports = tube_ladder(_model(indicator_drift(), n_ref=256), [t], [0.25, 0.5, 1.0, 2.0], 2000,
+                          RngStream(14, 0))
     hits = [r.hits for r in reports]
     assert hits == sorted(hits)
     # shared samples: rerunning a single radius gives the identical count
-    (single,) = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                            0.0, [t], [0.5], 2000, RngStream(14, 0))
+    (single,) = tube_ladder(_model(indicator_drift(), n_ref=256), [t], [0.5], 2000, RngStream(14, 0))
     assert single.hits == hits[1]
 
 
@@ -453,12 +468,10 @@ def test_each_target_equals_its_one_target_ladder():
     targets = [make_target("const", g, 0.0), make_target("line", g, 0.0, slope=1.0),
                make_target("sine", g, 0.0, amp=0.3, freq=1.0)]
     ladder, stream = [0.25, 0.5, 1.0], RngStream(14, 1)
-    reports = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                          0.0, targets, ladder, 1500, stream)
+    reports = tube_ladder(_model(indicator_drift(), n_ref=256), targets, ladder, 1500, stream)
     assert len(reports) == 3 * len(ladder)
     for ti, target in enumerate(targets):
-        one = tube_ladder(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF,
-                          0.0, [target], ladder, 1500, stream)
+        one = tube_ladder(_model(indicator_drift(), n_ref=256), [target], ladder, 1500, stream)
         shared = reports[ti * len(ladder):(ti + 1) * len(ladder)]
         assert [(r.epsilon, r.hits, r.lower_confidence, r.aborted) for r in shared] == \
             [(r.epsilon, r.hits, r.lower_confidence, r.aborted) for r in one]
@@ -469,7 +482,7 @@ def test_target_must_start_at_x0():
     g = make_grid(1.0, 64)
     t = make_target("const", g, 1.0)
     with pytest.raises(ValidationError):
-        tube_ladder(zero_drift(), identity_diffusion(), HALF, 0.0, [t], [0.5], 100, RngStream(15, 0))
+        tube_ladder(_model(zero_drift(), identity_diffusion(), n_ref=64), [t], [0.5], 100, RngStream(15, 0))
 
 
 def test_make_target_kinds():
@@ -492,39 +505,33 @@ def test_make_target_kinds():
 
 
 def test_zero_drift_weight_is_one():
-    rho, y, st = experiments._driftless_weights(zero_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0,
-                                                make_grid(1.0, 256), RngStream(16, 0), 1)
+    rho, y, st = experiments._driftless_weights(_model(zero_drift(), n_ref=256), RngStream(16, 0), 1)
     assert rho.tolist() == [1.0] and st.tolist() == [0]
     assert y.shape == (1, 257, 1)
 
 
 def test_constant_drift_identity_sigma_closed_form():
-    g = make_grid(1.0, 512)
-    b = const_drift(0.8)
-    rho, y, _ = experiments._driftless_weights(b, identity_diffusion(), 0.0, g, RngStream(17, 3), 4)
+    m = _model(const_drift(0.8), identity_diffusion(), n_ref=512)
+    rho, y, _ = experiments._driftless_weights(m, RngStream(17, 3), 4)
     # Y = W here; the weight collapses to exp(b W_T - b^2 T / 2)
     w_t = y[:, -1, 0] - y[:, 0, 0]
     assert np.max(np.abs(rho - np.exp(0.8 * w_t - 0.32))) < 1e-8
 
 
 def test_mean_weight_is_one_within_three_se():
-    rep = girsanov_mean(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), 0.0,
-                        3000, RngStream(18, 0), make_grid(1.0, 2048))
+    rep = girsanov_mean(_model(indicator_drift(), n_ref=2048), 3000, RngStream(18, 0))
     assert rep.stderr > 0
     assert abs(rep.mean_rho - 1.0) < 3 * rep.stderr
     assert rep.max_weight > 0
 
 
 def test_weights_are_positive():
-    rhos, _, st = experiments._driftless_weights(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5),
-                                                 0.0, make_grid(1.0, 256), RngStream(19, 0), 50)
+    rhos, _, st = experiments._driftless_weights(_model(indicator_drift(), n_ref=256), RngStream(19, 0), 50)
     assert np.all(st == 0) and np.all(rhos > 0.0)
 
 
 def test_girsanov_stderr_scaling_on_doubled_paths():
-    g = make_grid(1.0, 512)
-    small = girsanov_mean(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5),
-                          0.0, 1500, RngStream(20, 0), g)
-    big = girsanov_mean(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5),
-                        0.0, 3000, RngStream(20, 0), g)
+    m = _model(indicator_drift(), n_ref=512)
+    small = girsanov_mean(m, 1500, RngStream(20, 0))
+    big = girsanov_mean(m, 3000, RngStream(20, 0))
     assert 0.6 <= big.stderr / small.stderr <= 0.85

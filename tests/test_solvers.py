@@ -20,8 +20,8 @@ from wzsim.registry import (
 )
 from wzsim.shapes import bump_kernel, linear_shape
 from wzsim.solvers import (
+    Model,
     SolverAbort,
-    SolverConfig,
     coupled_batch,
     em_batch,
     rk4_batch,
@@ -266,20 +266,19 @@ def test_ode_requires_smooth_drift_metadata():
 def test_coupled_additive_error_equals_direct_computation():
     # zero drift and sigma = s0: X = s0 W and x^n = s0 W^n, so the sup error
     # is s0 sup |W - W^n| over the reference nodes
-    cfg = SolverConfig(n_ref=1 << 10, m_ode=16)
+    g = make_grid(1.0, 1 << 10)
     s0 = 1.5
-    sup, _, _ = coupled_batch(zero_drift(), const_diffusion(s0), HALF, LIN, [(16, zero_drift())],
-                              0.0, RngStream(5, 77), cfg, 4)
-    w = sample_brownian_batch(cfg.grid(), 1, RngStream(5, 77), 4)
-    wn = LIN.batch_values(w, 16, 64, *_block_positions(cfg.grid().nodes(), 16, 16))
+    sup, _, _ = coupled_batch(Model(zero_drift(), const_diffusion(s0), HALF, 0.0, g), LIN,
+                              [(16, zero_drift())], RngStream(5, 77), 4)
+    w = sample_brownian_batch(g, 1, RngStream(5, 77), 4)
+    wn = LIN.batch_values(w, 16, 64, *_block_positions(g.nodes(), 16, 16))
     direct = s0 * np.max(np.abs(w - wn)[:, :, 0], axis=1)
     assert np.max(np.abs(sup[:, 0] - direct)) < 1e-10
 
 
 def test_coupled_run_is_deterministic():
-    cfg = SolverConfig(n_ref=1 << 10, m_ode=16)
-    args = (sin_bump_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, sin_bump_drift())],
-            0.0, RngStream(5, 78), cfg, 2)
+    args = (Model(sin_bump_drift(), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 1 << 10)), LIN,
+            [(16, sin_bump_drift())], RngStream(5, 78), 2)
     assert np.array_equal(coupled_batch(*args)[0], coupled_batch(*args)[0])
 
 
@@ -287,29 +286,27 @@ def test_each_level_of_a_coupled_batch_equals_its_one_level_batch():
     # the levels share one Brownian sample and one Euler reference per path,
     # so each column is what a batch of that level alone returns, bit for bit;
     # the smoothed drift may differ per level
-    cfg = SolverConfig(n_ref=256, m_ode=8)
-    sigma, stream = sin_elliptic_diffusion(), RngStream(5, 83)
+    model = Model(sin_bump_drift(), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 256))
+    stream = RngStream(5, 83)
     levels = [(16, sin_bump_drift()), (32, sin_bump_drift(3.0)), (64, sin_bump_drift())]
-    sup, st_sde, st_ode = coupled_batch(sin_bump_drift(), sigma, HALF, LIN, levels, 0.0,
-                                        stream, cfg, 6)
+    sup, st_sde, st_ode = coupled_batch(model, LIN, levels, stream, 6, m_ode=8)
     assert sup.shape == st_ode.shape == (6, 3) and st_sde.shape == (6,)
     for li, level in enumerate(levels):
-        one, one_sde, one_ode = coupled_batch(sin_bump_drift(), sigma, HALF, LIN, [level], 0.0,
-                                              stream, cfg, 6)
+        one, one_sde, one_ode = coupled_batch(model, LIN, [level], stream, 6, m_ode=8)
         assert np.array_equal(sup[:, li], one[:, 0])
         assert np.array_equal(st_sde, one_sde)
         assert np.array_equal(st_ode[:, li], one_ode[:, 0])
     assert len(np.unique(sup[0])) == 3
 
 
-def _ode_nodes_and_steps(b, sigma, cfg, n, x0, stream, count, m_steps):
-    """The coupled route's ODE values and status at the reference nodes, and
-    rk4_batch's step-end values and status at m_steps steps per block on the
-    same Brownian paths."""
-    w = sample_brownian_batch(cfg.grid(), 1, stream, count)
-    xnv, st = solvers._level_values(b, sigma, LIN, w, n, block_layout(LIN, cfg.grid(), n, 1),
-                                    x0, cfg)
-    vst = solvers._stage_derivs(LIN, w, n, cfg.n_ref // n, n, m_steps)
+def _ode_nodes_and_steps(b, sigma, n_ref, m_ode, n, x0, stream, count, m_steps):
+    """The coupled route's ODE values and status at the reference nodes (m_ode
+    steps per block), and rk4_batch's step-end values and status at m_steps
+    steps per block on the same Brownian paths."""
+    model = Model(b, sigma, HALF, x0, make_grid(1.0, n_ref))
+    w = sample_brownian_batch(model.grid, 1, stream, count)
+    xnv, st = solvers._level_values(model, b, LIN, w, n, block_layout(LIN, model.grid, n, 1), m_ode)
+    vst = solvers._stage_derivs(LIN, w, n, n_ref // n, n, m_steps)
     xs, st_steps = rk4_batch(b, sigma, np.full((count, 1), x0), vst, 1.0 / (n * m_steps))
     return xnv, st, xs, st_steps
 
@@ -317,9 +314,8 @@ def _ode_nodes_and_steps(b, sigma, cfg, n, x0, stream, count, m_steps):
 def test_aligned_reference_nodes_copy_the_step_values():
     # msub = 4 reference cells and m_ode = 8 steps per block: every reference
     # node is the end of every second step
-    xnv, st, xs, st_steps = _ode_nodes_and_steps(sin_bump_drift(), sin_elliptic_diffusion(),
-                                                 SolverConfig(n_ref=256, m_ode=8), 64, 0.3,
-                                                 RngStream(5, 80), 8, 8)
+    xnv, st, xs, st_steps = _ode_nodes_and_steps(sin_bump_drift(), sin_elliptic_diffusion(), 256, 8,
+                                                 64, 0.3, RngStream(5, 80), 8, 8)
     assert np.array_equal(xnv, xs[:, ::2])
     assert np.array_equal(st, st_steps)
 
@@ -327,10 +323,9 @@ def test_aligned_reference_nodes_copy_the_step_values():
 def test_hermite_reference_nodes_match_a_finer_aligned_run():
     # msub = 24 reference cells against m_ode = 16 steps per block: 1.5 nodes
     # per step, and every third node is a step end
-    cfg = SolverConfig(n_ref=384, m_ode=16)
     b, sigma = sin_bump_drift(), sin_elliptic_diffusion()
-    xnv, st, xs, _ = _ode_nodes_and_steps(b, sigma, cfg, 16, 0.3, RngStream(5, 81), 8, 16)
-    _, _, fine, st_fine = _ode_nodes_and_steps(b, sigma, cfg, 16, 0.3, RngStream(5, 81), 8, 48)
+    xnv, st, xs, _ = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 16)
+    _, _, fine, st_fine = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 48)
     assert not np.any(st) and not np.any(st_fine)
     assert xnv.shape == (8, 385, 1)
     assert np.array_equal(xnv[:, ::3], xs[:, ::2])
@@ -340,25 +335,24 @@ def test_hermite_reference_nodes_match_a_finer_aligned_run():
 def test_hermite_reference_nodes_are_nan_from_the_aborting_step_on():
     # sigma(x) = x from x0 = 5e11: x = x0 exp(W^n) leaves [-1e12, 1e12] once
     # W^n exceeds log 2, which about half the paths do
-    cfg = SolverConfig(n_ref=384, m_ode=16)
-    xnv, st, _, st_steps = _ode_nodes_and_steps(zero_drift(), linear_diffusion(), cfg, 16, 5e11,
+    n_ref, m_ode = 384, 16
+    xnv, st, _, st_steps = _ode_nodes_and_steps(zero_drift(), linear_diffusion(), n_ref, m_ode, 16, 5e11,
                                                 RngStream(5, 82), 32, 16)
     assert np.array_equal(st, st_steps)
     assert 0 < np.count_nonzero(st) < st.size
     # node j lies at step position j * steps / n_ref; a path with status k
     # aborted in the step from k - 1 to k
-    pos = np.arange(cfg.n_ref + 1) * (16 * cfg.m_ode)
+    pos = np.arange(n_ref + 1) * (16 * m_ode)
     for vals, k in zip(xnv[:, :, 0], st):
-        finite = pos <= (k - 1) * cfg.n_ref if k else pos >= 0
+        finite = pos <= (k - 1) * n_ref if k else pos >= 0
         assert np.all(np.isfinite(vals[finite]))
         assert np.all(np.isnan(vals[~finite]))
 
 
 def test_coupled_error_shrinks_with_n_for_smooth_setup():
-    cfg = SolverConfig(n_ref=1 << 11, m_ode=16)
     b = sin_bump_drift()
-    err, st_sde, st_ode = coupled_batch(b, sin_elliptic_diffusion(), HALF, LIN, [(8, b), (128, b)],
-                                        0.0, RngStream(6, 1000), cfg, 20)
+    model = Model(b, sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 1 << 11))
+    err, st_sde, st_ode = coupled_batch(model, LIN, [(8, b), (128, b)], RngStream(6, 1000), 20)
     assert not np.any(st_sde) and not np.any(st_ode)
     mse = np.mean(err**2, axis=0)
     assert mse[1] < mse[0]
@@ -367,9 +361,8 @@ def test_coupled_error_shrinks_with_n_for_smooth_setup():
 def test_coupled_identity_coupling_is_exact_for_additive_noise():
     # n = n_ref with the polygonal family: the smoothed path hits every grid
     # node, both solvers are exact, so the coupled error vanishes
-    cfg = SolverConfig(n_ref=256, m_ode=16)
-    sup, _, _ = coupled_batch(zero_drift(), const_diffusion(2.0), HALF, LIN, [(256, zero_drift())],
-                              0.0, RngStream(7, 0), cfg, 1)
+    model = Model(zero_drift(), const_diffusion(2.0), HALF, 0.0, make_grid(1.0, 256))
+    sup, _, _ = coupled_batch(model, LIN, [(256, zero_drift())], RngStream(7, 0), 1)
     assert sup[0, 0] < 1e-12
 
 
@@ -417,25 +410,23 @@ def test_an_understated_slope_bound_is_rejected_in_two_dimensions():
         solvers._require_c1(dataclasses.replace(field, sup_grad=0.5))
 
 
+# the Euler reference runs on the indicator; the random ODE needs each level's b_n C^1
+SINGULAR = Model(indicator_drift(), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 256))
+
 COUPLED_BAD_DRIFT_CALLS = {
     # a batch of one path
-    "coupled_run": lambda cfg: coupled_batch(
-        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
-        RngStream(8, 1), cfg, 1),
-    "coupled_batch": lambda cfg: coupled_batch(
-        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, indicator_drift())], 0.0,
-        RngStream(8, 1), cfg, 4),
+    "coupled_run": lambda: coupled_batch(
+        SINGULAR, LIN, [(16, indicator_drift())], RngStream(8, 1), 1, m_ode=8),
+    "coupled_batch": lambda: coupled_batch(
+        SINGULAR, LIN, [(16, indicator_drift())], RngStream(8, 1), 4, m_ode=8),
     # the first level is smooth: the singular later level must still stop the batch
-    "coupled_batch_later_level": lambda cfg: coupled_batch(
-        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
-        [(16, sin_bump_drift()), (32, indicator_drift())], 0.0, RngStream(8, 1), cfg, 4),
+    "coupled_batch_later_level": lambda: coupled_batch(
+        SINGULAR, LIN, [(16, sin_bump_drift()), (32, indicator_drift())], RngStream(8, 1), 4, m_ode=8),
     # C^1 metadata present, but its slope bound is below the ramp's slope chi/2 = 3
-    "coupled_run_understated_slope": lambda cfg: coupled_batch(
-        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN, [(16, UNDERSTATED)], 0.0,
-        RngStream(8, 1), cfg, 1),
-    "coupled_batch_later_level_understated_slope": lambda cfg: coupled_batch(
-        indicator_drift(), sin_elliptic_diffusion(), HALF, LIN,
-        [(16, ramp_approximation(6.0)), (32, UNDERSTATED)], 0.0, RngStream(8, 1), cfg, 4),
+    "coupled_run_understated_slope": lambda: coupled_batch(
+        SINGULAR, LIN, [(16, UNDERSTATED)], RngStream(8, 1), 1, m_ode=8),
+    "coupled_batch_later_level_understated_slope": lambda: coupled_batch(
+        SINGULAR, LIN, [(16, ramp_approximation(6.0)), (32, UNDERSTATED)], RngStream(8, 1), 4, m_ode=8),
 }
 
 
@@ -447,11 +438,34 @@ def test_coupled_routes_reject_a_drift_without_c1_metadata_before_sampling(monke
     for name in ("sample_brownian_batch", "em_batch", "rk4_batch"):
         monkeypatch.setattr(solvers, name, unreachable)
     with pytest.raises(ValidationError, match="C\\^1"):
-        COUPLED_BAD_DRIFT_CALLS[call](SolverConfig(n_ref=256, m_ode=8))
+        COUPLED_BAD_DRIFT_CALLS[call]()
 
 
 def test_coupled_rejects_incompatible_n_ref():
-    cfg = SolverConfig(n_ref=1000, m_ode=16)
+    model = Model(zero_drift(), const_diffusion(1.0), HALF, 0.0, make_grid(1.0, 1000))
     with pytest.raises(ValidationError):
-        coupled_batch(zero_drift(), const_diffusion(1.0), HALF, LIN, [(16, zero_drift())], 0.0,
-                      RngStream(8, 0), cfg, 1)
+        coupled_batch(model, LIN, [(16, zero_drift())], RngStream(8, 0), 1)
+
+
+# one part of each model disagrees with the d = 1 sigma
+MISMATCHED_MODELS = {
+    "drift": lambda: Model(zero_drift(2), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 64)),
+    "correction": lambda: Model(zero_drift(), sin_elliptic_diffusion(), CorrectionMatrix.half_identity(2),
+                                0.0, make_grid(1.0, 64)),
+    "x0": lambda: Model(zero_drift(), sin_elliptic_diffusion(), HALF, np.zeros(2), make_grid(1.0, 64)),
+    "x0_matrix": lambda: Model(zero_drift(), sin_elliptic_diffusion(), HALF, np.zeros((1, 1)),
+                               make_grid(1.0, 64)),
+    "x0_nan": lambda: Model(zero_drift(), sin_elliptic_diffusion(), HALF, float("nan"), make_grid(1.0, 64)),
+}
+
+
+@pytest.mark.parametrize("part", sorted(MISMATCHED_MODELS))
+def test_model_rejects_a_part_of_another_dimension(part):
+    with pytest.raises(ValidationError, match="x0" if part.startswith("x0") else part):
+        MISMATCHED_MODELS[part]()
+
+
+def test_model_takes_a_scalar_or_a_vector_x0():
+    sigma, half = sin_elliptic_diffusion(d=2), CorrectionMatrix.half_identity(2)
+    for x0 in (0.5, np.array([0.5, -0.5])):
+        assert Model(zero_drift(2), sigma, half, x0, make_grid(1.0, 64)).dim == 2

@@ -35,6 +35,12 @@ that dimension.  A value is text to configparser (no ``%`` interpolation).
 Every CSV starts with a provenance comment (seed, config hash, tool
 version), uses a header row, UTF-8, LF line endings and '.' decimals.  Exit
 codes: 0 ok, 2 validation error, 3 aborted-path threshold breached.
+
+Importing this module loads no SciPy module.  rate-sweep and tube import
+``scipy.special`` before they build their model, and the mollified family,
+drift and drift sequence load SciPy when they are built, so a run that
+needs SciPy loads it (or fails) before its first path; the other commands
+run on numpy alone.
 """
 
 from __future__ import annotations
@@ -285,6 +291,9 @@ def _make_setup(cfg: RunConfig) -> tuple[Model, NoiseFamily, DriftApproxSequence
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
+    # loaded before the model is built, so a broken SciPy fails before the Monte Carlo, not after it
+    import scipy.special  # noqa: F401
+
     model, family, seq = _make_setup(cfg)
     paths = cfg.params["paths"]
     rep = rate_sweep(model, family, cfg.params["n_list"], paths, stream, seq, m_ode=cfg.params["m_ode"])
@@ -321,6 +330,9 @@ def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
 
 
 def _cmd_tube(cfg: RunConfig, stream: RngStream) -> None:
+    # loaded before the model is built, so a broken SciPy fails before the Monte Carlo, not after it
+    import scipy.special  # noqa: F401
+
     model = _build_model(cfg)
     paths, eps_ladder = cfg.params["paths"], cfg.params["eps_ladder"]
     kinds = cfg.params["targets"].split()

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .core import ValidationError
 
@@ -229,18 +228,21 @@ def mollified_indicator(kappa: float) -> DriftField:
     """
     if not 0.0 < kappa < math.inf:
         raise ValidationError(f"kappa = {kappa} must be positive and finite")
+    # loaded when the field is built, before any path; runs without this field never load it
+    from scipy.special import erf
+
     s = math.sqrt(kappa / 2.0)
 
     def fn(x, s=s):
         x = np.asarray(x, dtype=float)
-        return 0.5 * (special.erf(x * s) - special.erf((x - 1.0) * s))
+        return 0.5 * (erf(x * s) - erf((x - 1.0) * s))
 
     xs = np.linspace(-4.0 / s - 1.0, 1.0, 1 << 13)  # |b_n'| is symmetric about 1/2
     grad = (s / math.sqrt(math.pi)) * np.abs(np.exp(-(xs * s) ** 2) - np.exp(-((xs - 1.0) * s) ** 2))
     # support is unbounded; beyond ~10 sigma the field is below 1e-22
     eff = 1.0 + 10.0 / math.sqrt(kappa)
     return DriftField(dim=1, fn=fn, support_radius=eff,
-                      sup_value=float(special.erf(0.5 * s)),
+                      sup_value=float(erf(0.5 * s)),
                       sup_grad=float(grad.max()) * (1.0 + 1e-9),
                       name=f"mollified[kappa={kappa:g}]")
 

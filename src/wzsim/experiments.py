@@ -25,12 +25,12 @@ A path whose solver status is non-zero or whose value is not finite is
 aborted at that level: left out, counted and reported per level; an abort
 of the Euler reference counts against every level.  A run in which any
 level's abort fraction exceeds ``ABORT_TOLERANCE`` raises instead of
-returning a biased estimate.  Input checks, for every level, run before the
-first path is simulated: a rate sweep checks each level's b_n against the
-C^1 hypotheses of the theorem (its declared slope bound and, with a drift
-schedule, the h(n) ||b||_p bound on its C^1 norm).  A stability sweep runs
-b_n only through Euler, so its b_n need not be C^1; every level's b_n must
-have the model's dimension.
+returning a biased estimate.  Input checks, for every level, run once,
+before the first path is simulated: a rate sweep checks each level's b_n
+against the C^1 hypotheses of the theorem (its declared slope bound and,
+with a drift schedule, the h(n) ||b||_p bound on its C^1 norm).  A
+stability sweep runs b_n only through Euler, so its b_n need not be C^1;
+every level's b_n must have the model's dimension.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special
 
 from .coeffs import DriftApproxSequence, lp_distance, lp_norm
 from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_brownian_batch,
@@ -122,7 +121,7 @@ def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths
     if paths < 30:
         raise ValidationError("need at least 30 paths")
     levels = [(n, model.drift if seq is None else seq.generator(n)) for n in ns]
-    _check_levels(model, family, levels, m_ode)
+    layouts = _check_levels(model, family, levels, m_ode)
     if seq is not None:
         norm = lp_norm(seq.base, seq.p)
         for n, b_n in levels:
@@ -130,7 +129,8 @@ def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths
                 raise ValidationError(f"level n={n}: '{b_n.name}' has C^1 norm {b_n.c1_norm:g} "
                                       f"above h(n) ||b||_p = {seq.bound(n) * norm:g}")
 
-    sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode=m_ode),
+    sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode=m_ode,
+                                                          layouts=layouts),
                                paths, stream, SWEEP_BATCH)
     return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
 
@@ -179,7 +179,9 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     dof = len(points) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
     sigma2 = float(res[0]) / dof if len(res) else 0.0
-    half = float(special.stdtrit(dof, 0.975)) * math.sqrt(sigma2 / sxx)
+    from scipy.special import stdtrit
+
+    half = float(stdtrit(dof, 0.975)) * math.sqrt(sigma2 / sxx)
     return slope, half
 
 
@@ -284,7 +286,9 @@ def _binomial_lcb(hits: int, paths: int) -> float:
     """Exact (Clopper-Pearson style) one-sided LCB_LEVEL lower bound on the hit probability."""
     if hits <= 0:
         return 0.0
-    return float(special.betaincinv(hits, paths - hits + 1, 1.0 - LCB_LEVEL))
+    from scipy.special import betaincinv
+
+    return float(betaincinv(hits, paths - hits + 1, 1.0 - LCB_LEVEL))
 
 
 def _tube_sups(model: Model, targets: Sequence[Path], paths: int,

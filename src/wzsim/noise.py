@@ -157,10 +157,16 @@ class Mollified(NoiseFamily):
     as one ``scipy.sparse`` CSR matrix of shape (len(k), nsub + 1), with at
     most nsub + 1 entries a row, and applies it to every path of the batch
     in one product.  The matrix does not depend on the path; it is rebuilt
-    on every call and not cached.
+    on every call and not cached.  ``scipy.sparse`` is loaded when the
+    family is built, before any path of a run that uses it; runs without
+    this family never load it.
     """
 
     kernel: MollifierKernel
+
+    def __post_init__(self):
+        # a cold import takes about 0.15 s, which would otherwise land in the first batch
+        import scipy.sparse  # noqa: F401
 
     @property
     def name(self):
@@ -202,8 +208,8 @@ class Mollified(NoiseFamily):
         # Going through COO sums duplicate (row, col) entries, leaving at most
         # nsub + 1 per row.  CSR adds up each row in a fixed order, so a path's
         # result has the same bits whatever the batch size (a dense BLAS
-        # product gives no such guarantee).  Imported here so that commands
-        # without this family do not load scipy.sparse.
+        # product gives no such guarantee).  scipy.sparse was loaded when the
+        # family was built, so this import only looks it up.
         from scipy.sparse import coo_array
 
         rows = np.broadcast_to(np.arange(nt)[:, None], j.shape)[valid]

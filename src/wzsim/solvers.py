@@ -305,8 +305,9 @@ def _level_values(model: Model, b_n: DriftField, family: NoiseFamily, w: np.ndar
 
 
 def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
-                  stream: RngStream, count: int,
-                  m_ode: int = 16) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  stream: RngStream, count: int, m_ode: int = 16,
+                  layouts: Sequence[tuple[int, int]] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Co-simulate the model's corrected SDE and the random ODE of every level on shared noise.
 
     levels: (n, b_n) pairs; the random ODE takes m_ode RK4 steps per noise
@@ -315,8 +316,13 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
     blocks over the same W, steps its ODE and keeps one sup error per path.
     Returns sup errors (count, L), the SDE status (count,) and the ODE
     statuses (count, L); sup errors of aborted paths are NaN.
+
+    layouts: what ``_check_levels`` returned for these arguments.  A sweep
+    that checked its levels before its first batch passes it, so that the
+    check runs once per sweep; without it every call checks its levels.
     """
-    layouts = _check_levels(model, family, levels, m_ode)
+    if layouts is None:
+        layouts = _check_levels(model, family, levels, m_ode)
     grid = model.grid
     w = sample_brownian_batch(grid, model.dim, stream, count)
     xv, st_sde = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)

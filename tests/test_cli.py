@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 import re
 import subprocess
 import sys
@@ -360,13 +361,64 @@ def test_stability_command(tmp_path):
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded(package_env):
-    # scipy.stats takes about a second to import; the CLI needs only scipy.special.
-    # scipy.sparse is loaded by the mollified family alone, when it first runs.
-    code = ("import sys, wzsim.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.sparse'))))")
-    out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True, text=True,
-                         check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    # Importing the package or its CLI loads no SciPy module at all: scipy.stats
+    # takes about a second to import and scipy.special about 0.3 s.  The runs
+    # that use SciPy load it while they are set up (next test).
+    for module in ("wzsim", "wzsim.cli"):
+        code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        out = subprocess.run([sys.executable, "-c", code], env=package_env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        assert out.stdout.strip() == "[]", module
+
+
+# With SciPy blocked, each golden config runs in a child Python; the Monte
+# Carlo entries the benchmark times from are wrapped to record their calls.
+_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from pathlib import Path
+from wzsim import cli
+
+golden, tmp = Path(sys.argv[1]), Path(sys.argv[2])
+calls = []
+for name in ("rate_sweep", "tube_ladder", "estimate_s"):
+    def wrapped(*args, _name=name, _fn=getattr(cli, name), **kwargs):
+        calls.append(_name)
+        return _fn(*args, **kwargs)
+    setattr(cli, name, wrapped)
+result = {}
+for name in sys.argv[3:]:
+    calls.clear()
+    try:
+        rc = cli.main(["--config", str(golden / f"{name}.ini"), "--out", str(tmp / name)])
+    except ImportError:
+        rc = "ImportError"
+    result[name] = [rc, list(calls)]
+print(json.dumps(result))
+"""
+
+
+def test_scipy_loads_before_the_first_path_of_the_runs_that_need_it(tmp_path, package_env):
+    # rate-sweep (fit_rate), tube (_binomial_lcb) and the mollified family
+    # (scipy.sparse) need SciPy and must fail while they are set up, before
+    # their Monte Carlo entry and before any CSV; the other commands run and
+    # write their recorded bytes on numpy alone
+    golden = Path(__file__).resolve().parent / "data" / "golden"
+    free = ["coeffs", "def31-check", "girsanov-check", "stability"]
+    needs = ["coeffs-mollified", "rate-sweep", "tube"]
+    out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(golden), str(tmp_path), *free, *needs],
+                         env=package_env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    result = json.loads(out.stdout.splitlines()[-1])
+    for name in free:
+        assert result[name][0] == 0, name
+        recorded = sorted(p.name for p in (golden / name).glob("*.csv"))
+        assert recorded and sorted(p.name for p in (tmp_path / name).glob("*.csv")) == recorded
+        for csv in recorded:
+            assert (tmp_path / name / csv).read_bytes() == (golden / name / csv).read_bytes(), csv
+    for name in needs:
+        assert result[name] == ["ImportError", []], name
+        assert not list((tmp_path / name).glob("*.csv")), name
 
 
 def test_the_benchmark_tracer_finds_every_name_it_wraps(package_env):

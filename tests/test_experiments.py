@@ -308,8 +308,9 @@ def test_fit_rate_rejects_bad_input():
 
 
 def test_quantiles_equal_scipy_stats_bit_for_bit():
-    # fit_rate and _binomial_lcb take their quantiles from scipy.special, so
-    # importing the CLI does not load scipy.stats; the values must not move
+    # fit_rate and _binomial_lcb take their quantiles from scipy.special, which
+    # they import when called (the CLI's rate-sweep and tube load it before
+    # their first path), so no run loads scipy.stats; the values must not move
     from scipy import stats
 
     gen = RngStream(17, 0).generator()
@@ -348,6 +349,25 @@ def test_rate_sweep_samples_and_solves_the_reference_once_per_batch(monkeypatch)
         monkeypatch.setattr(solvers, name, counted)
     rate_sweep(_model(n_ref=64), LIN, [4, 8, 16, 32], 300, RngStream(8, 4), m_ode=4)
     assert calls == {"sample_brownian_batch": 2, "em_batch": 2, "rk4_batch": 8}
+
+
+def test_a_sweep_checks_its_levels_once_and_a_direct_batch_its_own(monkeypatch):
+    # 300 paths are two batches of 256: the sweep runs _check_levels (with the
+    # central-difference C^1 check) once, before its first batch, while a
+    # coupled_batch called directly still checks the levels it is given
+    calls = []
+
+    def counted(*args, _fn=solvers._check_levels, **kwargs):
+        calls.append([n for n, _ in args[2]])
+        return _fn(*args, **kwargs)
+
+    for module in (solvers, experiments):
+        monkeypatch.setattr(module, "_check_levels", counted)
+    model = _model(n_ref=128)
+    rate_sweep(model, LIN, [16, 32, 64], 300, RngStream(8, 4), ramp_sequence(), m_ode=4)
+    assert calls == [[16, 32, 64]]
+    solvers.coupled_batch(model, LIN, [(16, ramp_approximation(1.0))], RngStream(8, 4), 3, m_ode=4)
+    assert calls == [[16, 32, 64], [16]]
 
 
 def test_rate_sweep_reports_negative_slope():

@@ -67,7 +67,7 @@ from .experiments import (
 )
 from .noise import NoiseFamily, check_moment_condition, estimate_c, estimate_s
 from .registry import get_diffusion, get_drift, get_family, get_sequence
-from .solvers import Model
+from .solvers import M_ODE, Model
 
 # wide id spacing between sub-estimators of one run
 _STRIDE = 1 << 32
@@ -394,7 +394,7 @@ COMMANDS = {
     "coeffs": Command(_cmd_coeffs, ("family",),
                       {"d": None, "n": 32, "samples": 10000, "t_mult": 16, "m_sub": 8}),
     "rate-sweep": Command(_cmd_rate_sweep, (*_PATH_MODEL, "family", "sequence"),
-                          {"t": 1.0, "n_ref": 8192, "m_ode": 16, "p": 2.0,
+                          {"t": 1.0, "n_ref": 8192, "m_ode": M_ODE, "p": 2.0,
                            "n_list": [16, 32, 64, 128, 256, 512], "paths": 500}),
     "stability": Command(_cmd_stability, (*_PATH_MODEL, "sequence"),
                          {"t": 1.0, "n_ref": 8192, "p": 2.0, "n_list": [16, 64, 256], "paths": 500}),

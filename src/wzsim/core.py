@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -124,6 +125,20 @@ def sample_brownian_batch(grid: TimeGrid, d: int, stream: RngStream, count: int)
         dw = gen.standard_normal((grid.steps, d)) * sqrt_dt
         np.cumsum(dw, axis=0, out=out[i, 1:])
     return out
+
+
+def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, stream: RngStream,
+                batch: int) -> np.ndarray:
+    """Rows of simulate(stream.child(start), m) over the batches of ``count`` paths, in path order.
+
+    The package's one loop over batches.  simulate(s, m) returns one row per
+    path and draws its path j from s.child(j), so path i draws from
+    stream.child(i) whatever the batch size.
+    """
+    if count < 1:
+        raise ValidationError("need at least one path")
+    return np.concatenate([simulate(stream.child(start), min(batch, count - start))
+                           for start in range(0, count, batch)])
 
 
 def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

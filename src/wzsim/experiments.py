@@ -7,11 +7,11 @@ family, drift schedule and ``m_ode``, a stability sweep's schedule, a tube
 ladder's targets on the model's grid and its radii.
 
 Every estimator runs its paths through one driver, ``_run_paths``, in
-batches with per-path counter-based streams (path i of a call uses
-``stream.child(i)``); it keeps one value per path and level in path order,
-which the estimator reduces in that fixed order -- so results do not
-depend on the batch sizes ``SWEEP_BATCH`` and ``EULER_BATCH``, internal
-constants that the tests vary.  A rate sweep is one such call: path j
+the batches of ``core.map_batches``, with per-path counter-based streams
+(path i of a call uses ``stream.child(i)``); it keeps one value per path
+and level in path order, which the estimator reduces in that fixed order
+-- so results do not depend on the batch sizes ``SWEEP_BATCH`` and
+``EULER_BATCH``, internal constants that the tests vary.  A rate sweep is one such call: path j
 uses ``stream.child(j)`` at every level, its Brownian sample and Euler
 reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
@@ -21,13 +21,13 @@ stability sweep shares paths across levels the same way, and a tube ladder
 across its targets and radii: one Brownian sample and one Euler solve per
 path serve every target.
 
-A path whose solver status is non-zero or whose value is not finite is
-aborted at that level: left out, counted and reported per level; an abort
-of the Euler reference counts against every level.  A run in which any
-level's abort fraction exceeds ``ABORT_TOLERANCE`` raises instead of
-returning a biased estimate.  Input checks, for every level, run once,
-before the first path is simulated: a rate sweep checks each level's b_n
-against the C^1 hypotheses of the theorem (its declared slope bound and,
+A path whose value at a level is not finite is aborted at that level: left
+out, counted and reported per level.  The solvers leave an aborted path
+NaN, so an abort of the Euler reference makes every level's value NaN.  A
+run in which any level's abort fraction exceeds ``ABORT_TOLERANCE`` raises
+instead of returning a biased estimate.  Input checks, for every level,
+run before the first path is simulated: a rate sweep checks each level's
+b_n against the C^1 hypotheses of the theorem (its declared slope bound and,
 with a drift schedule, the h(n) ||b||_p bound on its C^1 norm).  A
 stability sweep runs b_n only through Euler, so its b_n need not be C^1;
 every level's b_n must have the model's dimension.
@@ -42,11 +42,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeffs import DriftApproxSequence, lp_distance, lp_norm
-from .core import (Path, RngStream, TimeGrid, ValidationError, mean_se, sample_brownian_batch,
-                   sup_distance_values)
+from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, mean_se,
+                   sample_brownian_batch, sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
-from .solvers import Model, _check_levels, coupled_batch, em_batch
+from .solvers import M_ODE, Model, _check_levels, coupled_batch, em_batch
 
 ABORT_TOLERANCE = 0.01
 # paths per batch: the multi-level sweeps, and the one-level Euler estimators
@@ -65,27 +65,17 @@ class AbortRateError(RuntimeError):
         self.paths = paths
 
 
-def _run_paths(simulate: Callable[[RngStream, int], tuple[np.ndarray, ...]],
-               paths: int, stream: RngStream,
+def _run_paths(simulate: Callable[[RngStream, int], np.ndarray], paths: int, stream: RngStream,
                batch: int) -> tuple[list[np.ndarray], list[int]]:
     """Per level, the values of the paths that did not abort, in path order, and the abort count.
 
     simulate(s, m) returns values (m,) for one level or (m, L) for L levels,
-    then statuses, each of that shape or (m,), which counts against every
-    level.  A path is kept at a level when its value there is finite and
-    every status is 0.  The abort rule is applied to each level on its own.
+    path i of the batch from s.child(i) (``core.map_batches``).  A path is
+    kept at a level when its value there is finite; the abort rule is
+    applied to each level on its own.
     """
-    if paths < 1:
-        raise ValidationError("need at least one path")
-    values, kept = [], []
-    for start in range(0, paths, batch):
-        m = min(batch, paths - start)
-        v, *statuses = simulate(stream.child(start), m)
-        values.append(v.reshape(m, -1))
-        kept.append(np.isfinite(values[-1]))
-        for status in statuses:
-            kept[-1] &= status.reshape(m, -1) == 0
-    values, kept = np.concatenate(values), np.concatenate(kept)
+    values = map_batches(simulate, paths, stream, batch).reshape(paths, -1)
+    kept = np.isfinite(values)
     aborted = [paths - int(k) for k in kept.sum(axis=0)]
     if max(aborted) > ABORT_TOLERANCE * paths:
         raise AbortRateError(max(aborted), paths)
@@ -121,7 +111,7 @@ def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths
     if paths < 30:
         raise ValidationError("need at least 30 paths")
     levels = [(n, model.drift if seq is None else seq.generator(n)) for n in ns]
-    layouts = _check_levels(model, family, levels, m_ode)
+    _check_levels(model, family, levels, m_ode)  # before any path; coupled_batch checks again per batch
     if seq is not None:
         norm = lp_norm(seq.base, seq.p)
         for n, b_n in levels:
@@ -129,14 +119,13 @@ def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths
                 raise ValidationError(f"level n={n}: '{b_n.name}' has C^1 norm {b_n.c1_norm:g} "
                                       f"above h(n) ||b||_p = {seq.bound(n) * norm:g}")
 
-    sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode=m_ode,
-                                                          layouts=layouts),
+    sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode),
                                paths, stream, SWEEP_BATCH)
     return [MeanSupError(*mean_se(v**2), paths, ab) for v, ab in zip(sups, aborted)]
 
 
 def mc_mean_sup_error(model: Model, family: NoiseFamily, n: int, paths: int, stream: RngStream,
-                      seq: DriftApproxSequence | None = None, m_ode: int = 16) -> MeanSupError:
+                      seq: DriftApproxSequence | None = None, m_ode: int = M_ODE) -> MeanSupError:
     """Mean and standard error of sup_t |X_t - X^n_t|^2 over coupled draws."""
     return _mean_sup_errors(model, family, [n], paths, stream, seq, m_ode)[0]
 
@@ -187,7 +176,7 @@ def fit_rate(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 
 def rate_sweep(model: Model, family: NoiseFamily, n_list: Sequence[int], paths: int,
                stream: RngStream, seq: DriftApproxSequence | None = None,
-               m_ode: int = 16) -> RateReport:
+               m_ode: int = M_ODE) -> RateReport:
     """mc_mean_sup_error across levels on shared draws, plus the fitted slope.
 
     Every level sees the same paths, so level 0 equals ``mc_mean_sup_error``
@@ -243,13 +232,11 @@ def stability_sweep(model: Model, seq: DriftApproxSequence, n_levels: Sequence[i
 
     def simulate(s: RngStream, m: int):
         dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
-        xv, st_b = em_batch(b, sigma, c, x0, dw, grid.dt)
+        xv, _ = em_batch(b, sigma, c, x0, dw, grid.dt)
         sups = np.empty((m, len(ns)))
-        st_bn = np.empty((m, len(ns)), dtype=np.int64)
         for li, b_n in enumerate(b_ns):
-            yv, st_bn[:, li] = em_batch(b_n, sigma, c, x0, dw, grid.dt)
-            sups[:, li] = sup_distance_values(xv, yv)
-        return sups, st_b, st_bn
+            sups[:, li] = sup_distance_values(xv, em_batch(b_n, sigma, c, x0, dw, grid.dt)[0])
+        return sups
 
     sups, aborted = _run_paths(simulate, paths, stream, SWEEP_BATCH)
     levels = [(n, lp_distance(b, b_n, seq.p), *mean_se(v**2)) for n, b_n, v in zip(ns, b_ns, sups)]
@@ -312,8 +299,8 @@ def _tube_sups(model: Model, targets: Sequence[Path], paths: int,
 
     def simulate(s: RngStream, m: int):
         dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
-        xv, st = em_batch(model.drift, model.sigma, model.correction, model.x0, dw, grid.dt)
-        return np.column_stack([sup_distance_values(xv, t.values) for t in targets]), st
+        xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, dw, grid.dt)
+        return np.column_stack([sup_distance_values(xv, t.values) for t in targets])
 
     return _run_paths(simulate, paths, stream, EULER_BATCH)
 
@@ -356,15 +343,14 @@ class GirsanovReport:
     aborted: int
 
 
-def _driftless_weights(model: Model, stream: RngStream,
-                       count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate Y (the model without its drift b, Ito form) and its weights.
+def _driftless_weights(model: Model, stream: RngStream, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The weights rho (count,) and the paths Y (count, steps + 1, d) of the model without its drift b.
 
     Y solves dY = correction(sigma, c) dt + sigma(Y) dW from x0, with the
     model's c; the weight is the left-point discretization of exp(int b*
-    sigma^-1 dW - 1/2 int b*(sigma sigma*)^-1 b ds) along Y.  The weights
-    divide by sigma's diagonal, read from its scalar form s, so a field
-    without one is rejected before any sample.
+    sigma^-1 dW - 1/2 int b*(sigma sigma*)^-1 b ds) along Y, and NaN where Y
+    aborted.  The weights divide by sigma's diagonal, read from its scalar
+    form s, so a field without one is rejected before any sample.
     """
     b, sigma, grid, d = model.drift, model.sigma, model.grid, model.dim
     if sigma.scalar is None:
@@ -380,17 +366,14 @@ def _driftless_weights(model: Model, stream: RngStream,
         raise ValidationError("sigma is singular along a simulated path")
     theta = b(flat).reshape(m, steps, d) / diag
     log_rho = np.einsum("mki,mki->m", theta, dw) - 0.5 * grid.dt * np.einsum("mki,mki->m", theta, theta)
-    return np.exp(log_rho), yv, st
+    # the sums end at the last left point: only its status marks a Y that aborts on its last step
+    return np.where(st == 0, np.exp(log_rho), np.nan), yv
 
 
 def girsanov_mean(model: Model, paths: int, stream: RngStream) -> GirsanovReport:
     """Sample mean of rho_T; equals 1 for admissible drifts (mean-one check)."""
-
-    def simulate(s: RngStream, m: int):
-        rho, _, st = _driftless_weights(model, s, m)
-        return rho, st
-
-    (rhos,), (aborted,) = _run_paths(simulate, paths, stream, EULER_BATCH)
+    (rhos,), (aborted,) = _run_paths(lambda s, m: _driftless_weights(model, s, m)[0], paths, stream,
+                                     EULER_BATCH)
     mean, se = mean_se(rhos)
     return GirsanovReport(mean, se, float(rhos.max()), paths, aborted)
 

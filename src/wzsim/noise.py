@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import RngStream, TimeGrid, ValidationError, make_grid, mean_se, sample_brownian_batch
+from .core import RngStream, TimeGrid, ValidationError, make_grid, map_batches, mean_se, sample_brownian_batch
 from .shapes import MollifierKernel, ShapeFunction, _gl_composite
 
 QUAD_ORDER = 4          # Gauss-Legendre nodes per subgrid cell in the estimators
@@ -335,13 +335,10 @@ def _per_sample(functional, blocks: int, n: int, msub: int, d: int, samples: int
                 stream: RngStream, batch: int) -> np.ndarray:
     """functional(wsub) of ``samples`` Brownian paths over ``blocks`` blocks, in sample order.
 
-    Sample i draws its path from stream.child(i) whatever the batch size.
+    Sample i draws its path from stream.child(i) whatever the batch size (``map_batches``).
     """
     grid = make_grid(blocks / n, blocks * msub)
-    return np.concatenate([
-        functional(sample_brownian_batch(grid, d, stream.child(start), min(batch, samples - start)))
-        for start in range(0, samples, batch)
-    ])
+    return map_batches(lambda s, m: functional(sample_brownian_batch(grid, d, s, m)), samples, stream, batch)
 
 
 def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,

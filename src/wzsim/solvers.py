@@ -18,12 +18,13 @@ time, it lays the level-n blocks over the same grid with
 Runge-Kutta route over whole noise blocks) and keeps only the sup error per
 path, so a level's arrays are freed before the next level starts.  The
 random ODE takes ``m_ode`` steps per noise block (a keyword of
-``coupled_batch``, at least 4), however fine the reference grid is, and
-in a coupled run its values at the reference nodes come from each step's
-cubic Hermite interpolant (dense output).  It runs on
+``coupled_batch``, default ``M_ODE`` = 4, at least 4), however fine the
+reference grid is, and in a coupled run its values at the reference nodes
+come from each step's cubic Hermite interpolant (dense output).  It runs on
 a smoothed drift only: ``_require_c1``, the one C^1 check, rejects a drift
 without C^1 metadata or whose central differences on a fixed grid exceed
-its declared slope bound, for every level before the first path.
+its declared slope bound; every ``coupled_batch`` call checks each of its
+levels before it samples a path.
 
 Both routes are vectorized over a batch of paths in numpy and accept any
 dimension and any coefficient field.  sigma is evaluated once per Euler
@@ -35,10 +36,10 @@ step and once per Runge-Kutta stage, in one of two forms:
 * any other field is evaluated as the matrix sigma(x) (m, d, d): the noise
   term is an einsum and the correction drift the full contraction.
 
-Both forms give the same bits for a diagonal field.  Paths whose state
-leaves [-limit, limit] are aborted (tail NaN) and reported through a status
-code, never silently dropped.  Aborts are found in one pass after the step
-loop: fields act row by row, so a bad row never touches another.
+Both forms give the same bits for a diagonal field.  A path whose state
+leaves [-limit, limit] is aborted: NaN from that step on, found in one pass
+after the step loop (fields act row by row).  The step loops also return
+that step as a status; above them an abort is read from NaN values alone.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_ba
 from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
+M_ODE = 4  # default RK4 steps per noise block; its error is checked in tests/test_solvers.py
 
 
 class SolverAbort(RuntimeError):
@@ -288,8 +290,8 @@ def _check_levels(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
 
 
 def _level_values(model: Model, b_n: DriftField, family: NoiseFamily, w: np.ndarray, n: int,
-                  layout: tuple[int, int], m_ode: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random-ODE values of level n at the model's grid nodes, and the ODE statuses.
+                  layout: tuple[int, int], m_ode: int) -> np.ndarray:
+    """Random-ODE values of level n at the model's grid nodes, NaN from an aborting step on.
 
     RK4 steps dx/ds = b_n(x) + sigma(x) dW^n/ds from the model's x0 over the
     ``blocks`` whole noise blocks of ``layout``, m_ode steps per block, with
@@ -300,36 +302,27 @@ def _level_values(model: Model, b_n: DriftField, family: NoiseFamily, w: np.ndar
     blocks, msub = layout
     h = 1.0 / (n * m_ode)
     vst = _stage_derivs(family, w, n, msub, blocks, m_ode)
-    xs, status = rk4_batch(b_n, model.sigma, model.x0, vst, h)
-    return _dense_values(b_n, model.sigma, xs, vst, h, model.grid.steps), status
+    xs, _ = rk4_batch(b_n, model.sigma, model.x0, vst, h)
+    return _dense_values(b_n, model.sigma, xs, vst, h, model.grid.steps)
 
 
 def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
-                  stream: RngStream, count: int, m_ode: int = 16,
-                  layouts: Sequence[tuple[int, int]] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  stream: RngStream, count: int, m_ode: int = M_ODE) -> np.ndarray:
     """Co-simulate the model's corrected SDE and the random ODE of every level on shared noise.
 
     levels: (n, b_n) pairs; the random ODE takes m_ode RK4 steps per noise
-    block.  W is sampled on the model's grid and the Euler reference solved
-    once, path i from stream.child(i); then each level in turn lays out its
-    blocks over the same W, steps its ODE and keeps one sup error per path.
-    Returns sup errors (count, L), the SDE status (count,) and the ODE
-    statuses (count, L); sup errors of aborted paths are NaN.
-
-    layouts: what ``_check_levels`` returned for these arguments.  A sweep
-    that checked its levels before its first batch passes it, so that the
-    check runs once per sweep; without it every call checks its levels.
+    block.  The levels are checked (``_check_levels``) before W is sampled on
+    the model's grid and the Euler reference solved once, path i from
+    stream.child(i); then each level in turn lays out its blocks over the
+    same W, steps its ODE and keeps one sup error per path.  Returns the sup
+    errors (count, L): NaN at every level where the SDE aborted, and at one
+    level where that level's ODE did.
     """
-    if layouts is None:
-        layouts = _check_levels(model, family, levels, m_ode)
+    layouts = _check_levels(model, family, levels, m_ode)
     grid = model.grid
     w = sample_brownian_batch(grid, model.dim, stream, count)
-    xv, st_sde = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)
+    xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)
     sups = np.empty((count, len(levels)))
-    st_ode = np.empty((count, len(levels)), dtype=np.int64)
-    for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):
-        xnv, st_ode[:, li] = _level_values(model, b_n, family, w, n, layout, m_ode)
-        sups[:, li] = sup_distance_values(xv, xnv)
-        del xnv  # one level's node values alive at a time
-    return sups, st_sde, st_ode
+    for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):  # one level's values alive at a time
+        sups[:, li] = sup_distance_values(xv, _level_values(model, b_n, family, w, n, layout, m_ode))
+    return sups

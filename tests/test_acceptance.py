@@ -96,7 +96,7 @@ def test_criterion_01_exponential_oracles():
 
 def test_criterion_02_smooth_coefficient_rate():
     model = Model(sin_bump_drift(), SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 13))
-    rep = rate_sweep(model, LIN, [2**k for k in range(4, 10)], 500, RngStream(2024, 0), m_ode=16)
+    rep = rate_sweep(model, LIN, [2**k for k in range(4, 10)], 500, RngStream(2024, 0))
     ok = -1.2 <= rep.slope <= -0.7
     verdict(2, ok, f"fitted mse slope {rep.slope:+.3f} in [-1.2, -0.7] "
                    f"(half-width {rep.slope_half_width:.3f})")
@@ -109,7 +109,7 @@ def test_criterion_03_singular_drift_convergence():
     model = Model(indicator_drift(), SIN_ELL, HALF, -4.0, make_grid(1.0, 1 << 13))
     mses = []
     for i, n in enumerate([2**4, 2**6, 2**8]):
-        r = mc_mean_sup_error(model, LIN, n, 500, RngStream(31337, i * 500), seq, m_ode=16)
+        r = mc_mean_sup_error(model, LIN, n, 500, RngStream(31337, i * 500), seq)
         mses.append(r.estimate)
     ok = mses[-1] < mses[0] / 4
     verdict(3, ok, "mse " + " -> ".join(f"{m:.3e}" for m in mses) +

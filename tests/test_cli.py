@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wzsim import cli, experiments, noise, registry
@@ -324,15 +325,16 @@ ABORT_CASES = {
 
 @pytest.mark.parametrize("command", sorted(ABORT_CASES))
 def test_aborted_paths_reach_the_csv(tmp_path, monkeypatch, command):
-    # the solver reports the first path of every batch as aborted
+    # the solver returns the first path of every batch as NaN, as it leaves an
+    # aborted path; em_batch returns (values, status), coupled_batch the sup errors
     solver, cfg_text, csv_name, batches = ABORT_CASES[command]
     solve = getattr(experiments, solver)
 
     def abort_first_path(*args, **kwargs):
-        *values, status = solve(*args, **kwargs)
-        status = status.copy()
-        status[0] = 1
-        return (*values, status)
+        out = solve(*args, **kwargs)
+        values = (out[0] if isinstance(out, tuple) else out).copy()
+        values[0] = np.nan
+        return (values, *out[1:]) if isinstance(out, tuple) else values
 
     monkeypatch.setattr(experiments, solver, abort_first_path)
     out = tmp_path / "res"

@@ -110,14 +110,13 @@ def test_batched_and_unbatched_estimates_agree(monkeypatch, estimator):
 
 
 def test_driver_counts_non_finite_values_as_aborted():
-    # path 5 returns NaN and path 6 inf with status 0; path 7 has a solver
-    # status: all three are aborted and left out of the values
+    # paths 5 and 7 return NaN (a solver leaves an aborted path NaN) and path
+    # 6 inf: all three are aborted and left out of the values
     def simulate(s, m):
         v = np.arange(s.stream_id, s.stream_id + m, dtype=float)
-        status = np.where(v == 7, 3, 0)
-        v[v == 5] = np.nan
+        v[(v == 5) | (v == 7)] = np.nan
         v[v == 6] = np.inf
-        return v, status
+        return v
 
     (values,), (aborted,) = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
     assert aborted == 3
@@ -127,15 +126,15 @@ def test_driver_counts_non_finite_values_as_aborted():
 
 
 def test_driver_applies_the_abort_rule_per_level():
-    # two levels: path 3 has an SDE status (m,), which counts against both;
-    # path 8 has an ODE status (m, L) at level 0 only; path 4 is NaN at level 1 only
+    # two levels: path 3 is NaN at both (an aborted SDE reference), path 8 at
+    # level 0 only and path 4 at level 1 only (an aborted level ODE)
     def simulate(s, m):
         ids = np.arange(s.stream_id, s.stream_id + m, dtype=float)
         v = np.stack([ids, ids + 0.5], axis=1)
+        v[ids == 3] = np.nan
+        v[ids == 8, 0] = np.nan
         v[ids == 4, 1] = np.nan
-        st_ode = np.zeros((m, 2), dtype=np.int64)
-        st_ode[ids == 8, 0] = 5
-        return v, np.where(ids == 3, 2, 0), st_ode
+        return v
 
     (lv0, lv1), aborted = experiments._run_paths(simulate, 300, RngStream(0, 0), 16)
     assert aborted == [2, 2]
@@ -351,10 +350,11 @@ def test_rate_sweep_samples_and_solves_the_reference_once_per_batch(monkeypatch)
     assert calls == {"sample_brownian_batch": 2, "em_batch": 2, "rk4_batch": 8}
 
 
-def test_a_sweep_checks_its_levels_once_and_a_direct_batch_its_own(monkeypatch):
+def test_a_sweep_checks_its_levels_before_its_first_batch_and_in_every_batch(monkeypatch):
     # 300 paths are two batches of 256: the sweep runs _check_levels (with the
-    # central-difference C^1 check) once, before its first batch, while a
-    # coupled_batch called directly still checks the levels it is given
+    # central-difference C^1 check) before its first batch, and every
+    # coupled_batch call checks the levels it is given again (about 1 ms a
+    # call, against 0.65 s for one 256-path batch of the benchmark's sweep)
     calls = []
 
     def counted(*args, _fn=solvers._check_levels, **kwargs):
@@ -365,9 +365,9 @@ def test_a_sweep_checks_its_levels_once_and_a_direct_batch_its_own(monkeypatch):
         monkeypatch.setattr(module, "_check_levels", counted)
     model = _model(n_ref=128)
     rate_sweep(model, LIN, [16, 32, 64], 300, RngStream(8, 4), ramp_sequence(), m_ode=4)
-    assert calls == [[16, 32, 64]]
+    assert calls == [[16, 32, 64]] * 3
     solvers.coupled_batch(model, LIN, [(16, ramp_approximation(1.0))], RngStream(8, 4), 3, m_ode=4)
-    assert calls == [[16, 32, 64], [16]]
+    assert calls == [[16, 32, 64]] * 3 + [[16]]
 
 
 def test_rate_sweep_reports_negative_slope():
@@ -525,14 +525,14 @@ def test_make_target_kinds():
 
 
 def test_zero_drift_weight_is_one():
-    rho, y, st = experiments._driftless_weights(_model(zero_drift(), n_ref=256), RngStream(16, 0), 1)
-    assert rho.tolist() == [1.0] and st.tolist() == [0]
+    rho, y = experiments._driftless_weights(_model(zero_drift(), n_ref=256), RngStream(16, 0), 1)
+    assert rho.tolist() == [1.0]
     assert y.shape == (1, 257, 1)
 
 
 def test_constant_drift_identity_sigma_closed_form():
     m = _model(const_drift(0.8), identity_diffusion(), n_ref=512)
-    rho, y, _ = experiments._driftless_weights(m, RngStream(17, 3), 4)
+    rho, y = experiments._driftless_weights(m, RngStream(17, 3), 4)
     # Y = W here; the weight collapses to exp(b W_T - b^2 T / 2)
     w_t = y[:, -1, 0] - y[:, 0, 0]
     assert np.max(np.abs(rho - np.exp(0.8 * w_t - 0.32))) < 1e-8
@@ -545,9 +545,26 @@ def test_mean_weight_is_one_within_three_se():
     assert rep.max_weight > 0
 
 
+def test_girsanov_counts_a_path_that_aborts_on_its_last_step(monkeypatch):
+    # path 0 of the driftless Euler batch is NaN at its last node only, with
+    # status `steps`: the weight's left-point sums never read that node, so
+    # only the status can mark the path as aborted
+    solve = experiments.em_batch
+
+    def abort_on_last_step(*args, **kwargs):
+        vals, status = solve(*args, **kwargs)
+        vals, status = vals.copy(), status.copy()
+        vals[0, -1] = np.nan
+        status[0] = vals.shape[1] - 1
+        return vals, status
+
+    monkeypatch.setattr(experiments, "em_batch", abort_on_last_step)
+    assert girsanov_mean(_model(indicator_drift(), n_ref=256), 200, RngStream(21, 0)).aborted == 1
+
+
 def test_weights_are_positive():
-    rhos, _, st = experiments._driftless_weights(_model(indicator_drift(), n_ref=256), RngStream(19, 0), 50)
-    assert np.all(st == 0) and np.all(rhos > 0.0)
+    rhos, _ = experiments._driftless_weights(_model(indicator_drift(), n_ref=256), RngStream(19, 0), 50)
+    assert np.all(rhos > 0.0)
 
 
 def test_girsanov_stderr_scaling_on_doubled_paths():

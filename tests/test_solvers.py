@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wzsim import solvers
-from wzsim.coeffs import CorrectionMatrix, DriftField, mollified_indicator, ramp_approximation
-from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
+from wzsim.coeffs import CorrectionMatrix, DriftField, mollified_indicator, ramp_approximation, ramp_sequence
+from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch, sup_distance_values
 from wzsim.noise import Mollified, PiecewiseShape, block_layout
 from wzsim.registry import (
     const_diffusion,
@@ -268,8 +268,8 @@ def test_coupled_additive_error_equals_direct_computation():
     # is s0 sup |W - W^n| over the reference nodes
     g = make_grid(1.0, 1 << 10)
     s0 = 1.5
-    sup, _, _ = coupled_batch(Model(zero_drift(), const_diffusion(s0), HALF, 0.0, g), LIN,
-                              [(16, zero_drift())], RngStream(5, 77), 4)
+    sup = coupled_batch(Model(zero_drift(), const_diffusion(s0), HALF, 0.0, g), LIN,
+                        [(16, zero_drift())], RngStream(5, 77), 4)
     w = sample_brownian_batch(g, 1, RngStream(5, 77), 4)
     wn = LIN.batch_values(w, 16, 64, *_block_positions(g.nodes(), 16, 16))
     direct = s0 * np.max(np.abs(w - wn)[:, :, 0], axis=1)
@@ -279,7 +279,7 @@ def test_coupled_additive_error_equals_direct_computation():
 def test_coupled_run_is_deterministic():
     args = (Model(sin_bump_drift(), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 1 << 10)), LIN,
             [(16, sin_bump_drift())], RngStream(5, 78), 2)
-    assert np.array_equal(coupled_batch(*args)[0], coupled_batch(*args)[0])
+    assert np.array_equal(coupled_batch(*args), coupled_batch(*args))
 
 
 def test_each_level_of_a_coupled_batch_equals_its_one_level_batch():
@@ -289,43 +289,41 @@ def test_each_level_of_a_coupled_batch_equals_its_one_level_batch():
     model = Model(sin_bump_drift(), sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 256))
     stream = RngStream(5, 83)
     levels = [(16, sin_bump_drift()), (32, sin_bump_drift(3.0)), (64, sin_bump_drift())]
-    sup, st_sde, st_ode = coupled_batch(model, LIN, levels, stream, 6, m_ode=8)
-    assert sup.shape == st_ode.shape == (6, 3) and st_sde.shape == (6,)
+    sup = coupled_batch(model, LIN, levels, stream, 6, m_ode=8)
+    assert sup.shape == (6, 3)
     for li, level in enumerate(levels):
-        one, one_sde, one_ode = coupled_batch(model, LIN, [level], stream, 6, m_ode=8)
+        one = coupled_batch(model, LIN, [level], stream, 6, m_ode=8)
         assert np.array_equal(sup[:, li], one[:, 0])
-        assert np.array_equal(st_sde, one_sde)
-        assert np.array_equal(st_ode[:, li], one_ode[:, 0])
     assert len(np.unique(sup[0])) == 3
 
 
 def _ode_nodes_and_steps(b, sigma, n_ref, m_ode, n, x0, stream, count, m_steps):
-    """The coupled route's ODE values and status at the reference nodes (m_ode
-    steps per block), and rk4_batch's step-end values and status at m_steps
-    steps per block on the same Brownian paths."""
+    """The coupled route's ODE values at the reference nodes (m_ode steps per
+    block), and rk4_batch's step-end values and status at m_steps steps per
+    block on the same Brownian paths."""
     model = Model(b, sigma, HALF, x0, make_grid(1.0, n_ref))
     w = sample_brownian_batch(model.grid, 1, stream, count)
-    xnv, st = solvers._level_values(model, b, LIN, w, n, block_layout(LIN, model.grid, n, 1), m_ode)
+    xnv = solvers._level_values(model, b, LIN, w, n, block_layout(LIN, model.grid, n, 1), m_ode)
     vst = solvers._stage_derivs(LIN, w, n, n_ref // n, n, m_steps)
     xs, st_steps = rk4_batch(b, sigma, np.full((count, 1), x0), vst, 1.0 / (n * m_steps))
-    return xnv, st, xs, st_steps
+    return xnv, xs, st_steps
 
 
 def test_aligned_reference_nodes_copy_the_step_values():
     # msub = 4 reference cells and m_ode = 8 steps per block: every reference
     # node is the end of every second step
-    xnv, st, xs, st_steps = _ode_nodes_and_steps(sin_bump_drift(), sin_elliptic_diffusion(), 256, 8,
-                                                 64, 0.3, RngStream(5, 80), 8, 8)
+    xnv, xs, st_steps = _ode_nodes_and_steps(sin_bump_drift(), sin_elliptic_diffusion(), 256, 8,
+                                             64, 0.3, RngStream(5, 80), 8, 8)
+    assert not np.any(st_steps)
     assert np.array_equal(xnv, xs[:, ::2])
-    assert np.array_equal(st, st_steps)
 
 
 def test_hermite_reference_nodes_match_a_finer_aligned_run():
     # msub = 24 reference cells against m_ode = 16 steps per block: 1.5 nodes
     # per step, and every third node is a step end
     b, sigma = sin_bump_drift(), sin_elliptic_diffusion()
-    xnv, st, xs, _ = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 16)
-    _, _, fine, st_fine = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 48)
+    xnv, xs, st = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 16)
+    _, fine, st_fine = _ode_nodes_and_steps(b, sigma, 384, 16, 16, 0.3, RngStream(5, 81), 8, 48)
     assert not np.any(st) and not np.any(st_fine)
     assert xnv.shape == (8, 385, 1)
     assert np.array_equal(xnv[:, ::3], xs[:, ::2])
@@ -336,9 +334,8 @@ def test_hermite_reference_nodes_are_nan_from_the_aborting_step_on():
     # sigma(x) = x from x0 = 5e11: x = x0 exp(W^n) leaves [-1e12, 1e12] once
     # W^n exceeds log 2, which about half the paths do
     n_ref, m_ode = 384, 16
-    xnv, st, _, st_steps = _ode_nodes_and_steps(zero_drift(), linear_diffusion(), n_ref, m_ode, 16, 5e11,
-                                                RngStream(5, 82), 32, 16)
-    assert np.array_equal(st, st_steps)
+    xnv, _, st = _ode_nodes_and_steps(zero_drift(), linear_diffusion(), n_ref, m_ode, 16, 5e11,
+                                      RngStream(5, 82), 32, 16)
     assert 0 < np.count_nonzero(st) < st.size
     # node j lies at step position j * steps / n_ref; a path with status k
     # aborted in the step from k - 1 to k
@@ -352,8 +349,8 @@ def test_hermite_reference_nodes_are_nan_from_the_aborting_step_on():
 def test_coupled_error_shrinks_with_n_for_smooth_setup():
     b = sin_bump_drift()
     model = Model(b, sin_elliptic_diffusion(), HALF, 0.0, make_grid(1.0, 1 << 11))
-    err, st_sde, st_ode = coupled_batch(model, LIN, [(8, b), (128, b)], RngStream(6, 1000), 20)
-    assert not np.any(st_sde) and not np.any(st_ode)
+    err = coupled_batch(model, LIN, [(8, b), (128, b)], RngStream(6, 1000), 20)
+    assert np.all(np.isfinite(err))
     mse = np.mean(err**2, axis=0)
     assert mse[1] < mse[0]
 
@@ -362,8 +359,37 @@ def test_coupled_identity_coupling_is_exact_for_additive_noise():
     # n = n_ref with the polygonal family: the smoothed path hits every grid
     # node, both solvers are exact, so the coupled error vanishes
     model = Model(zero_drift(), const_diffusion(2.0), HALF, 0.0, make_grid(1.0, 256))
-    sup, _, _ = coupled_batch(model, LIN, [(256, zero_drift())], RngStream(7, 0), 1)
+    sup = coupled_batch(model, LIN, [(256, zero_drift())], RngStream(7, 0), 1)
     assert sup[0, 0] < 1e-12
+
+
+# (model, drift schedule or None for the model's own drift): the benchmark's
+# singular rate sweep and criterion 02's smooth one, each at its n_ref
+ODE_ERROR_MODELS = {
+    "ramp_smoothed_indicator": (Model(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0,
+                                      make_grid(1.0, 4096)), ramp_sequence(alpha=0.4, p=2.0, delta=0.5)),
+    "sin_bump": (Model(sin_bump_drift(), sin_elliptic_diffusion(1.0, 0.5), HALF, 0.0, make_grid(1.0, 8192)),
+                 None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ODE_ERROR_MODELS))
+def test_the_default_ode_steps_err_far_below_every_level_mse(name):
+    # on shared W, E sup |x^{n, M_ODE} - x^{n, 64}|^2 (the random ODE's own
+    # error, dense output included) against the level's E sup |X - x^{n, M_ODE}|^2;
+    # measured ratios are 1e-11 and below.  Criterion 02's levels 256 and 512
+    # are left out: the ratio falls with n (2e-14, 3e-15) and they take 3 s.
+    model, seq = ODE_ERROR_MODELS[name]
+    w = sample_brownian_batch(model.grid, 1, RngStream(9, 0), 16)
+    xv, _ = em_batch(model.drift, model.sigma, HALF, model.x0, np.diff(w, axis=1), model.grid.dt)
+    for n in (16, 32, 64, 128):
+        b_n = model.drift if seq is None else seq.generator(n)
+        layout = block_layout(LIN, model.grid, n, 1)
+        x_default = solvers._level_values(model, b_n, LIN, w, n, layout, solvers.M_ODE)
+        x_fine = solvers._level_values(model, b_n, LIN, w, n, layout, 64)
+        ode_error = np.mean(sup_distance_values(x_default, x_fine) ** 2)
+        mse = np.mean(sup_distance_values(xv, x_default) ** 2)
+        assert ode_error < 1e-8 * mse, (n, ode_error, mse)
 
 
 UNDERSTATED = dataclasses.replace(ramp_approximation(6.0), sup_grad=0.01)

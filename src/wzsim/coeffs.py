@@ -400,7 +400,7 @@ def correction_drift_batch(sigma: DiffusionField, c: CorrectionMatrix, x: np.nda
     """
     if sigma.scalar is not None:
         s = sigma.scalar(x) if sig_vals is None else sig_vals
-        return np.diagonal(c.matrix) * s * sigma.scalar_grad(x)
+        return c.matrix.diagonal() * s * sigma.scalar_grad(x)
     sig = sigma.sigma(x) if sig_vals is None else sig_vals
     dsig = sigma.grad(x)
     return np.einsum("ij,mil,mjkl->mk", c.matrix, sig, dsig)

@@ -142,10 +142,17 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
 
 
 def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sup over the grid nodes (axis -2) of the Euclidean distance, per path; NaN paths give NaN."""
-    diff = a - b
+    """Sup over the grid nodes (axis -2) of the Euclidean distance, per path; NaN paths give NaN.
+
+    The root is taken after the max: sqrt is monotone and correctly rounded,
+    so this gives the bits of the max of the roots.  In d = 1 the squares are
+    read as a view, not summed over the size-1 axis.
+    """
+    sq = a - b
+    sq *= sq
+    sq = sq[..., 0] if sq.shape[-1] == 1 else sq.sum(axis=-1)
     with np.errstate(invalid="ignore"):
-        return np.sqrt((diff * diff).sum(axis=-1)).max(axis=-1)
+        return np.sqrt(sq.max(axis=-1))
 
 
 def mean_se(x: np.ndarray):

@@ -382,6 +382,27 @@ def test_declared_ellipticity_bounds_s_squared(name):
         assert s2.min() == pytest.approx(0.25, abs=1e-6) and s2.max() == pytest.approx(2.25, abs=1e-6)
 
 
+# a registry field's constant form and the *_like expression it replaces
+CONSTANT_FORMS = {
+    "zero_drift": (zero_drift().fn, np.zeros_like),
+    "const_drift": (const_drift(-2.5).fn, lambda x: np.full_like(x, -2.5)),
+    "const_drift_negative_zero": (const_drift(-0.0).fn, lambda x: np.full_like(x, -0.0)),
+    "const_diffusion_s": (const_diffusion(1.7).scalar, lambda x: np.full_like(x, 1.7)),
+    "const_diffusion_ds": (const_diffusion(1.7).scalar_grad, np.zeros_like),
+    "linear_diffusion_ds": (linear_diffusion().scalar_grad, np.ones_like),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("form", sorted(CONSTANT_FORMS))
+def test_constant_forms_equal_their_like_expressions(form, d):
+    fn, like = CONSTANT_FORMS[form]
+    x = np.linspace(-3.0, 3.0, 7 * d).reshape(7, d)
+    got = fn(x)
+    assert got.dtype == np.float64 and got.shape == (7, d)
+    assert np.array_equal(got.view(np.int64), like(x).view(np.int64))
+
+
 def test_linear_diffusion_flagged_degenerate():
     # s(x) = x vanishes at 0: no finite K holds, and the field declares K = inf
     sigma = linear_diffusion()

@@ -123,6 +123,25 @@ def test_sup_distance_is_a_metric():
     assert np.flatnonzero(np.isnan(sup_distance_values(a, b))).tolist() == [3]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_sup_distance_has_the_bits_of_the_max_of_the_roots(d):
+    # the root is taken after the max, and d = 1 skips the sum: the same bits
+    # as the max over the nodes of sqrt(sum of squares), NaN rows and signed zeros included
+    rng = np.random.default_rng(52)
+    a, b = rng.standard_normal((2, 40, 33, d))
+    a[:5] = b[:5]
+    a[5:8] = -0.0
+    b[5:7] = 0.0
+    a[8, 3, 0] = np.nan
+    b[9, :, d - 1] = np.nan
+    a[10, 7] = np.inf
+    expected = np.sqrt(((a - b) * (a - b)).sum(axis=-1)).max(axis=-1)
+    got = sup_distance_values(a, b)
+    assert got.shape == (40,)
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+    assert np.isnan(got[[8, 9]]).all() and got[10] == np.inf and np.all(got[:7] == 0.0)
+
+
 def test_path_values_are_frozen():
     g = make_grid(1.0, 2)
     p = Path(g, np.zeros(3))

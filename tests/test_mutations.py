@@ -7,11 +7,14 @@ checks.  Contracting with c transposed in ``coeffs.correction_drift_batch``
 is one today, as every diffusion the tests simulate is diagonal or constant.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
 import test_acceptance
 import test_experiments
+import test_solvers
 from wzsim import experiments, solvers
 
 
@@ -45,6 +48,29 @@ def _status_blind_weights(monkeypatch):
     monkeypatch.setattr(experiments, "_driftless_weights", blind)
 
 
+def _right_limit_at_block_ends(monkeypatch):
+    """The third RK4 stage of a block's last step takes the next block's derivative (its right limit)."""
+    stages = solvers._stage_derivs
+
+    def right_limit(family, wsub, n, msub, blocks, m_ode):
+        der = stages(family, wsub, n, msub, blocks, m_ode)
+        ends = np.arange(m_ode - 1, (blocks - 1) * m_ode, m_ode)
+        der[:, ends, 2] = der[:, ends + 1, 0]
+        return der
+
+    monkeypatch.setattr(solvers, "_stage_derivs", right_limit)
+
+
+def _swapped_hermite_slopes(monkeypatch):
+    """Dense output with the start slope on the end's basis function and the end slope on the start's."""
+    line = "h10 * f0[:, si] + h11 * f1[:, si]"
+    source = inspect.getsource(solvers._dense_values)
+    assert source.count(line) == 1
+    namespace = dict(vars(solvers))
+    exec(source.replace(line, "h10 * f1[:, si] + h11 * f0[:, si]"), namespace)
+    monkeypatch.setattr(solvers, "_dense_values", namespace["_dense_values"])
+
+
 # mutant: (plant it, the check that must fail)
 MUTANTS = {
     "euler_without_correction_drift": (
@@ -54,6 +80,11 @@ MUTANTS = {
     "girsanov_blind_to_a_last_step_abort": (
         _status_blind_weights,
         lambda mp: test_experiments.test_girsanov_counts_a_path_that_aborts_on_its_last_step(mp)),
+    "rk4_right_limit_at_block_ends": (
+        _right_limit_at_block_ends,
+        lambda mp: test_solvers.test_ode_exponential_oracle(test_solvers.LIN, 1e-6)),
+    "dense_output_slopes_swapped": (
+        _swapped_hermite_slopes, lambda mp: test_solvers.test_hermite_reference_nodes_match_a_finer_aligned_run()),
 }
 
 

@@ -9,10 +9,10 @@ reference)::
     out = results
 
     [model]
-    drift = sin_bump
+    drift = indicator01
     diffusion = sin_elliptic a=1 b=0.5
     family = piecewise shape=linear
-    sequence = ramp alpha=0.4 delta=0.5   ; optional drift-smoothing schedule
+    sequence = ramp alpha=0.4 delta=0.5   ; optional; smooths the drift, which it names
     x0 = 0.0
 
     [params]
@@ -55,7 +55,7 @@ from pathlib import Path as FsPath
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .coeffs import CorrectionMatrix, DriftApproxSequence, check_hfn, lp_norm
+from .coeffs import CorrectionMatrix, DriftApproxSequence, check_hfn
 from .core import RngStream, ValidationError, make_grid
 from .experiments import (
     AbortRateError,
@@ -244,19 +244,12 @@ def _build_family(cfg: RunConfig) -> NoiseFamily:
     return get_family(fname, **fpar)
 
 
-def _build_sequence(cfg: RunConfig, d: int) -> DriftApproxSequence | None:
-    """The [model] sequence at the [params] exponent p, None if absent.
-
-    p must satisfy the theorem's hypothesis p >= 2 and p > d.
-    """
-    p = cfg.params["p"]
+def _build_sequence(cfg: RunConfig) -> DriftApproxSequence | None:
+    """The [model] sequence at the [params] exponent p (which it checks), None if absent."""
     if "sequence" not in cfg.model:
         return None
     name, par = _parse_field_spec(cfg.model["sequence"])
-    seq = get_sequence(name, p, **par)
-    if p < 2.0 or p <= d:
-        raise ValidationError(f"p={p:g} must satisfy p >= 2 and p > d={d}")
-    return seq
+    return get_sequence(name, cfg.params["p"], **par)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +279,7 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
 
 def _make_setup(cfg: RunConfig) -> tuple[Model, NoiseFamily, DriftApproxSequence | None]:
     """The rate sweep's model, noise family and drift schedule (None if absent)."""
-    model = _build_model(cfg)
-    return model, _build_family(cfg), _build_sequence(cfg, model.dim)
+    return _build_model(cfg), _build_family(cfg), _build_sequence(cfg)
 
 
 def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
@@ -303,7 +295,7 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
              *(f"  n={n:5d}  mse={mse:.6e} +- {se:.2e}" for n, mse, se in rep.points),
              f"  fitted log-log slope = {rep.slope:+.4f} +- {rep.slope_half_width:.4f}"]
     if seq is not None:
-        speed = check_hfn(seq, lp_norm(seq.base, seq.p), [n for n, _, _ in rep.points])
+        speed = check_hfn(seq, [n for n, _, _ in rep.points])
         lines += [f"  n={n:5d}  log speed value = {v!r}"
                   for n, v in zip(speed.n_list, speed.log_values.tolist())]
         lines.append(f"  speed condition (advisory): converging={speed.converging} "
@@ -313,7 +305,7 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
 
 def _cmd_stability(cfg: RunConfig, stream: RngStream) -> None:
     model = _build_model(cfg)
-    seq = _build_sequence(cfg, model.dim)
+    seq = _build_sequence(cfg)
     if seq is None:
         raise ValidationError("stability needs a 'sequence' entry in [model]")
     paths = cfg.params["paths"]

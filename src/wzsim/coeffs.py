@@ -8,24 +8,24 @@ the two explicit constructions for the indicator drift: the piecewise-linear
 ramp with width parameter chi(n) and the Gaussian mollification with
 precision kappa(n).
 
-The theorem's hypotheses on a schedule are checked where a command runs
-it: ``solvers._require_c1`` verifies each b_n's declared slope bound by
-central differences, a rate sweep rejects a level whose C^1 norm breaks
-``DriftApproxSequence.check_member``'s h(n) ||b||_p bound, and reports
-``check_hfn``'s joint speed condition in its summary.
+``DriftApproxSequence`` owns the theorem's hypotheses on a schedule: it
+rejects p outside p >= 2, p > d and stores ||b||_p once for ``check_member``
+and ``check_hfn``.  Before a sweep's first path, ``experiments._schedule_levels``
+rejects a base other than the model's drift and ``Model`` a b_n of another
+dimension; a rate sweep adds ``solvers._require_c1`` and ``check_member``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .core import ValidationError
 
-LP_CELLS = 1 << 14  # midpoint cells of lp_norm's support box in d = 1
+LP_CELLS = 1 << 14  # midpoint cells per axis of lp_norm's support box in d = 1
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def lp_norm(field: DriftField, p: float) -> float:
 
     Requires a finite p >= 1 and a finite support radius, or an analytic
     norm declared on the field (used verbatim in that case).  The box has
-    LP_CELLS cells in d = 1 and 512 x 512 in d = 2.
+    LP_CELLS cells per axis in d = 1 and 512 in d = 2; |b| is Euclidean.
     """
     if not (math.isfinite(p) and p >= 1):
         raise ValidationError(f"p = {p} must be finite and >= 1")
@@ -143,19 +143,14 @@ def lp_norm(field: DriftField, p: float) -> float:
         raise ValidationError(
             f"field '{field.name}' has unbounded support and no declared L^p norm"
         )
-    r = field.support_radius
-    if field.dim == 1:
-        x = mid_grid(-r, r, LP_CELLS)[:, None]
-        vals = np.abs(field(x)).ravel()
-        return float((np.sum(vals**p) * (2 * r / LP_CELLS)) ** (1.0 / p))
-    if field.dim == 2:
-        m = 1 << 9
-        g = mid_grid(-r, r, m)
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        pts = np.column_stack([xx.ravel(), yy.ravel()])
-        vals = np.sqrt((field(pts) ** 2).sum(axis=1))
-        return float((np.sum(vals**p) * (2 * r / m) ** 2) ** (1.0 / p))
-    raise ValidationError("lp_norm quadrature supports dimensions 1 and 2")
+    d, r = field.dim, field.support_radius
+    if d not in (1, 2):
+        raise ValidationError("lp_norm quadrature supports dimensions 1 and 2")
+    cells = LP_CELLS if d == 1 else 1 << 9
+    g = mid_grid(-r, r, cells)
+    pts = np.stack(np.meshgrid(*[g] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    vals = np.sqrt((field(pts) ** 2).sum(axis=1))
+    return float((np.sum(vals**p) * (2 * r / cells) ** d) ** (1.0 / p))
 
 
 def mid_grid(lo: float, hi: float, cells: int) -> np.ndarray:
@@ -279,7 +274,8 @@ class DriftApproxSequence:
     ``bound`` is the function h with C^1-norm(b_n) <= h(n) ||b||_Lp;
     ``noise_rate`` is the area-coefficient rate f_n of the noise family the
     sequence is paired with; ``delta`` the rate split used in the joint
-    speed condition.
+    speed condition.  The constructor checks the theorem's p >= 2 and
+    p > d and stores ``base_norm`` = ||base||_p.
     """
 
     base: DriftField
@@ -289,14 +285,18 @@ class DriftApproxSequence:
     noise_rate: Callable[[int], float]
     delta: float
     name: str = "sequence"
+    base_norm: float = field(init=False)
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:
             raise ValidationError("delta must lie in (0, 1)")
+        if not (self.p >= 2.0 and self.p > self.base.dim):
+            raise ValidationError(f"p={self.p:g} must satisfy p >= 2 and p > d={self.base.dim}")
+        object.__setattr__(self, "base_norm", lp_norm(self.base, self.p))
 
-    def check_member(self, n: int, base_norm: float) -> bool:
+    def check_member(self, n: int) -> bool:
         """Does b_n's declared C^1 norm respect the h(n)-bound, to a relative 1e-9?"""
-        return self.generator(n).c1_norm <= self.bound(n) * base_norm * (1.0 + 1e-9)
+        return self.generator(n).c1_norm <= self.bound(n) * self.base_norm * (1.0 + 1e-9)
 
 
 def ramp_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -> DriftApproxSequence:
@@ -361,7 +361,7 @@ class SpeedConditionReport:
     tail_decreasing: bool
 
 
-def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int]) -> SpeedConditionReport:
+def check_hfn(seq: DriftApproxSequence, n_list: Sequence[int]) -> SpeedConditionReport:
     """Evaluate the joint noise/drift speed expression along n_list.
 
     The verdict is advisory: ``converging`` means the last value dropped
@@ -374,7 +374,7 @@ def check_hfn(seq: DriftApproxSequence, base_norm: float, n_list: Sequence[int])
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=float)
     h = np.array([seq.bound(int(n)) for n in n_arr])
     f = np.array([seq.noise_rate(int(n)) for n in n_arr])
-    hb2 = (h * base_norm) ** 2
+    hb2 = (h * seq.base_norm) ** 2
     inner = f**2 + (1.0 + hb2) * n_arr ** (seq.delta - 1.0)
     logv = hb2 + np.log(inner)
     with np.errstate(over="ignore"):

@@ -26,11 +26,11 @@ out, counted and reported per level.  The solvers leave an aborted path
 NaN, so an abort of the Euler reference makes every level's value NaN.  A
 run in which any level's abort fraction exceeds ``ABORT_TOLERANCE`` raises
 instead of returning a biased estimate.  Input checks, for every level,
-run before the first path is simulated: a rate sweep checks each level's
-b_n against the C^1 hypotheses of the theorem (its declared slope bound and,
-with a drift schedule, the h(n) ||b||_p bound on its C^1 norm).  A
-stability sweep runs b_n only through Euler, so its b_n need not be C^1;
-every level's b_n must have the model's dimension.
+run before the first path is simulated: a drift schedule must smooth the
+model's drift and each b_n fit the model (``_schedule_levels``); a rate
+sweep also checks b_n against the C^1 hypotheses of the theorem (its
+declared slope bound and, with a schedule, the h(n) ||b||_p bound on its
+C^1 norm), which a stability sweep, running b_n only through Euler, skips.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coeffs import DriftApproxSequence, lp_distance, lp_norm
+from .coeffs import DriftApproxSequence, DriftField, lp_distance
 from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, mean_se,
                    sample_brownian_batch, sup_distance_values)
 from .noise import NoiseFamily
@@ -95,6 +95,15 @@ class MeanSupError:
     aborted: int
 
 
+def _schedule_levels(model: Model, seq: DriftApproxSequence, ns: Sequence[int]) -> list[DriftField]:
+    """seq's b_n at each n in ns, each checked by ``Model`` in place of the drift that seq must smooth."""
+    # registry names carry every builder parameter, so a name identifies its field
+    if seq.base.name != model.drift.name:
+        raise ValidationError(f"sequence '{seq.name}' smooths '{seq.base.name}', "
+                              f"but the model's drift is '{model.drift.name}'")
+    return [replace(model, drift=seq.generator(n)).drift for n in ns]
+
+
 def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths: int,
                      stream: RngStream, seq: DriftApproxSequence | None,
                      m_ode: int) -> list[MeanSupError]:
@@ -110,14 +119,13 @@ def _mean_sup_errors(model: Model, family: NoiseFamily, ns: Sequence[int], paths
     """
     if paths < 30:
         raise ValidationError("need at least 30 paths")
-    levels = [(n, model.drift if seq is None else seq.generator(n)) for n in ns]
+    levels = list(zip(ns, [model.drift] * len(ns) if seq is None else _schedule_levels(model, seq, ns)))
     _check_levels(model, family, levels, m_ode)  # before any path; coupled_batch checks again per batch
     if seq is not None:
-        norm = lp_norm(seq.base, seq.p)
         for n, b_n in levels:
-            if not seq.check_member(n, base_norm=norm):
+            if not seq.check_member(n):
                 raise ValidationError(f"level n={n}: '{b_n.name}' has C^1 norm {b_n.c1_norm:g} "
-                                      f"above h(n) ||b||_p = {seq.bound(n) * norm:g}")
+                                      f"above h(n) ||b||_p = {seq.bound(n) * seq.base_norm:g}")
 
     sups, aborted = _run_paths(lambda s, m: coupled_batch(model, family, levels, s, m, m_ode),
                                paths, stream, SWEEP_BATCH)
@@ -227,8 +235,7 @@ def stability_sweep(model: Model, seq: DriftApproxSequence, n_levels: Sequence[i
     if not ns:
         raise ValidationError("need at least one level")
     b, sigma, c, x0, grid = model.drift, model.sigma, model.correction, model.x0, model.grid
-    # a level's model runs the Model check on its b_n before any path
-    b_ns = [replace(model, drift=seq.generator(n)).drift for n in ns]
+    b_ns = _schedule_levels(model, seq, ns)
 
     def simulate(s: RngStream, m: int):
         dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)

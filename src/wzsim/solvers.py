@@ -44,7 +44,7 @@ that step as a status; above them an abort is read from NaN values alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -84,7 +84,8 @@ class Model:
 
     def __post_init__(self):
         d = self.sigma.dim
-        for part, dim in (("drift", self.drift.dim), ("correction", self.correction.dim)):
+        for part, dim in ((f"drift '{self.drift.name}'", self.drift.dim),
+                          ("correction", self.correction.dim)):
             if dim != d:
                 raise ValidationError(f"{part} has dimension {dim}, sigma '{self.sigma.name}' {d}")
         if np.shape(self.x0) not in ((), (d,)):
@@ -276,15 +277,15 @@ def _require_c1(b_n: DriftField) -> None:
 def _check_levels(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
                   m_ode: int) -> list[tuple[int, int]]:
     """Each level's (blocks, msub) over the model's grid, once m_ode >= 4 and every
-    level's b_n has the model's dimension and has passed ``_require_c1``.
+    level's b_n has passed the ``Model`` check in the model's drift's place and
+    ``_require_c1``.
 
     levels: (n, b_n) pairs.  Callers run this before the first path is drawn.
     """
     if m_ode < 4:
         raise ValidationError(f"need m_ode >= 4, got {m_ode}")
     for _, b_n in levels:
-        if b_n.dim != model.dim:
-            raise ValidationError(f"drift '{b_n.name}' has dimension {b_n.dim}, the model {model.dim}")
+        replace(model, drift=b_n)  # Model rejects a b_n of another dimension
         _require_c1(b_n)
     return [block_layout(family, model.grid, n, model.dim) for n, _ in levels]
 

@@ -433,6 +433,54 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(package_env):
     assert out.returncode == 0, out.stderr
 
 
+# Installs the benchmark's tracer, makes the calls it counts and prints the counts.
+_TRACED = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import layers
+tracer = layers.Tracer()
+tracer.install()
+import numpy as np
+from wzsim import cli, experiments, solvers
+from wzsim.coeffs import CorrectionMatrix
+from wzsim.core import Path, RngStream, make_grid, sample_brownian_batch
+from wzsim.noise import PiecewiseShape
+from wzsim.registry import const_diffusion, sin_bump_drift, sin_elliptic_diffusion, zero_drift
+from wzsim.shapes import linear_shape
+
+half, grid, family = CorrectionMatrix.half_identity(1), make_grid(1.0, 64), PiecewiseShape(linear_shape())
+model = solvers.Model(sin_bump_drift(), sin_elliptic_diffusion(1.0, 0.5), half, 0.0, grid)
+experiments.mc_mean_sup_error(model, family, 16, 30, RngStream(1, 0))
+cli.estimate_s(family, 16, 10, RngStream(2, 0), d=2)
+cli.estimate_c(family, 16, 0.5, 10, RngStream(3, 0), d=2)
+w = sample_brownian_batch(grid, 1, RngStream(4, 0), 1)[0]
+solvers.solve_ito_corrected(zero_drift(), const_diffusion(1.0), half, 0.0, Path(grid, w))
+dw = np.zeros((2, 64, 1))
+dw[1, 10] = 1e13  # path 1 leaves [-1e12, 1e12] and aborts
+solvers.em_batch(zero_drift(), const_diffusion(1.0), half, 0.0, dw, grid.dt)
+print(json.dumps(tracer.report()["counts"]))
+"""
+
+
+def test_the_benchmark_tracer_counts_what_its_wrapped_calls_did(package_env):
+    # the tracer reads the arguments of the calls it wraps by position (em_batch's
+    # increments, rk4_batch's stage drivers, the estimators' sample counts):
+    # a reordered argument would make a traced benchmark run crash or count wrong
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    out = subprocess.run([sys.executable, "-c", _TRACED, str(perfbench)], env=package_env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout.splitlines()[-1])
+    # Euler: the 30 coupled references, the one solve_ito_corrected path and the
+    # two paths of the aborting batch, 64 steps each; RK4: 30 paths x 16 blocks x 4 steps
+    assert counts["solvers.em_batch.path_steps"] == (30 + 1 + 2) * 64
+    assert counts["solvers.rk4_batch.path_steps"] == 30 * 16 * 4
+    assert counts["solvers.paths"] == 30 + 30 + 1 + 2
+    assert counts["solvers.aborted_paths"] == 1
+    assert counts["noise.estimate_s.samples"] == 10
+    assert counts["noise.estimate_c.samples"] == 10
+
+
 def _no_paths(monkeypatch):
     """Make every sampler and solver a command could reach fail the test."""
     def unreachable(*args, **kwargs):
@@ -473,7 +521,7 @@ def test_rate_sweep_summary_reports_the_speed_condition(tmp_path):
     assert run_cli("--config", write(tmp_path, "r.ini", SWEEP_CFG.format(out=out))) == 0
     summary = (out / "summary.txt").read_text()
     logged = {int(n): float(v) for n, v in re.findall(r"n=\s*(\d+)\s+log speed value = (\S+)", summary)}
-    rep = check_hfn(ramp_sequence(0.4, 2.0, 0.5), 1.0, [16, 32, 64])
+    rep = check_hfn(ramp_sequence(0.4, 2.0, 0.5), [16, 32, 64])
     assert logged == dict(zip(rep.n_list, rep.log_values.tolist()))
     assert f"converging={rep.converging} tail_decreasing={rep.tail_decreasing}" in summary
     assert "speed" not in (out / "rate_sweep.csv").read_text()
@@ -481,8 +529,25 @@ def test_rate_sweep_summary_reports_the_speed_condition(tmp_path):
 
 def test_a_sequence_without_keys_takes_the_default_schedule(tmp_path):
     text = SWEEP_CFG.format(out=tmp_path / "o").replace("ramp alpha=0.4 delta=0.5", "ramp")
-    seq = cli._build_sequence(cli.load_config(write(tmp_path, "r.ini", text)), 1)
+    seq = cli._build_sequence(cli.load_config(write(tmp_path, "r.ini", text)))
     assert (seq.name, seq.p, seq.delta) == ("ramp[alpha=0.4]", 2.0, 0.5)
+
+
+@pytest.mark.parametrize("config,drift", [(SWEEP_CFG, "sin_bump"), (STABILITY_CFG, "zero")],
+                         ids=["rate_sweep", "stability"])
+def test_a_drift_the_schedule_does_not_smooth_exits_2_before_any_path(tmp_path, capsys, monkeypatch,
+                                                                     config, drift):
+    # the ramp schedule smooths indicator01: on another drift its levels would
+    # approximate a field the SDE does not run with
+    _no_paths(monkeypatch)
+    out = tmp_path / "o"
+    text = config.format(out=out)
+    assert "drift = indicator01" in text
+    assert run_cli("--config", write(tmp_path, "m.ini", text.replace("drift = indicator01",
+                                                                     f"drift = {drift}"))) == 2
+    err = capsys.readouterr().err
+    assert "'indicator01'" in err and f"'{drift}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line,bad,key", [

@@ -250,7 +250,7 @@ def test_sequences_satisfy_membership(seq_builder):
     dists = [lp_distance(seq.base, seq.generator(n), seq.p) for n in ns]
     assert all(b <= a + 1e-12 for a, b in zip(dists, dists[1:]))  # nonincreasing
     for n in ns:
-        assert seq.check_member(n, base_norm=1.0)
+        assert seq.check_member(n)
 
 
 def test_sequence_validation_catches_broken_bound():
@@ -262,7 +262,7 @@ def test_sequence_validation_catches_broken_bound():
                                  generator=lambda n: bad_member,
                                  bound=good.bound, noise_rate=good.noise_rate,
                                  delta=good.delta)
-    assert not broken.check_member(16, base_norm=1.0)
+    assert not broken.check_member(16)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +279,7 @@ def _with_bound(seq, bound):
 
 def test_hfn_power_law_schedule_converges():
     seq = _with_bound(ramp_sequence(alpha=0.4, p=2.0), lambda n: 1.0)
-    rep = check_hfn(seq, 1.0, [2**k for k in range(4, 15, 2)])
+    rep = check_hfn(seq, [2**k for k in range(4, 15, 2)])
     # e * 2 n^{-1/2}: consecutive ratios follow the power law
     ratio = rep.values[1:] / rep.values[:-1]
     expect = (np.asarray(rep.n_list[:-1], dtype=float) / np.asarray(rep.n_list[1:])) ** 0.5
@@ -289,20 +289,20 @@ def test_hfn_power_law_schedule_converges():
 
 def test_hfn_ramp_schedule_tail_decreases():
     seq = ramp_sequence(alpha=0.4, p=2.0, delta=0.5)  # alpha + delta < 1
-    rep = check_hfn(seq, 1.0, [2**k for k in range(4, 15, 2)])
+    rep = check_hfn(seq, [2**k for k in range(4, 15, 2)])
     assert rep.tail_decreasing
 
 
 def test_hfn_linear_growth_diverges():
     seq = _with_bound(ramp_sequence(alpha=0.4, p=2.0), lambda n: float(n))
-    rep = check_hfn(seq, 1.0, [2**4, 2**6, 2**8])
+    rep = check_hfn(seq, [2**4, 2**6, 2**8])
     assert not rep.converging
     assert rep.log_values[-1] > rep.log_values[0]
 
 
 def test_hfn_rejects_empty_levels():
     with pytest.raises(ValidationError):
-        check_hfn(ramp_sequence(0.4, 2.0), 1.0, [])
+        check_hfn(ramp_sequence(0.4, 2.0), [])
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,13 @@ def _coupled_sigma():
                           name="coupled_sigma")
 
 
+def _on_a_2d_base():
+    """A schedule of d = 1 ramps on the d = 2 zero drift (so p > 2): it pairs with a
+    d = 2 zero-drift model, whose Model check then stops each level."""
+    return DriftApproxSequence(base=zero_drift(2), p=3.0, generator=lambda n: ramp_approximation(5.0),
+                               bound=lambda n: 1e3, noise_rate=lambda n: 0.0, delta=0.5)
+
+
 def _ramp_seq(edit):
     """The alpha = 0.4 ramp schedule with each member b_n replaced by edit(b_n, n)."""
     seq = ramp_sequence(alpha=0.4, p=2.0)
@@ -190,6 +197,16 @@ FAIL_FAST_CALLS = {
     "rate_sweep_level_of_another_dimension": lambda: rate_sweep(
         Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64), LIN, [16, 32, 64], 30, RngStream(0, 0),
         ramp_sequence(alpha=0.4, p=2.0)),
+    "rate_sweep_paired_level_of_another_dimension": lambda: rate_sweep(
+        Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64), LIN, [16, 32, 64], 30, RngStream(0, 0),
+        _on_a_2d_base()),
+    # the ramp schedule smooths the indicator, not the model's sin_bump
+    "rate_sweep_drift_not_the_schedules_base": lambda: rate_sweep(
+        _model(), LIN, [16, 32, 64], 30, RngStream(0, 0), ramp_sequence(alpha=0.4, p=2.0)),
+    # p = 1.5 is outside the theorem's p >= 2
+    "rate_sweep_p_below_2": lambda: rate_sweep(
+        _model(drift=indicator_drift()), LIN, [16, 32, 64], 30, RngStream(0, 0),
+        ramp_sequence(alpha=0.4, p=1.5)),
     "rate_sweep_x0_of_another_dimension": lambda: rate_sweep(
         _model(x0=np.zeros(2)), LIN, [16, 32, 64], 30, RngStream(0, 0)),
     # no drift sequence: the random ODE would run on the indicator itself
@@ -201,6 +218,14 @@ FAIL_FAST_CALLS = {
     "stability_sweep_level_of_another_dimension": lambda: stability_sweep(
         Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64),
         ramp_sequence(alpha=0.4, p=2.0), [16, 64], 100, RngStream(0, 0)),
+    "stability_sweep_paired_level_of_another_dimension": lambda: stability_sweep(
+        Model(zero_drift(2), SIN_ELL_2, HALF_2, 0.0, GRID_64), _on_a_2d_base(), [16, 64], 100,
+        RngStream(0, 0)),
+    "stability_sweep_drift_not_the_schedules_base": lambda: stability_sweep(
+        _model(zero_drift(), n_ref=64), ramp_sequence(alpha=0.4, p=2.0), [16, 64], 100, RngStream(0, 0)),
+    "stability_sweep_p_below_2": lambda: stability_sweep(
+        _model(indicator_drift(), n_ref=64), ramp_sequence(alpha=0.4, p=1.5), [16, 64], 100,
+        RngStream(0, 0)),
     "tube_ladder_zero_radius": lambda: tube_ladder(
         _model(zero_drift(), identity_diffusion(), n_ref=64),
         [make_target("const", GRID_64, 0.0)], [0.5, 0.0], 100, RngStream(0, 0)),
@@ -363,7 +388,7 @@ def test_a_sweep_checks_its_levels_before_its_first_batch_and_in_every_batch(mon
 
     for module in (solvers, experiments):
         monkeypatch.setattr(module, "_check_levels", counted)
-    model = _model(n_ref=128)
+    model = _model(drift=indicator_drift(), n_ref=128)
     rate_sweep(model, LIN, [16, 32, 64], 300, RngStream(8, 4), ramp_sequence(), m_ode=4)
     assert calls == [[16, 32, 64]] * 3
     solvers.coupled_batch(model, LIN, [(16, ramp_approximation(1.0))], RngStream(8, 4), 3, m_ode=4)

@@ -13,9 +13,19 @@ import numpy as np
 import pytest
 
 import test_acceptance
+import test_cli
 import test_experiments
 import test_solvers
-from wzsim import experiments, solvers
+from wzsim import coeffs, experiments, solvers
+
+
+def _edited(monkeypatch, module, name, old, new):
+    """Plant module.name recompiled from its source with the one occurrence of old replaced by new."""
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(old) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(old, new), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
 
 
 def _ito_reference(monkeypatch):
@@ -63,34 +73,57 @@ def _right_limit_at_block_ends(monkeypatch):
 
 def _swapped_hermite_slopes(monkeypatch):
     """Dense output with the start slope on the end's basis function and the end slope on the start's."""
-    line = "h10 * f0[:, si] + h11 * f1[:, si]"
-    source = inspect.getsource(solvers._dense_values)
-    assert source.count(line) == 1
-    namespace = dict(vars(solvers))
-    exec(source.replace(line, "h10 * f1[:, si] + h11 * f0[:, si]"), namespace)
-    monkeypatch.setattr(solvers, "_dense_values", namespace["_dense_values"])
+    _edited(monkeypatch, solvers, "_dense_values", "h10 * f0[:, si] + h11 * f1[:, si]",
+            "h10 * f1[:, si] + h11 * f0[:, si]")
+
+
+def _unpaired_schedule(monkeypatch):
+    """A schedule's levels built without checking that it smooths the model's drift."""
+    _edited(monkeypatch, experiments, "_schedule_levels", "if seq.base.name != model.drift.name:", "if False:")
+
+
+def _lp_norm_without_root(monkeypatch):
+    """The L^p quadrature returns the integral of |b|^p, not its p-th root."""
+    _edited(monkeypatch, coeffs, "lp_norm", ") ** (1.0 / p))", "))")
+
+
+def _stability_on_independent_increments(monkeypatch):
+    """The stability sweep's b_n copy of each path runs on the next path's increments."""
+    _edited(monkeypatch, experiments, "stability_sweep", "em_batch(b_n, sigma, c, x0, dw, grid.dt)",
+            "em_batch(b_n, sigma, c, x0, np.roll(dw, 1, axis=0), grid.dt)")
+    # criterion 09 calls the name it imported
+    monkeypatch.setattr(test_acceptance, "stability_sweep", experiments.stability_sweep)
 
 
 # mutant: (plant it, the check that must fail)
 MUTANTS = {
     "euler_without_correction_drift": (
-        _ito_reference, lambda mp: test_acceptance.test_criterion_01_exponential_oracles()),
+        _ito_reference, lambda mp, *_: test_acceptance.test_criterion_01_exponential_oracles()),
     "girsanov_theta_at_the_next_node": (
-        _anticipating_weight, lambda mp: test_experiments.test_mean_weight_is_one_within_three_se()),
+        _anticipating_weight, lambda mp, *_: test_experiments.test_mean_weight_is_one_within_three_se()),
     "girsanov_blind_to_a_last_step_abort": (
         _status_blind_weights,
-        lambda mp: test_experiments.test_girsanov_counts_a_path_that_aborts_on_its_last_step(mp)),
+        lambda mp, *_: test_experiments.test_girsanov_counts_a_path_that_aborts_on_its_last_step(mp)),
     "rk4_right_limit_at_block_ends": (
         _right_limit_at_block_ends,
-        lambda mp: test_solvers.test_ode_exponential_oracle(test_solvers.LIN, 1e-6)),
+        lambda mp, *_: test_solvers.test_ode_exponential_oracle(test_solvers.LIN, 1e-6)),
     "dense_output_slopes_swapped": (
-        _swapped_hermite_slopes, lambda mp: test_solvers.test_hermite_reference_nodes_match_a_finer_aligned_run()),
+        _swapped_hermite_slopes, lambda mp, *_: test_solvers.test_hermite_reference_nodes_match_a_finer_aligned_run()),
+    "schedule_levels_without_pairing_check": (
+        _unpaired_schedule,
+        lambda mp, tmp_path, capsys: test_cli.test_a_drift_the_schedule_does_not_smooth_exits_2_before_any_path(
+            tmp_path, capsys, mp, test_cli.SWEEP_CFG, "sin_bump")),
+    "lp_norm_without_its_root": (
+        _lp_norm_without_root, lambda mp, *_: test_acceptance.test_criterion_06_published_lp_identity()),
+    "stability_copy_on_independent_increments": (
+        _stability_on_independent_increments,
+        lambda mp, *_: test_acceptance.test_criterion_09_stability_constant()),
 }
 
 
 @pytest.mark.parametrize("mutant", sorted(MUTANTS))
-def test_each_mutant_fails_its_check(monkeypatch, mutant):
+def test_each_mutant_fails_its_check(monkeypatch, tmp_path, capsys, mutant):
     plant, check = MUTANTS[mutant]
     plant(monkeypatch)
     with pytest.raises(AssertionError):
-        check(monkeypatch)
+        check(monkeypatch, tmp_path, capsys)

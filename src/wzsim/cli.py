@@ -37,10 +37,11 @@ version), uses a header row, UTF-8, LF line endings and '.' decimals.  Exit
 codes: 0 ok, 2 validation error, 3 aborted-path threshold breached.
 
 Importing this module loads no SciPy module.  rate-sweep and tube import
-``scipy.special`` before they build their model, and the mollified family,
-drift and drift sequence load SciPy when they are built, so a run that
-needs SciPy loads it (or fails) before its first path; the other commands
-run on numpy alone.
+``scipy.special`` before they build their model (the slope's t quantile,
+the tube's lower bound), and the mollified drift and drift sequence load
+it when they are built (``erf``), so a run that needs SciPy loads it (or
+fails) before its first path.  The other commands run on numpy alone,
+with any noise family, the mollified one included.
 """
 
 from __future__ import annotations

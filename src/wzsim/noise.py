@@ -6,8 +6,8 @@ with ``msub`` cells per noise block of width 1/n:
 * ``PiecewiseShape`` -- blockwise interpolation of the increments with a
   C^1 shape function f (f(u)=u gives the familiar polygonal path),
 * ``Mollified`` -- one-sided convolution with rho_n(s) = n rho(n s),
-  linear in the path: each call applies one sparse matrix from the
-  subgrid samples to the requested times,
+  linear in the path: each call applies one band operator from the
+  subgrid samples to the requested times (numpy only; no SciPy),
 * ``McShane`` -- d=2 blockwise interpolation where the two components swap
   shape functions whenever the block increments have opposite signs.
 
@@ -154,19 +154,14 @@ class Mollified(NoiseFamily):
     W^n is C^1, so (k, u) is evaluated at the time s = (k + u)/n.
 
     Both evaluators are linear in the path: each call builds the quadrature
-    as one ``scipy.sparse`` CSR matrix of shape (len(k), nsub + 1), with at
-    most nsub + 1 entries a row, and applies it to every path of the batch
-    in one product.  The matrix does not depend on the path; it is rebuilt
-    on every call and not cached.  ``scipy.sparse`` is loaded when the
-    family is built, before any path of a run that uses it; runs without
-    this family never load it.
+    as a band operator on numpy alone (a run with this family loads no
+    SciPy), whose row r weights the consecutive subgrid samples from
+    first[r] on, at most msub + 2 of them.  The operator does not depend on
+    the path; it is rebuilt on every call, not cached, and applied to the
+    whole batch one band column at a time.
     """
 
     kernel: MollifierKernel
-
-    def __post_init__(self):
-        # a cold import takes about 0.15 s, which would otherwise land in the first batch
-        import scipy.sparse  # noqa: F401
 
     @property
     def name(self):
@@ -203,21 +198,25 @@ class Mollified(NoiseFamily):
         valid = idx >= 0.0
         j = np.clip(j, 0, nsub - 1)
 
-        # W at a node is (1 - theta) W_j + theta W_{j+1}, so the map from the
-        # subgrid samples to the nt outputs is one sparse (nt, nsub + 1) matrix.
-        # Going through COO sums duplicate (row, col) entries, leaving at most
-        # nsub + 1 per row.  CSR adds up each row in a fixed order, so a path's
-        # result has the same bits whatever the batch size (a dense BLAS
-        # product gives no such guarantee).  scipy.sparse was loaded when the
-        # family was built, so this import only looks it up.
-        from scipy.sparse import coo_array
+        # W at a node is (1 - theta) W_j + theta W_{j+1}, so row r's weights sit on
+        # columns first[r], first[r] + 1, ...; bincount sums shared ones in input order.
+        first = np.where(valid, j, nsub).min(axis=1)
+        col = j - first[:, None]
+        band = int(col[valid].max(initial=0)) + 2
+        at = (np.arange(nt)[:, None] * band + col)[valid]
+        weight = np.bincount(np.concatenate([at, at + 1]),
+                             np.concatenate([(wts * (1.0 - theta))[valid], (wts * theta)[valid]]),
+                             minlength=nt * band).reshape(nt, band)
 
-        rows = np.broadcast_to(np.arange(nt)[:, None], j.shape)[valid]
-        j, theta, wts = j[valid], theta[valid], wts[valid]
-        op = coo_array((np.concatenate([wts * (1.0 - theta), wts * theta]),
-                        (np.concatenate([rows, rows]), np.concatenate([j, j + 1]))),
-                       shape=(nt, nsub + 1)).tocsr()
-        out = op @ wsub.transpose(1, 0, 2).reshape(nsub + 1, npaths * d)
+        # Summed column by column into one output through one scratch buffer, so a
+        # path's bits do not depend on its batch (a dense BLAS product's may).
+        flat = np.ascontiguousarray(wsub.transpose(1, 0, 2)).reshape(nsub + 1, npaths * d)
+        out = np.take(flat, first, axis=0, mode="clip") * weight[:, :1]
+        buf = np.empty_like(out)
+        for i in range(1, band):
+            np.take(flat, first + i, axis=0, out=buf, mode="clip")
+            buf *= weight[:, i:i + 1]
+            out += buf
         return out.reshape(nt, npaths, d).transpose(1, 0, 2)
 
     def batch_values(self, wsub, n, msub, k, u):

@@ -9,6 +9,7 @@ the Brownian path with rho_n(s) = n * rho(n s).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -94,11 +95,24 @@ class MollifierKernel:
             raise ValidationError(f"kernel '{self.name}' must vanish at 0 and 1")
 
 
-def _gl_composite(cells: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre nodes/weights on [0,1]: ``cells`` cells, ``order`` points each."""
+@functools.cache
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0,1], ``order`` points, read-only as every caller shares them.
+
+    An eigenvalue solve, made on first use, once per order and process, so
+    a run that integrates nothing neither imports ``numpy.polynomial`` nor
+    calls LAPACK.
+    """
     x, w = np.polynomial.legendre.leggauss(order)
     x = (x + 1.0) / 2.0
     w = w / 2.0
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gl_composite(cells: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre nodes/weights on [0,1]: ``cells`` cells, ``order`` points each."""
+    x, w = _gl_rule(order)
     h = 1.0 / cells
     nodes = (np.arange(cells)[:, None] * h + x[None, :] * h).ravel()
     weights = np.broadcast_to(w[None, :] * h, (cells, order)).ravel()

@@ -401,13 +401,13 @@ print(json.dumps(result))
 
 
 def test_scipy_loads_before_the_first_path_of_the_runs_that_need_it(tmp_path, package_env):
-    # rate-sweep (fit_rate), tube (_binomial_lcb) and the mollified family
-    # (scipy.sparse) need SciPy and must fail while they are set up, before
-    # their Monte Carlo entry and before any CSV; the other commands run and
-    # write their recorded bytes on numpy alone
+    # rate-sweep (fit_rate) and tube (_binomial_lcb) need SciPy and must fail
+    # while they are set up, before their Monte Carlo entry and before any CSV;
+    # the other commands, the mollified noise family among them, run and write
+    # their recorded bytes on numpy alone
     golden = Path(__file__).resolve().parent / "data" / "golden"
-    free = ["coeffs", "def31-check", "girsanov-check", "stability"]
-    needs = ["coeffs-mollified", "rate-sweep", "tube"]
+    free = ["coeffs", "coeffs-mollified", "def31-check", "girsanov-check", "stability"]
+    needs = ["rate-sweep", "tube"]
     out = subprocess.run([sys.executable, "-c", _WITHOUT_SCIPY, str(golden), str(tmp_path), *free, *needs],
                          env=package_env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

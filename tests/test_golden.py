@@ -6,6 +6,8 @@ the CSVs it wrote are stored under ``<name>/``; the command is the one its
 ``coeffs-mollified`` pins the mollified family's bytes.  The recorded floats
 come from numpy 2.4.6 and scipy 1.17.1 on Python 3.11; other builds may
 round differently, so re-record there rather than loosen the comparison.
+Only the rate-sweep and tube recordings go through SciPy (its t and beta
+quantiles); the others, the mollified family's among them, are numpy alone.
 A deliberate change to CSV bytes re-records the files and is declared in
 CHANGES.md.
 """

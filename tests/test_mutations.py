@@ -8,6 +8,7 @@ is one today, as every diffusion the tests simulate is diagonal or constant.
 """
 
 import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -15,17 +16,21 @@ import pytest
 import test_acceptance
 import test_cli
 import test_experiments
+import test_noise
 import test_solvers
-from wzsim import coeffs, experiments, solvers
+from wzsim import coeffs, experiments, noise, solvers
 
 
-def _edited(monkeypatch, module, name, old, new):
-    """Plant module.name recompiled from its source with the one occurrence of old replaced by new."""
-    source = inspect.getsource(getattr(module, name))
+def _edited(monkeypatch, owner, name, old, new):
+    """Plant owner.name recompiled from its source with the one occurrence of old replaced by new.
+
+    ``owner`` is a module or a class; a method is compiled in its module's namespace.
+    """
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1
-    namespace = dict(vars(module))
+    namespace = dict(vars(inspect.getmodule(owner)))
     exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(module, name, namespace[name])
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 def _ito_reference(monkeypatch):
@@ -95,6 +100,16 @@ def _stability_on_independent_increments(monkeypatch):
     monkeypatch.setattr(test_acceptance, "stability_sweep", experiments.stability_sweep)
 
 
+def _band_without_right_neighbour(monkeypatch):
+    """The mollified band operator gives W at a node as (1 - theta) W_j, without theta W_{j+1}."""
+    _edited(monkeypatch, noise.Mollified, "_convolve", "(wts * theta)[valid]", "0.0 * (wts * theta)[valid]")
+
+
+def _two_sided_lcb(monkeypatch):
+    """The tube's lower bound at the two-sided level: the 2.5% beta quantile for a 95% one-sided bound."""
+    _edited(monkeypatch, experiments, "_binomial_lcb", "1.0 - LCB_LEVEL", "(1.0 - LCB_LEVEL) / 2.0")
+
+
 # mutant: (plant it, the check that must fail)
 MUTANTS = {
     "euler_without_correction_drift": (
@@ -118,6 +133,11 @@ MUTANTS = {
     "stability_copy_on_independent_increments": (
         _stability_on_independent_increments,
         lambda mp, *_: test_acceptance.test_criterion_09_stability_constant()),
+    "mollified_band_without_right_neighbour": (
+        _band_without_right_neighbour,
+        lambda mp, *_: test_noise.test_mollified_operator_matches_the_per_node_loop(8, 64, 1)),
+    "tube_lcb_at_the_two_sided_level": (
+        _two_sided_lcb, lambda mp, *_: test_experiments.test_quantiles_equal_scipy_stats_bit_for_bit()),
 }
 
 

@@ -19,6 +19,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+# numpy loads numpy.random on first attribute access; imported here, its C
+# extensions load with wzsim and not inside the first Monte Carlo batch
+from numpy.random import Generator, Philox
 
 
 class ValidationError(ValueError):
@@ -97,8 +100,8 @@ class RngStream:
         return np.array([self.master_seed & 0xFFFFFFFFFFFFFFFF,
                          self.stream_id & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
 
-    def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key()))
+    def generator(self) -> Generator:
+        return Generator(Philox(key=self.key()))
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.master_seed, self.stream_id + int(offset))

@@ -423,6 +423,34 @@ def test_scipy_loads_before_the_first_path_of_the_runs_that_need_it(tmp_path, pa
         assert not list((tmp_path / name).glob("*.csv")), name
 
 
+# Runs the config argv[1] in a child Python and prints the modules first loaded
+# after the Monte Carlo entry estimate_s was called.
+_LOADED_AFTER_ENTRY = """
+import json, sys
+from wzsim import cli
+
+at_entry = []
+def wrapped(*args, _fn=cli.estimate_s, **kwargs):
+    at_entry.append(set(sys.modules))
+    return _fn(*args, **kwargs)
+cli.estimate_s = wrapped
+cli.main(["--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps(sorted(set(sys.modules) - at_entry[0])))
+"""
+
+
+def test_a_mollified_coeffs_run_loads_no_module_after_its_monte_carlo_starts(tmp_path, package_env):
+    # numpy.random (a dozen C extensions) and numpy.polynomial (the kernel's
+    # Gauss-Legendre rule) load while the run is set up: an import inside the
+    # Monte Carlo phase would add file system and loader time, which varies from
+    # run to run, to the time the benchmark divides the samples by
+    config = Path(__file__).resolve().parent / "data" / "golden" / "coeffs-mollified.ini"
+    out = subprocess.run([sys.executable, "-c", _LOADED_AFTER_ENTRY, str(config), str(tmp_path)],
+                         env=package_env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
 def test_the_benchmark_tracer_finds_every_name_it_wraps(package_env):
     # perfbench/layers.py wraps package functions by name (solve_ito_corrected,
     # mc_mean_sup_error, _tube_sups, ...): deleting one breaks traced benchmark runs

@@ -55,6 +55,6 @@ from .noise import (
 )
 from .registry import get_kernel, get_shape
 from .shapes import MollifierKernel, ShapeFunction
-from .solvers import Model, SolverAbort, solve_ito_corrected
+from .solvers import Model, solve_ito_corrected
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -262,8 +262,8 @@ def _cmd_coeffs(cfg: RunConfig, stream: RngStream) -> None:
     family = _build_family(cfg)
     n, samples, msub = (cfg.params[k] for k in ("n", "samples", "m_sub"))
     d = family.required_dim or 2 if cfg.params["d"] is None else cfg.params["d"]
+    s_est = estimate_s(family, n, samples, stream, d=d, msub=msub)  # rejects n < 1 before t divides by it
     t = cfg.params["t_mult"] / n
-    s_est = estimate_s(family, n, samples, stream, d=d, msub=msub)
     c_est = estimate_c(family, n, t, samples, stream.child(_STRIDE), d=d, msub=msub)
     dd = s_est.dim
     for name, est, at in (("coeffs_s.csv", s_est, 1.0 / n), ("coeffs_c.csv", c_est, t)):

@@ -273,9 +273,10 @@ class DriftApproxSequence:
 
     ``bound`` is the function h with C^1-norm(b_n) <= h(n) ||b||_Lp;
     ``noise_rate`` is the area-coefficient rate f_n of the noise family the
-    sequence is paired with; ``delta`` the rate split used in the joint
-    speed condition.  The constructor checks the theorem's p >= 2 and
-    p > d and stores ``base_norm`` = ||base||_p.
+    sequence is paired with (both package sequences set it to 0: f_n is not
+    measured); ``delta`` the rate split used in the joint speed condition.
+    The constructor checks the theorem's p >= 2 and p > d and stores
+    ``base_norm`` = ||base||_p.
     """
 
     base: DriftField
@@ -366,8 +367,9 @@ def check_hfn(seq: DriftApproxSequence, n_list: Sequence[int]) -> SpeedCondition
 
     The verdict is advisory: ``converging`` means the last value dropped
     below both the first value and 1; the report never blocks a
-    run.  Computed in log space so diverging schedules report inf instead
-    of overflowing.
+    run.  f_n is ``seq.noise_rate``, 0 for both package sequences, so their
+    values leave out the noise family's area rate.  Computed in log space so
+    diverging schedules report inf instead of overflowing.
     """
     if len(n_list) == 0:
         raise ValidationError("n_list must be nonempty")

@@ -364,7 +364,7 @@ def _driftless_weights(model: Model, stream: RngStream, count: int) -> tuple[np.
         raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
     w = sample_brownian_batch(grid, d, stream, count)
     dw = np.diff(w, axis=1)
-    yv, st = em_batch(zero_drift(d), sigma, model.correction, model.x0, dw, grid.dt)
+    yv, _ = em_batch(zero_drift(d), sigma, model.correction, model.x0, dw, grid.dt)
     y = yv[:, :-1, :]
     m, steps, _ = y.shape
     flat = y.reshape(-1, d)
@@ -373,8 +373,8 @@ def _driftless_weights(model: Model, stream: RngStream, count: int) -> tuple[np.
         raise ValidationError("sigma is singular along a simulated path")
     theta = b(flat).reshape(m, steps, d) / diag
     log_rho = np.einsum("mki,mki->m", theta, dw) - 0.5 * grid.dt * np.einsum("mki,mki->m", theta, theta)
-    # the sums end at the last left point: only its status marks a Y that aborts on its last step
-    return np.where(st == 0, np.exp(log_rho), np.nan), yv
+    # the sums end at the last left point: only Y's last node marks a Y that aborts on its last step
+    return np.where(np.isnan(yv[:, -1, 0]), np.nan, np.exp(log_rho)), yv
 
 
 def girsanov_mean(model: Model, paths: int, stream: RngStream) -> GirsanovReport:

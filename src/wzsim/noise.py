@@ -231,8 +231,10 @@ class Mollified(NoiseFamily):
 # ---------------------------------------------------------------------------
 
 
-def _check_dim(family: NoiseFamily, d: int) -> None:
-    """Reject a dimension the family does not support."""
+def _check_level(family: NoiseFamily, n: int, d: int) -> None:
+    """Reject a level n < 1 and a dimension the family does not support."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
     if family.required_dim is not None and d != family.required_dim:
         raise ValidationError(f"family {family.name} requires dimension {family.required_dim}, got {d}")
 
@@ -244,9 +246,7 @@ def block_layout(family: NoiseFamily, grid: TimeGrid, n: int, d: int) -> tuple[i
     does not hold a whole number of blocks of width 1/n, and a grid whose
     cells do not tile every block.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    _check_dim(family, d)
+    _check_level(family, n, d)
     blocks = grid.horizon * n
     if abs(blocks - round(blocks)) > 1e-9:
         raise ValidationError("horizon does not hold a whole number of noise blocks")
@@ -354,7 +354,7 @@ def estimate_s(family: NoiseFamily, n: int, samples: int, stream: RngStream,
     """
     if samples < 1:
         raise ValidationError("samples must be >= 1")
-    _check_dim(family, d)
+    _check_level(family, n, d)
 
     cells = np.arange(BLOCKS_PER_PATH)[:, None] * msub + np.arange(msub + 1)
 
@@ -373,10 +373,10 @@ def estimate_c(family: NoiseFamily, n: int, t: float, samples: int, stream: RngS
     """Monte Carlo estimate of the correction density c_ij(t, n), t a multiple of 1/n."""
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    _check_level(family, n, d)
     blocks = t * n
     if abs(blocks - round(blocks)) > 1e-9 or round(blocks) < 1:
         raise ValidationError("t must be a positive multiple of 1/n")
-    _check_dim(family, d)
     c = _per_sample(lambda wsub: correction_density(family, wsub, n, msub),
                     int(round(blocks)), n, msub, d, samples, stream, C_BATCH)
     mean, se = mean_se(c)
@@ -413,10 +413,11 @@ def check_moment_condition(family: NoiseFamily, n_list: Sequence[int], samples: 
     """Estimate the two sixth moments over a range of n and fit their n-exponents."""
     if samples < 100:
         raise ValidationError("need at least 100 samples")
-    _check_dim(family, d)
     n_list = tuple(int(n) for n in n_list)
     if len(set(n_list)) < 2:
         raise ValidationError("need at least two distinct levels to fit an exponent")
+    for n in n_list:
+        _check_level(family, n, d)
     mean = np.zeros((len(n_list), 2))
     se = np.zeros((len(n_list), 2))
     for idx, n in enumerate(n_list):

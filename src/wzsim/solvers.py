@@ -39,7 +39,8 @@ step and once per Runge-Kutta stage, in one of two forms:
 Both forms give the same bits for a diagonal field.  A path whose state
 leaves [-limit, limit] is aborted: NaN from that step on, found in one pass
 after the step loop (fields act row by row).  The step loops also return
-that step as a status; above them an abort is read from NaN values alone.
+that step as a status, which no package code reads (the benchmark's tracer
+counts it); above them an abort is read from NaN values alone.
 """
 
 from __future__ import annotations
@@ -55,14 +56,6 @@ from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
 M_ODE = 4  # default RK4 steps per noise block; its error is checked in tests/test_solvers.py
-
-
-class SolverAbort(RuntimeError):
-    """A path left the admissible range; carries the first bad step index."""
-
-    def __init__(self, step: int):
-        super().__init__(f"path aborted at step {step}: non-finite or |x| > {OVERFLOW_LIMIT:g}")
-        self.step = step
 
 
 @dataclass(frozen=True)
@@ -118,6 +111,8 @@ def _flag_aborts(vals: np.ndarray) -> np.ndarray:
 
     A path first not finite or outside [-limit, limit] at step k >= 1 gets
     status k and NaN from step k on; others get 0.  Per-path max/min find them.
+    So a path aborts exactly when its last node is NaN, which is what callers
+    read; only ``perfbench/layers.py`` counts the non-zero statuses.
     """
     flat = vals[:, 1:].reshape(len(vals), -1)
     bad = np.flatnonzero(~((flat.max(axis=1) <= OVERFLOW_LIMIT) & (flat.min(axis=1) >= -OVERFLOW_LIMIT)))
@@ -157,18 +152,15 @@ def solve_ito_corrected(b: DriftField, sigma: DiffusionField, c: CorrectionMatri
                         x0, w: Path) -> Path:
     """Integrate one corrected-SDE path on the grid of the Brownian sample w.
 
-    Row 0 of a one-path ``em_batch`` that raises ``SolverAbort`` instead of
-    returning a status.  No command calls it; the benchmark's
+    Row 0 of a one-path ``em_batch``: NaN from the step it aborts on, as on
+    every batch route.  No command calls it; the benchmark's
     ``oracle_single_path`` workload does, to time the per-call overhead.
     """
     x0v = np.atleast_1d(np.asarray(x0, dtype=float))
     if x0v.shape[0] != w.dim:
         raise ValidationError("x0 dimension does not match the Brownian path")
     dw = np.diff(w.values, axis=0)[None]
-    vals, status = em_batch(b, sigma, c, x0v[None], dw, w.grid.dt)
-    if status[0] != 0:
-        raise SolverAbort(int(status[0]))
-    return Path(w.grid, vals[0])
+    return Path(w.grid, em_batch(b, sigma, c, x0v[None], dw, w.grid.dt)[0][0])
 
 
 # ---------------------------------------------------------------------------

@@ -665,6 +665,9 @@ def test_the_default_dimension_is_the_familys(tmp_path):
     # epsilon is no alias of eps_ladder, and an empty ladder has no radius
     (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder =\nepsilon = 0.7", "'epsilon'"),
     (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder =", "need at least one radius"),
+    # a level below 1, before the coeffs command divides t_mult by it
+    (COEFFS_CFG, "n = 32", "n = 0", "n must be >= 1"),
+    (DEF31_CFG, "n_list = 4 8", "n_list = 4 0 8", "n must be >= 1"),
     # a [model] key the command does not read
     (GIRSANOV_CFG, "x0 = 0.0", "x0 = 0.0\nsequence = ramp alpha=0.4", "'sequence'"),
     (GIRSANOV_CFG, "x0 = 0.0", "x0 = 0.0\nfamily = mcshane", "'family'"),
@@ -675,8 +678,8 @@ def test_the_default_dimension_is_the_familys(tmp_path):
     (GIRSANOV_CFG, "[run]", "[DEFAULT]\nseed = 1\n\n[run]", "[DEFAULT]"),
 ], ids=["coeffs_unknown", "rate_sweep_unknown", "stability_unknown", "tube_unknown",
         "girsanov_unknown", "def31_unknown", "stability_m_ode", "def31_n_ref", "tube_d",
-        "tube_epsilon", "tube_empty_ladder", "girsanov_sequence", "girsanov_family",
-        "coeffs_drift", "run_key", "section", "default_section"])
+        "tube_epsilon", "tube_empty_ladder", "coeffs_n_0", "def31_n_list_0", "girsanov_sequence",
+        "girsanov_family", "coeffs_drift", "run_key", "section", "default_section"])
 def test_a_key_the_command_does_not_read_exits_2(tmp_path, capsys, monkeypatch, config, line, bad, named):
     _no_paths(monkeypatch)
     out = tmp_path / "o"

@@ -571,9 +571,10 @@ def test_mean_weight_is_one_within_three_se():
 
 
 def test_girsanov_counts_a_path_that_aborts_on_its_last_step(monkeypatch):
-    # path 0 of the driftless Euler batch is NaN at its last node only, with
-    # status `steps`: the weight's left-point sums never read that node, so
-    # only the status can mark the path as aborted
+    # path 0 of the driftless Euler batch is NaN at its last node only, as
+    # em_batch leaves a path that aborts on its last step: the weight's
+    # left-point sums never read that node, so only the node itself can mark
+    # the path as aborted
     solve = experiments.em_batch
 
     def abort_on_last_step(*args, **kwargs):

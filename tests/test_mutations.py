@@ -5,6 +5,12 @@ test that kills it under ``pytest.raises(AssertionError)``.  A mutant that
 no test kills is not listed as an expected failure: it is an open gap in the
 checks.  Contracting with c transposed in ``coeffs.correction_drift_batch``
 is one today, as every diffusion the tests simulate is diagonal or constant.
+
+An equivalent mutant, one that cannot change a result, is not a row either:
+* ``<`` -> ``<=`` in ``tube_ladder``'s hit count: a sup distance equal to a
+  radius has probability 0;
+* a zero status planted in the ``em_batch`` that ``_driftless_weights``
+  calls: no package code reads the step status.
 """
 
 import inspect
@@ -25,12 +31,13 @@ def _edited(monkeypatch, owner, name, old, new):
     """Plant owner.name recompiled from its source with the one occurrence of old replaced by new.
 
     ``owner`` is a module or a class; a method is compiled in its module's namespace.
+    The copy reads that namespace live, so a fake its check plants there later reaches it.
     """
     source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
     assert source.count(old) == 1
-    namespace = dict(vars(inspect.getmodule(owner)))
-    exec(source.replace(old, new), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
+    defined = {}
+    exec(source.replace(old, new), vars(inspect.getmodule(owner)), defined)
+    monkeypatch.setattr(owner, name, defined[name])
 
 
 def _ito_reference(monkeypatch):
@@ -49,18 +56,9 @@ def _anticipating_weight(monkeypatch):
     monkeypatch.setattr(experiments, "em_batch", ahead)
 
 
-def _status_blind_weights(monkeypatch):
-    """Girsanov weights that read no solver status: a path aborting on its last step keeps a finite weight."""
-    weights = experiments._driftless_weights
-
-    def blind(model, stream, count):
-        solve = experiments.em_batch
-        with pytest.MonkeyPatch.context() as inner:
-            inner.setattr(experiments, "em_batch",
-                          lambda *args: (solve(*args)[0], np.zeros(len(args[4]), dtype=np.int64)))
-            return weights(model, stream, count)
-
-    monkeypatch.setattr(experiments, "_driftless_weights", blind)
+def _abort_read_a_node_early(monkeypatch):
+    """Girsanov weights that read Y's next-to-last node: a path aborting on its last step keeps a finite weight."""
+    _edited(monkeypatch, experiments, "_driftless_weights", "yv[:, -1, 0]", "yv[:, -2, 0]")
 
 
 def _right_limit_at_block_ends(monkeypatch):
@@ -117,7 +115,7 @@ MUTANTS = {
     "girsanov_theta_at_the_next_node": (
         _anticipating_weight, lambda mp, *_: test_experiments.test_mean_weight_is_one_within_three_se()),
     "girsanov_blind_to_a_last_step_abort": (
-        _status_blind_weights,
+        _abort_read_a_node_early,
         lambda mp, *_: test_experiments.test_girsanov_counts_a_path_that_aborts_on_its_last_step(mp)),
     "rk4_right_limit_at_block_ends": (
         _right_limit_at_block_ends,

@@ -193,7 +193,7 @@ def test_mollified_starts_at_zero_and_has_no_kinks():
 def _mollified_by_nodes(kernel, wsub, n, msub, k, u, deriv):
     """Mollified W^n (deriv=False) or dW^n/ds by one gather per quadrature node.
 
-    The per-node loop the sparse operator replaced, kept as its oracle: every
+    The oracle of the band operator in ``Mollified._convolve``: every
     subgrid cell of the window is split at the path's kink offset phi and
     each part gets CONVOLUTION_ORDER Gauss-Legendre nodes.
     """
@@ -359,6 +359,25 @@ def test_batched_functionals_vanish_on_zero_path(fam):
 def test_c_rejects_time_off_the_block_lattice():
     with pytest.raises(ValidationError):
         estimate_c(LIN, 16, 0.7 / 16, 200, RngStream(1, 0))
+
+
+LEVEL_BELOW_ONE_CALLS = {
+    "estimate_s_zero": lambda: estimate_s(LIN, 0, 100, RngStream(1, 0)),
+    "estimate_s_negative": lambda: estimate_s(LIN, -2, 100, RngStream(1, 0)),
+    "estimate_c_zero": lambda: estimate_c(LIN, 0, 1.0, 100, RngStream(1, 0)),
+    "check_moment_condition_zero_first": lambda: check_moment_condition(LIN, [0, 4], 100, RngStream(1, 0)),
+    "check_moment_condition_zero_last": lambda: check_moment_condition(LIN, [4, 0], 100, RngStream(1, 0)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LEVEL_BELOW_ONE_CALLS))
+def test_a_level_below_one_is_rejected_before_any_sample(monkeypatch, call):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a path was sampled before the level was checked")
+
+    monkeypatch.setattr(noise, "sample_brownian_batch", unreachable)
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        LEVEL_BELOW_ONE_CALLS[call]()
 
 
 BATCHED_ESTIMATORS = {

@@ -21,7 +21,6 @@ from wzsim.registry import (
 from wzsim.shapes import bump_kernel, linear_shape
 from wzsim.solvers import (
     Model,
-    SolverAbort,
     coupled_batch,
     em_batch,
     rk4_batch,
@@ -145,14 +144,16 @@ def test_abort_pass_flags_the_first_step_of_a_path_that_comes_back(solve):
     # zero drift, unit additive noise, x0 = 0 and step length 1: the state is
     # the running sum of the kicks.  Row 1 leaves [-1e12, 1e12] at step 3, is
     # back inside at step 5, leaves again (second component) at step 8 and is
-    # back at step 9; row 2 leaves at step 6 and stays out; rows 0 and 3 stay in
+    # back at step 9; row 2 leaves at step 6 and stays out; rows 0 and 3 stay
+    # in; row 4 leaves on its last kick only, so only its last node is NaN
     steps, d = 12, 2
-    kicks = np.zeros((4, steps, d))
+    kicks = np.zeros((5, steps, d))
     kicks[0] = np.arange(steps * d).reshape(steps, d) % 5 - 2.0
     kicks[1, 2, 0], kicks[1, 4, 0] = 3e12, -3e12
     kicks[1, 7, 1], kicks[1, 8, 1] = -2e12, 2e12
     kicks[2, 5, 1] = 5e12
     kicks[3] = 8e10
+    kicks[4, -1, 0] = -2e12
     sigma = const_diffusion(1.0, d=2)
     if solve == "em":
         vals, status = em_batch(zero_drift(2), sigma, CorrectionMatrix.half_identity(2),
@@ -160,8 +161,8 @@ def test_abort_pass_flags_the_first_step_of_a_path_that_comes_back(solve):
     else:
         stages = np.repeat(kicks[:, :, None, :], 3, axis=2)
         vals, status = rk4_batch(zero_drift(2), sigma, np.zeros(d), stages, 1.0)
-    assert status.tolist() == [0, 3, 6, 0]
-    path = np.concatenate([np.zeros((4, 1, d)), np.cumsum(kicks, axis=1)], axis=1)
+    assert status.tolist() == [0, 3, 6, 0, steps]
+    path = np.concatenate([np.zeros((5, 1, d)), np.cumsum(kicks, axis=1)], axis=1)
     for row, k in enumerate(status):
         stop = k if k else steps + 1
         assert np.array_equal(vals[row, :stop], path[row, :stop])
@@ -169,11 +170,13 @@ def test_abort_pass_flags_the_first_step_of_a_path_that_comes_back(solve):
 
 
 def test_overflow_aborts_with_diagnostic():
+    # the drift carries the path past 1e12 at some step k >= 1: finite before k, NaN from k on
     w = _brownian(make_grid(1.0, 64), 1, RngStream(2, 0))
     huge = const_drift(1e13)
-    with pytest.raises(SolverAbort) as exc:
-        solve_ito_corrected(huge, const_diffusion(1.0), HALF, 0.0, w)
-    assert exc.value.step >= 1
+    bad = np.isnan(solve_ito_corrected(huge, const_diffusion(1.0), HALF, 0.0, w).values[:, 0])
+    k = int(np.argmax(bad))
+    assert k >= 1
+    assert np.all(bad[k:]) and not np.any(bad[:k])
 
 
 def test_x0_dimension_checked():

@@ -166,6 +166,8 @@ def load_config(path: str, seed=None, out=None) -> RunConfig:
         seed = int(text)  # never through float: seeds above 2^53 must stay exact
     except ValueError:
         raise ValidationError(f"parameter 'seed': '{text}' is not an integer") from None
+    if not 0 <= seed < 1 << 64:  # RngStream keys on the seed modulo 2^64
+        raise ValidationError(f"parameter 'seed': {seed} is outside [0, 2^64)")
     given = dict(cp.items("params")) if cp.has_section("params") else {}
     return RunConfig(
         command=command,
@@ -299,8 +301,8 @@ def _cmd_rate_sweep(cfg: RunConfig, stream: RngStream) -> None:
         speed = check_hfn(seq, [n for n, _, _ in rep.points])
         lines += [f"  n={n:5d}  log speed value = {v!r}"
                   for n, v in zip(speed.n_list, speed.log_values.tolist())]
-        lines.append(f"  speed condition (advisory): converging={speed.converging} "
-                     f"tail_decreasing={speed.tail_decreasing}")
+        lines.append(f"  speed condition (advisory, noise area rate f_n taken as 0): "
+                     f"converging={speed.converging} tail_decreasing={speed.tail_decreasing}")
     _write_summary(cfg, lines)
 
 

@@ -100,6 +100,8 @@ class CorrectionMatrix:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError("correction matrix must be square")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(f"correction matrix entries must be finite, got {m.tolist()}")
         if np.max(np.abs(m + m.T - np.eye(m.shape[0]))) > 1e-10:
             raise ValidationError("correction matrix must satisfy c + c^T = Identity")
         m = m.copy()
@@ -118,6 +120,8 @@ class CorrectionMatrix:
     def from_area_matrix(s: np.ndarray) -> "CorrectionMatrix":
         """c = s + I/2 for a skew-symmetric area limit s."""
         s = np.asarray(s, dtype=float)
+        if not np.all(np.isfinite(s)):
+            raise ValidationError(f"area matrix entries must be finite, got {s.tolist()}")
         if np.max(np.abs(s + s.T)) > 1e-10:
             raise ValidationError("area matrix must be skew-symmetric")
         return CorrectionMatrix(s + 0.5 * np.eye(s.shape[0]))
@@ -242,10 +246,14 @@ def mollified_indicator(kappa: float) -> DriftField:
                       name=f"mollified[kappa={kappa:g}]")
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"alpha = {alpha} must lie in (0, 1)")
+
+
 def schedule_chi(n: int, alpha: float) -> float:
     """chi(n) = max(2 sqrt(|log(n^alpha)|) - 2, 0)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
+    _check_alpha(alpha)
     if n < 1:
         raise ValidationError("n must be >= 1")
     return max(2.0 * math.sqrt(abs(alpha * math.log(n))) - 2.0, 0.0)
@@ -253,9 +261,8 @@ def schedule_chi(n: int, alpha: float) -> float:
 
 def schedule_kappa(n: int, alpha: float, c: float) -> float:
     """kappa(n) = max(sqrt(|log(n^alpha)|)/C - 1, 0)."""
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0, 1)")
-    if c <= 0.0:
+    _check_alpha(alpha)
+    if not c > 0.0:
         raise ValidationError("C must be positive")
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -272,9 +279,8 @@ class DriftApproxSequence:
     """A schedule n -> b_n of C^1 drifts approximating a singular base drift.
 
     ``bound`` is the function h with C^1-norm(b_n) <= h(n) ||b||_Lp;
-    ``noise_rate`` is the area-coefficient rate f_n of the noise family the
-    sequence is paired with (both package sequences set it to 0: f_n is not
-    measured); ``delta`` the rate split used in the joint speed condition.
+    ``delta`` the rate split used in the joint speed condition.  The noise
+    family's area rate f_n is not part of the schedule (``check_hfn``).
     The constructor checks the theorem's p >= 2 and p > d and stores
     ``base_norm`` = ||base||_p.
     """
@@ -283,7 +289,6 @@ class DriftApproxSequence:
     p: float
     generator: Callable[[int], DriftField]
     bound: Callable[[int], float]
-    noise_rate: Callable[[int], float]
     delta: float
     name: str = "sequence"
     base_norm: float = field(init=False)
@@ -305,13 +310,13 @@ def ramp_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -> Dri
 
     Valid from the first n with chi(n) > 0 (n > e^{1/alpha}).
     """
+    _check_alpha(alpha)
     base = indicator_drift()
     return DriftApproxSequence(
         base=base,
         p=p,
         generator=lambda n: ramp_approximation(schedule_chi(n, alpha)),
         bound=lambda n: (schedule_chi(n, alpha) + 2.0) / 2.0,
-        noise_rate=lambda n: 0.0,
         delta=delta,
         name=f"ramp[alpha={alpha:g}]",
     )
@@ -324,6 +329,7 @@ def mollified_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -
     the indicator, sup|b_kappa| <= 1 and sup|b_kappa'| = sqrt(kappa/2pi),
     and C = 1.1 covers every kappa > 0 (measured here on a kappa grid).
     """
+    _check_alpha(alpha)
     kappas = np.geomspace(1e-3, 50.0, 80)
     ratios = [mollified_indicator(k).c1_norm / (k + 1.0) for k in kappas]
     c_measured = float(np.max(ratios)) * 1.001
@@ -340,7 +346,6 @@ def mollified_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -
         p=p,
         generator=gen,
         bound=lambda n, c=c_measured: c * (schedule_kappa(n, alpha, c) + 1.0),
-        noise_rate=lambda n: 0.0,
         delta=delta,
         name=f"mollified[alpha={alpha:g}]",
     )
@@ -353,10 +358,9 @@ def mollified_sequence(alpha: float = 0.4, p: float = 2.0, delta: float = 0.5) -
 
 @dataclass(frozen=True)
 class SpeedConditionReport:
-    """Values of e^{h(n)^2 B^2} (f_n^2 + (1 + h(n)^2 B^2) n^{delta-1}) along n_list."""
+    """log of e^{h(n)^2 B^2} (f_n^2 + (1 + h(n)^2 B^2) n^{delta-1}) along n_list, f_n taken as 0."""
 
     n_list: tuple[int, ...]
-    values: np.ndarray
     log_values: np.ndarray
     converging: bool
     tail_decreasing: bool
@@ -367,24 +371,19 @@ def check_hfn(seq: DriftApproxSequence, n_list: Sequence[int]) -> SpeedCondition
 
     The verdict is advisory: ``converging`` means the last value dropped
     below both the first value and 1; the report never blocks a
-    run.  f_n is ``seq.noise_rate``, 0 for both package sequences, so their
-    values leave out the noise family's area rate.  Computed in log space so
+    run.  The noise family's area rate f_n is taken as 0 (it is not
+    measured), so the values leave it out.  Computed in log space so
     diverging schedules report inf instead of overflowing.
     """
     if len(n_list) == 0:
         raise ValidationError("n_list must be nonempty")
     n_arr = np.asarray(sorted(int(n) for n in n_list), dtype=float)
     h = np.array([seq.bound(int(n)) for n in n_arr])
-    f = np.array([seq.noise_rate(int(n)) for n in n_arr])
     hb2 = (h * seq.base_norm) ** 2
-    inner = f**2 + (1.0 + hb2) * n_arr ** (seq.delta - 1.0)
-    logv = hb2 + np.log(inner)
-    with np.errstate(over="ignore"):
-        vals = np.exp(logv)
+    logv = hb2 + np.log((1.0 + hb2) * n_arr ** (seq.delta - 1.0))
     converging = bool(logv[-1] < logv[0] and logv[-1] < 0.0)
     tail_decreasing = bool(len(logv) < 2 or logv[-1] < logv[-2])
-    return SpeedConditionReport(tuple(int(n) for n in n_arr), vals, logv,
-                                converging, tail_decreasing)
+    return SpeedConditionReport(tuple(int(n) for n in n_arr), logv, converging, tail_decreasing)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ class TimeGrid:
     def __post_init__(self):
         if not np.isfinite(self.horizon) or self.horizon <= 0.0:
             raise ValidationError(f"horizon must be positive, got {self.horizon}")
-        if int(self.steps) != self.steps or self.steps < 1:
+        if not 1 <= self.steps < math.inf or int(self.steps) != self.steps:
             raise ValidationError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
 

@@ -301,6 +301,8 @@ def _tube_sups(model: Model, targets: Sequence[Path], paths: int,
             raise ValidationError("every target path must lie on the model's grid")
         if target.dim != model.dim:
             raise ValidationError(f"a target path has dimension {target.dim}, the model {model.dim}")
+        if not np.all(np.isfinite(target.values)):
+            raise ValidationError("every target path value must be finite")
         if np.max(np.abs(target.values[0] - model.x0)) > 1e-12:
             raise ValidationError("target path must start at x0")
 
@@ -390,19 +392,17 @@ def girsanov_mean(model: Model, paths: int, stream: RngStream) -> GirsanovReport
 # ---------------------------------------------------------------------------
 
 
-def make_target(kind: str, grid: TimeGrid, x0: float, *, slope: float = 1.0, amp: float = 0.3,
-                freq: float = 1.0) -> Path:
-    """Deterministic target paths starting at x0: const, line (slope), sine (amp, freq)."""
-    for name, v in (("x0", x0), ("slope", slope), ("amp", amp), ("freq", freq)):
-        if not math.isfinite(v):
-            raise ValidationError(f"target parameter '{name}' = {v} is not finite")
+def make_target(kind: str, grid: TimeGrid, x0: float) -> Path:
+    """Deterministic target paths starting at x0: const, line x0 + t, sine x0 + 0.3 sin(2 pi t)."""
+    if not math.isfinite(x0):
+        raise ValidationError(f"target parameter 'x0' = {x0} is not finite")
     t = grid.nodes()
     if kind == "const":
         v = np.full_like(t, x0)
     elif kind == "line":
-        v = x0 + slope * t
+        v = x0 + t
     elif kind == "sine":
-        v = x0 + amp * np.sin(2.0 * math.pi * freq * t)
+        v = x0 + 0.3 * np.sin(2.0 * math.pi * t)
     else:
         raise ValidationError(f"unknown target '{kind}'; known: const, line, sine")
     return Path(grid, v[:, None])

@@ -40,15 +40,22 @@ def _filled(x: np.ndarray, v: float) -> np.ndarray:
     return out
 
 
+def _dim(d: int) -> int:
+    """d as an int; ValidationError unless it is a positive integer."""
+    if not 1 <= d < math.inf or d != int(d):
+        raise ValidationError(f"dimension d = {d} must be a positive integer")
+    return int(d)
+
+
 def zero_drift(d: int = 1) -> DriftField:
-    return DriftField(dim=d, fn=lambda x: np.zeros(x.shape),
+    return DriftField(dim=_dim(d), fn=lambda x: np.zeros(x.shape),
                       support_radius=1.0, sup_value=0.0, sup_grad=0.0, name="zero")
 
 
 def const_drift(v: float, d: int = 1) -> DriftField:
     if not math.isfinite(v):
         raise ValidationError(f"const drift value {v} must be finite")
-    return DriftField(dim=d, fn=lambda x: _filled(x, v),
+    return DriftField(dim=_dim(d), fn=lambda x: _filled(x, v),
                       sup_value=abs(v), sup_grad=0.0, name=f"const[{v:g}]")
 
 
@@ -97,6 +104,7 @@ def sin_bump_drift(radius: float = 5.0) -> DriftField:
 
 def _diag_field(s, ds, d, **meta) -> DiffusionField:
     """The diagonal field diag(s(x_i)): its scalar forms s, s' and their matrix lifts."""
+    d = _dim(d)
 
     def sigma(x):
         x = np.asarray(x, dtype=float)

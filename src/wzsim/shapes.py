@@ -29,7 +29,8 @@ class ShapeFunction:
     def __post_init__(self):
         f0 = float(self.value(np.array(0.0)))
         f1 = float(self.value(np.array(1.0)))
-        if abs(f0) > 1e-12 or abs(f1 - 1.0) > 1e-12:
+        # every check is written so that a NaN fails it
+        if not (abs(f0) <= 1e-12 and abs(f1 - 1.0) <= 1e-12):
             raise ValidationError(
                 f"shape '{self.name}' must satisfy f(0)=0, f(1)=1; got f(0)={f0}, f(1)={f1}"
             )
@@ -37,7 +38,7 @@ class ShapeFunction:
         u = np.linspace(0.05, 0.95, 19)
         h = 1e-6
         fd = (self.value(u + h) - self.value(u - h)) / (2 * h)
-        if np.max(np.abs(fd - self.deriv(u))) > 1e-6 * max(1.0, np.max(np.abs(self.deriv(u)))):
+        if not np.max(np.abs(fd - self.deriv(u))) <= 1e-6 * max(1.0, np.max(np.abs(self.deriv(u)))):
             raise ValidationError(f"shape '{self.name}': derivative inconsistent with value")
 
 
@@ -48,8 +49,9 @@ def linear_shape() -> ShapeFunction:
 
 
 def power_shape(k: float) -> ShapeFunction:
-    if k < 1:
-        raise ValidationError("power shape needs exponent >= 1 for a C^1 function on [0,1]")
+    if not 1.0 <= k < np.inf:
+        raise ValidationError(f"power shape needs a finite exponent >= 1 for a C^1 function on [0,1], "
+                              f"got {k}")
     return ShapeFunction(lambda u, k=k: np.asarray(u, dtype=float) ** k,
                          lambda u, k=k: k * np.asarray(u, dtype=float) ** (k - 1),
                          name=f"power{k:g}")
@@ -86,12 +88,15 @@ class MollifierKernel:
 
     def __post_init__(self):
         u, w = _gl_composite(cells=64, order=8)
-        mass = float(np.dot(w, self.value(u)))
-        if abs(mass - 1.0) > 1e-8:
+        vals = self.value(u)
+        # every check is written so that a NaN fails it
+        if not np.all((vals >= -1e-14) & (vals < np.inf)):
+            raise ValidationError(f"kernel '{self.name}' is negative or not finite at a quadrature node")
+        mass = float(np.dot(w, vals))
+        if not abs(mass - 1.0) <= 1e-8:
             raise ValidationError(f"kernel '{self.name}': integral is {mass}, expected 1")
-        if np.any(self.value(u) < -1e-14):
-            raise ValidationError(f"kernel '{self.name}' is negative at a quadrature node")
-        if abs(float(self.value(np.array(0.0)))) > 1e-12 or abs(float(self.value(np.array(1.0)))) > 1e-12:
+        if not (abs(float(self.value(np.array(0.0)))) <= 1e-12
+                and abs(float(self.value(np.array(1.0)))) <= 1e-12):
             raise ValidationError(f"kernel '{self.name}' must vanish at 0 and 1")
 
 

@@ -198,12 +198,12 @@ def test_criterion_08_support_probe():
     ladder = [0.25, 0.5, 1.0]
     all_ok = True
     details = []
-    kinds = [("const", {}), ("line", {"slope": 1.0}), ("sine", {"amp": 0.3, "freq": 1.0})]
+    kinds = ["const", "line", "sine"]
     # one path sample serves every target and radius
     reports = tube_ladder(Model(indicator_drift(), SIN_ELL, HALF, 0.0, grid),
-                          [make_target(kind, grid, 0.0, **params) for kind, params in kinds],
+                          [make_target(kind, grid, 0.0) for kind in kinds],
                           ladder, paths, RngStream(88, 0))
-    for ti, (kind, _) in enumerate(kinds):
+    for ti, kind in enumerate(kinds):
         hits = [r.hits for r in reports[ti * len(ladder):(ti + 1) * len(ladder)]]
         all_ok &= hits[1] >= 1 and hits == sorted(hits)
         details.append(f"{kind}:{hits}")
@@ -220,7 +220,7 @@ def test_criterion_09_stability_constant():
     b = indicator_drift()
     # identical drifts on identical streams: the sweep must report exact zero
     ident = DriftApproxSequence(base=b, p=2.0, generator=lambda n: b,
-                                bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
+                                bound=lambda n: 1.0, delta=0.5)
     rep0 = stability_sweep(Model(b, SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 12)), ident, [16, 64], 100,
                            RngStream(99, 0))
     zeros = [mse for _, _, mse, _ in rep0.levels]
@@ -229,7 +229,7 @@ def test_criterion_09_stability_constant():
     # the mse at most C ||b - b_n||_2^2 = 2 C a, so log mse against log 2a
     # must not fall with a slope below 1
     seq = DriftApproxSequence(base=b, p=2.0, generator=lambda n: _shifted_indicator(1.0 / n),
-                              bound=lambda n: 1.0, noise_rate=lambda n: 0.0, delta=0.5)
+                              bound=lambda n: 1.0, delta=0.5)
     rep = stability_sweep(Model(b, SIN_ELL, HALF, 0.0, make_grid(1.0, 1 << 13)), seq, [2, 5, 20, 100], 500,
                           RngStream(99, 1 << 33))
     d2 = [2.0 / n for n, _, _, _ in rep.levels]

@@ -139,6 +139,16 @@ def test_seed_override_changes_output(tmp_path):
     assert b1 != b3
 
 
+@pytest.mark.parametrize("seed", ["18446744073709551619", "-1"], ids=["above_2_64", "negative"])
+def test_a_seed_outside_64_bits_exits_2_from_the_command_line(tmp_path, capsys, seed):
+    # the streams key on the seed modulo 2^64: 2^64 + 3 would rerun seed 3, and -1 seed 2^64 - 1
+    out = tmp_path / "o"
+    cfg = write(tmp_path, "r.ini", RATE_CFG.format(out=out))
+    assert run_cli("--config", cfg, "--seed", seed) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_def31_command(tmp_path):
     out = tmp_path / "res"
     cfg = write(tmp_path, "d.ini", f"""
@@ -244,6 +254,9 @@ def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monke
     (TUBE_CFG, "eps_ladder = 0.5 1.0 2.0", "eps_ladder = 0.5 wide", "eps_ladder"),
     (RATE_CFG, "paths = 60", "paths = 40.5", "paths"),
     (RATE_CFG, "seed = 7", "seed = abc", "seed"),
+    # a seed outside [0, 2^64) would share its streams with the seed it equals modulo 2^64
+    (RATE_CFG, "seed = 7", "seed = 18446744073709551619", "seed"),
+    (RATE_CFG, "seed = 7", "seed = -1", "seed"),
     (RATE_CFG, "x0 = 0.0", "x0 = zero", "x0"),
     (RATE_CFG, "x0 = 0.0", "sequence = ramp alpha=big\nx0 = 0.0", "alpha"),
     (RATE_CFG, "a=1 b=0.5", "a=one b=0.5", "a"),
@@ -274,7 +287,8 @@ def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monke
     (RATE_CFG, "drift = sin_bump", "drift = ramp chi=nan", "chi"),
     # '%' is text, not configparser interpolation
     (GIRSANOV_CFG, "paths = 1000", "paths = 10%", "paths"),
-], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "x0",
+], ids=["word", "list_entry", "ladder_entry", "fraction_for_int", "seed", "seed_above_2_64",
+        "negative_seed", "x0",
         "sequence_param", "diffusion_param", "diffusion_dim", "singular_ode_drift",
         "unknown_drift_param", "unknown_diffusion_param", "unknown_family_param",
         "diffusion_dim_not_the_commands", "repeated_param", "schedule_param_of_a_drift",
@@ -552,6 +566,7 @@ def test_rate_sweep_summary_reports_the_speed_condition(tmp_path):
     rep = check_hfn(ramp_sequence(0.4, 2.0, 0.5), [16, 32, 64])
     assert logged == dict(zip(rep.n_list, rep.log_values.tolist()))
     assert f"converging={rep.converging} tail_decreasing={rep.tail_decreasing}" in summary
+    assert "f_n taken as 0" in summary
     assert "speed" not in (out / "rate_sweep.csv").read_text()
 
 

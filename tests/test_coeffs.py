@@ -260,8 +260,7 @@ def test_sequence_validation_catches_broken_bound():
     bad_member = ramp_approximation(50.0)  # C^1 norm 26 >> bound(16)
     broken = DriftApproxSequence(base=good.base, p=2.0,
                                  generator=lambda n: bad_member,
-                                 bound=good.bound, noise_rate=good.noise_rate,
-                                 delta=good.delta)
+                                 bound=good.bound, delta=good.delta)
     assert not broken.check_member(16)
 
 
@@ -274,17 +273,25 @@ def _with_bound(seq, bound):
     from wzsim.coeffs import DriftApproxSequence
 
     return DriftApproxSequence(base=seq.base, p=seq.p, generator=seq.generator,
-                               bound=bound, noise_rate=seq.noise_rate, delta=seq.delta)
+                               bound=bound, delta=seq.delta)
 
 
 def test_hfn_power_law_schedule_converges():
     seq = _with_bound(ramp_sequence(alpha=0.4, p=2.0), lambda n: 1.0)
     rep = check_hfn(seq, [2**k for k in range(4, 15, 2)])
-    # e * 2 n^{-1/2}: consecutive ratios follow the power law
-    ratio = rep.values[1:] / rep.values[:-1]
-    expect = (np.asarray(rep.n_list[:-1], dtype=float) / np.asarray(rep.n_list[1:])) ** 0.5
-    assert np.allclose(ratio, expect, rtol=1e-12)
+    # e * 2 n^{-1/2}: consecutive log ratios follow the power law
+    expect = 0.5 * np.log(np.asarray(rep.n_list[:-1], dtype=float) / np.asarray(rep.n_list[1:]))
+    assert np.allclose(np.diff(rep.log_values), expect, rtol=1e-12)
     assert rep.converging
+
+
+@pytest.mark.parametrize("build", [ramp_sequence, mollified_sequence])
+def test_hfn_log_values_keep_their_bits(build):
+    # both schedules have h(n) ||b||_p = sqrt(0.4 log n), so they share these values
+    rep = check_hfn(build(0.4, 2.0, 0.5), [16, 32, 64, 128, 1024])
+    assert [repr(v) for v in rep.log_values.tolist()] == [
+        "0.4689718564880808", "0.5231680959119713", "0.5637727250768356",
+        "0.5934827431987666", "0.6346142489783864"]
 
 
 def test_hfn_ramp_schedule_tail_decreases():

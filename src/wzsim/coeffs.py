@@ -90,6 +90,16 @@ class DiffusionField:
     scalar_grad: Callable[[np.ndarray], np.ndarray] | None = None
 
 
+def _square_matrix(m, what: str) -> np.ndarray:
+    """m as a float array, checked to be a d x d matrix, d >= 1, of finite entries."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+        raise ValidationError(f"{what} must be square and at least 1 x 1, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError(f"{what} entries must be finite, got {m.tolist()}")
+    return m
+
+
 @dataclass(frozen=True)
 class CorrectionMatrix:
     """d x d matrix c entering the corrected limit drift; c + c^T = Identity."""
@@ -97,11 +107,7 @@ class CorrectionMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError("correction matrix must be square")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError(f"correction matrix entries must be finite, got {m.tolist()}")
+        m = _square_matrix(self.matrix, "correction matrix")
         if np.max(np.abs(m + m.T - np.eye(m.shape[0]))) > 1e-10:
             raise ValidationError("correction matrix must satisfy c + c^T = Identity")
         m = m.copy()
@@ -119,9 +125,7 @@ class CorrectionMatrix:
     @staticmethod
     def from_area_matrix(s: np.ndarray) -> "CorrectionMatrix":
         """c = s + I/2 for a skew-symmetric area limit s."""
-        s = np.asarray(s, dtype=float)
-        if not np.all(np.isfinite(s)):
-            raise ValidationError(f"area matrix entries must be finite, got {s.tolist()}")
+        s = _square_matrix(s, "area matrix")
         if np.max(np.abs(s + s.T)) > 1e-10:
             raise ValidationError("area matrix must be skew-symmetric")
         return CorrectionMatrix(s + 0.5 * np.eye(s.shape[0]))

@@ -10,11 +10,22 @@ types defined here:
   function of the seed and i, independent of worker scheduling;
   ``sample_brownian_batch`` re-keys one Philox generator per call to each
   path's fresh stream state (key (master_seed, stream_id + i), counter 0).
+
+``map_batches`` is the package's one loop over the batches of a Monte Carlo
+run.  It splits the batches into min(``WORKERS``, batches) contiguous
+shares: the calling process runs the first and forks (``os.fork``) one
+child per other share, which sends its rows back through a pipe.  ``WORKERS`` is the
+number of cores this process may run on, an internal constant that the
+tests vary; with one worker nothing is forked.  Rows are joined in path
+order and path i draws only from stream.child(i), so not one byte of a
+result depends on the batch size or the worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,6 +33,9 @@ import numpy as np
 # numpy loads numpy.random on first attribute access; imported here, its C
 # extensions load with wzsim and not inside the first Monte Carlo batch
 from numpy.random import Generator, Philox
+
+# processes a map_batches call may use: the cores this process may run on
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 class ValidationError(ValueError):
@@ -136,12 +150,87 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
 
     The package's one loop over batches.  simulate(s, m) returns one row per
     path and draws its path j from s.child(j), so path i draws from
-    stream.child(i) whatever the batch size.
+    stream.child(i) whatever the batch size.  The batches are split into
+    min(WORKERS, batches) contiguous shares; this process runs the first and
+    a forked child runs each other one (``_fork``), so the rows do not
+    depend on the worker count either.  An exception raised in a child is
+    raised here with its type, and no child outlives the call.
     """
     if count < 1:
         raise ValidationError("need at least one path")
-    return np.concatenate([simulate(stream.child(start), min(batch, count - start))
-                           for start in range(0, count, batch)])
+    starts = range(0, count, batch)
+
+    def run(share: range) -> list[np.ndarray]:
+        return [simulate(stream.child(start), min(batch, count - start)) for start in share]
+
+    workers = min(WORKERS, len(starts))
+    if workers == 1:
+        return np.concatenate(run(starts))
+    cuts = [len(starts) * k // workers for k in range(workers + 1)]
+    pending = []
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            pending.append(_fork(run, starts[a:b]))
+        rows = run(starts[:cuts[1]])
+        while pending:
+            rows += _join(*pending.pop(0))
+    finally:
+        if pending:  # a share raised: stop and reap the children still running
+            import signal
+            for pid, fd in pending:
+                os.kill(pid, signal.SIGKILL)
+                os.close(fd)
+                os.waitpid(pid, 0)
+    return np.concatenate(rows)
+
+
+def _fork(run: Callable[[range], list], share: range) -> tuple[int, int]:
+    """Fork a child that sends pickle((True, run(share))), or (False, the exception), down a pipe.
+
+    Returns the child's pid and the pipe's read end.  The child leaves by
+    os._exit, so no atexit, test-runner or stdio teardown of this process
+    runs in it.
+    """
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            try:
+                result = True, run(share)
+            except BaseException as e:
+                result = False, e
+            with open(w, "wb") as out:
+                out.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _join(pid: int, fd: int) -> list[np.ndarray]:
+    """The rows a ``_fork`` child sent; its exception is raised here.  The child is reaped."""
+    try:
+        with open(fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0:
+        raise RuntimeError(f"batch worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}")
+    try:
+        ok, value = pickle.loads(data)
+    except Exception as e:
+        raise RuntimeError(f"batch worker {pid} sent an unreadable result ({len(data)} bytes)") from e
+    if not ok:
+        raise value
+    return value
 
 
 def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,10 @@ the batches of ``core.map_batches``, with per-path counter-based streams
 (path i of a call uses ``stream.child(i)``); it keeps one value per path
 and level in path order, which the estimator reduces in that fixed order
 -- so results do not depend on the batch sizes ``SWEEP_BATCH`` and
-``EULER_BATCH``, internal constants that the tests vary.  A rate sweep is one such call: path j
+``EULER_BATCH`` or the worker count ``core.WORKERS``, internal constants
+that the tests vary.  ``map_batches`` runs the first share of the batches
+in the calling process and forks one child per other share, min(WORKERS,
+batches) processes in all.  A rate sweep is one such call: path j
 uses ``stream.child(j)`` at every level, its Brownian sample and Euler
 reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
@@ -63,6 +66,9 @@ class AbortRateError(RuntimeError):
         super().__init__(f"{aborted}/{paths} paths aborted (> {ABORT_TOLERANCE:.0%})")
         self.aborted = aborted
         self.paths = paths
+
+    def __reduce__(self):  # a forked batch worker sends it pickled (core.map_batches)
+        return type(self), (self.aborted, self.paths)
 
 
 def _run_paths(simulate: Callable[[RngStream, int], np.ndarray], paths: int, stream: RngStream,

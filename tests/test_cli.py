@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import os
 import re
 import subprocess
 import sys
@@ -9,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wzsim import cli, experiments, noise, registry
+from wzsim import cli, core, experiments, noise, registry
 from wzsim.cli import main
 from wzsim.coeffs import check_hfn, ramp_approximation, ramp_sequence
+from wzsim.core import ValidationError
 
 
 def run_cli(*args):
@@ -233,7 +235,9 @@ def test_tube_command(tmp_path):
 
 def test_tube_samples_and_solves_once_per_batch_for_every_target(tmp_path, monkeypatch):
     # 3000 paths are three batches of 1024; each batch draws W and runs the
-    # Euler solve once, and all three targets read their sup distances from it
+    # Euler solve once, and all three targets read their sup distances from it.
+    # One worker: a forked worker would count in its own copy
+    monkeypatch.setattr(core, "WORKERS", 1)
     calls = {"sample_brownian_batch": 0, "em_batch": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):
@@ -365,6 +369,29 @@ def test_abort_threshold_exits_3(tmp_path, capsys):
                                                  "drift = const v=1e15"))
     assert run_cli("--config", cfg) == 3
     assert "aborted" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raised,code", [("abort", 3), ("validation", 2)])
+def test_exit_codes_hold_when_the_batches_run_on_two_workers(tmp_path, monkeypatch, capsys, raised, code):
+    # 60 paths in batches of 16 are four batches, two per worker.  An abort is
+    # counted in the calling process; a ValidationError raised in the forked
+    # worker's share only must still exit 2
+    monkeypatch.setattr(core, "WORKERS", 2)
+    monkeypatch.setattr(experiments, "SWEEP_BATCH", 16)
+    text = RATE_CFG.format(out=tmp_path / "res")
+    if raised == "abort":
+        text = text.replace("drift = sin_bump", "drift = const v=1e15")
+    else:
+        parent, solve = os.getpid(), experiments.coupled_batch
+
+        def refuse_in_the_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ValidationError("refused in the worker")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "coupled_batch", refuse_in_the_worker)
+    assert run_cli("--config", write(tmp_path, "w.ini", text)) == code
+    assert ("aborted" if raised == "abort" else "refused in the worker") in capsys.readouterr().err
 
 
 def test_stability_command(tmp_path):

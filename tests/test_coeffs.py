@@ -323,6 +323,17 @@ def test_correction_matrix_invariant():
         CorrectionMatrix(np.array([[0.5, 0.3], [0.3, 0.5]]))
 
 
+@pytest.mark.parametrize("call,what", [
+    (lambda: CorrectionMatrix(np.zeros((0, 0))), "correction matrix"),
+    (lambda: CorrectionMatrix(np.zeros((2, 3))), "correction matrix"),
+    (lambda: CorrectionMatrix.from_area_matrix(np.zeros((0, 0))), "area matrix"),
+    (lambda: CorrectionMatrix.from_area_matrix(np.zeros((2, 3))), "area matrix"),
+])
+def test_an_empty_or_non_square_matrix_is_rejected_by_name(call, what):
+    with pytest.raises(ValidationError, match=f"{what} must be square and at least 1 x 1"):
+        call()
+
+
 def test_correction_from_estimated_area_is_exact():
     from wzsim.noise import McShane
     from wzsim.shapes import linear_shape, power_shape

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from wzsim import experiments, solvers
+from wzsim import core, experiments, solvers
 from wzsim.coeffs import (CorrectionMatrix, DiffusionField, DriftApproxSequence, ramp_approximation,
                           ramp_sequence)
 from wzsim.core import Path, RngStream, ValidationError, make_grid, sample_brownian_batch
@@ -367,7 +367,9 @@ def test_rate_sweep_level_zero_is_mc_mean_sup_error_bit_for_bit():
 
 def test_rate_sweep_samples_and_solves_the_reference_once_per_batch(monkeypatch):
     # 300 paths are two batches of 256; each batch draws W and solves the
-    # Euler reference once and runs the random ODE once per level
+    # Euler reference once and runs the random ODE once per level.  One
+    # worker: a forked worker would count in its own copy
+    monkeypatch.setattr(core, "WORKERS", 1)
     calls = {"sample_brownian_batch": 0, "em_batch": 0, "rk4_batch": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(solvers, name), **kwargs):
@@ -383,7 +385,9 @@ def test_a_sweep_checks_its_levels_before_its_first_batch_and_in_every_batch(mon
     # 300 paths are two batches of 256: the sweep runs _check_levels (with the
     # central-difference C^1 check) before its first batch, and every
     # coupled_batch call checks the levels it is given again (about 1 ms a
-    # call, against 0.65 s for one 256-path batch of the benchmark's sweep)
+    # call, against 0.65 s for one 256-path batch of the benchmark's sweep).
+    # One worker: a forked worker would count in its own copy
+    monkeypatch.setattr(core, "WORKERS", 1)
     calls = []
 
     def counted(*args, _fn=solvers._check_levels, **kwargs):
@@ -459,7 +463,9 @@ def test_each_stability_level_equals_its_one_level_sweep():
 
 def test_stability_sweep_samples_and_solves_the_b_path_once_per_batch(monkeypatch):
     # 300 paths are two batches of 256; each batch draws its increments and
-    # solves the b-driven path once, and one b_n-driven path per level
+    # solves the b-driven path once, and one b_n-driven path per level.  One
+    # worker: a forked worker would count in its own copy
+    monkeypatch.setattr(core, "WORKERS", 1)
     calls = {"sample_brownian_batch": 0, "em_batch": 0}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(experiments, name), **kwargs):

@@ -12,13 +12,16 @@ types defined here:
   path's fresh stream state (key (master_seed, stream_id + i), counter 0).
 
 ``map_batches`` is the package's one loop over the batches of a Monte Carlo
-run.  It splits the batches into min(``WORKERS``, batches) contiguous
-shares: the calling process runs the first and forks (``os.fork``) one
-child per other share, which sends its rows back through a pipe.  ``WORKERS`` is the
-number of cores this process may run on, an internal constant that the
-tests vary; with one worker nothing is forked.  Rows are joined in path
-order and path i draws only from stream.child(i), so not one byte of a
-result depends on the batch size or the worker count.
+run.  The calling process runs the first batch and times it.  When the rest
+of the call would take at least ``FORK_MIN_S`` seconds at that pace, and no
+other thread is running, the batches are split into min(``WORKERS``,
+batches) contiguous shares: the calling process runs the first and forks
+(``os.fork``) one child per other share, which sends its rows back through a
+pipe.  ``WORKERS`` is the number of cores this process may run on, capped by
+its cgroup's CPU quota; both are internal constants that the tests vary.
+Rows are joined in path order and path i draws only from stream.child(i),
+so not one byte of a result depends on the batch size, the worker count or
+whether the call forked.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import sys
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -34,9 +39,26 @@ import numpy as np
 # extensions load with wzsim and not inside the first Monte Carlo batch
 from numpy.random import Generator, Philox
 
-# processes a map_batches call may use: the cores this process may run on
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+def _cores() -> int:
+    """The cores this process may run on, capped by a cgroup v2 CPU quota (whole cores, at least 1)."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    try:
+        with open("/sys/fs/cgroup/cpu.max") as f:
+            quota, period = f.read().split()
+        if quota != "max":
+            cores = min(cores, max(1, int(quota) // int(period)))
+    except (OSError, ValueError):
+        pass
+    return cores
 
+
+# processes a map_batches call may use
+WORKERS = _cores()
+# a map_batches call forks only if its first batch says the rest takes at
+# least this long: below it, a fork's start, copy-on-write faults and exit
+# (about 20 ms of CPU and 30-90 MB of resident memory per worker) buy no
+# wall time
+FORK_MIN_S = 0.2
 
 class ValidationError(ValueError):
     """Raised when arguments violate a documented precondition."""
@@ -150,8 +172,9 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
 
     The package's one loop over batches.  simulate(s, m) returns one row per
     path and draws its path j from s.child(j), so path i draws from
-    stream.child(i) whatever the batch size.  The batches are split into
-    min(WORKERS, batches) contiguous shares; this process runs the first and
+    stream.child(i) whatever the batch size.  This process runs the first
+    batch; ``_workers`` then decides, from its time, how many processes share
+    the batches in contiguous shares.  This process runs the first share and
     a forked child runs each other one (``_fork``), so the rows do not
     depend on the worker count either.  An exception raised in a child is
     raised here with its type, and no child outlives the call.
@@ -163,15 +186,15 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
     def run(share: range) -> list[np.ndarray]:
         return [simulate(stream.child(start), min(batch, count - start)) for start in share]
 
-    workers = min(WORKERS, len(starts))
-    if workers == 1:
-        return np.concatenate(run(starts))
+    t0 = time.perf_counter()
+    rows = run(starts[:1])
+    workers = _workers(len(starts), (time.perf_counter() - t0) * (len(starts) - 1))
     cuts = [len(starts) * k // workers for k in range(workers + 1)]
     pending = []
     try:
         for a, b in zip(cuts[1:], cuts[2:]):
             pending.append(_fork(run, starts[a:b]))
-        rows = run(starts[:cuts[1]])
+        rows += run(starts[1:cuts[1]])
         while pending:
             rows += _join(*pending.pop(0))
     finally:
@@ -182,6 +205,19 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
                 os.close(fd)
                 os.waitpid(pid, 0)
     return np.concatenate(rows)
+
+
+def _workers(batches: int, rest_s: float) -> int:
+    """Processes for a call of ``batches`` batches whose rest should take ``rest_s`` seconds on one core.
+
+    min(WORKERS, batches) when the rest takes at least FORK_MIN_S, else 1.
+    Also 1 while another thread runs: a forked child holds a copy of every
+    lock as it was, and Python 3.12+ warns about such a fork.
+    """
+    threading = sys.modules.get("threading")
+    if rest_s < FORK_MIN_S or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(WORKERS, batches)
 
 
 def _fork(run: Callable[[range], list], share: range) -> tuple[int, int]:

@@ -11,10 +11,11 @@ the batches of ``core.map_batches``, with per-path counter-based streams
 (path i of a call uses ``stream.child(i)``); it keeps one value per path
 and level in path order, which the estimator reduces in that fixed order
 -- so results do not depend on the batch sizes ``SWEEP_BATCH`` and
-``EULER_BATCH`` or the worker count ``core.WORKERS``, internal constants
-that the tests vary.  ``map_batches`` runs the first share of the batches
-in the calling process and forks one child per other share, min(WORKERS,
-batches) processes in all.  A rate sweep is one such call: path j
+``EULER_BATCH``, the worker count ``core.WORKERS`` or whether a call
+forked, internal choices that the tests vary.  ``map_batches`` times the
+first batch in the calling process; when the rest would take at least
+``core.FORK_MIN_S`` it runs the first share of the batches there and forks
+one child per other share, min(WORKERS, batches) processes in all.  A rate sweep is one such call: path j
 uses ``stream.child(j)`` at every level, its Brownian sample and Euler
 reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its

@@ -32,10 +32,12 @@ two sixth moments) is written once, as a batched per-sample function of
 sample i draws its path from ``stream.child(i)``; each keeps its per-sample
 values in sample order and reduces them once with ``core.mean_se``, so
 results do not depend on the batch sizes ``S_BATCH``, ``C_BATCH`` and
-``MOMENT_BATCH`` or the worker count ``core.WORKERS``, internal constants
-that the tests vary.  The batches run in ``core.map_batches``: the calling
-process runs the first share of them and forks one child per other share,
-min(WORKERS, batches) processes in all.  Time integrals
+``MOMENT_BATCH``, the worker count ``core.WORKERS`` or whether a call
+forked, internal choices that the tests vary.  The batches run in
+``core.map_batches``: when the first batch says the rest would take at
+least ``core.FORK_MIN_S``, the calling process runs the first share of them
+and forks one child per other share, min(WORKERS, batches) processes in
+all.  Time integrals
 use composite per-cell Gauss-Legendre, so piecewise-smooth integrands are
 resolved exactly between kinks.
 """

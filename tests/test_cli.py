@@ -375,8 +375,10 @@ def test_abort_threshold_exits_3(tmp_path, capsys):
 def test_exit_codes_hold_when_the_batches_run_on_two_workers(tmp_path, monkeypatch, capsys, raised, code):
     # 60 paths in batches of 16 are four batches, two per worker.  An abort is
     # counted in the calling process; a ValidationError raised in the forked
-    # worker's share only must still exit 2
+    # worker's share only must still exit 2.  FORK_MIN_S = 0: fork however
+    # short the run
     monkeypatch.setattr(core, "WORKERS", 2)
+    monkeypatch.setattr(core, "FORK_MIN_S", 0.0)
     monkeypatch.setattr(experiments, "SWEEP_BATCH", 16)
     text = RATE_CFG.format(out=tmp_path / "res")
     if raised == "abort":

@@ -14,7 +14,7 @@ types defined here:
 ``map_batches`` is the package's one loop over the batches of a Monte Carlo
 run.  The calling process runs the first batch and times it.  When the rest
 of the call would take at least ``FORK_MIN_S`` seconds at that pace, and no
-other thread is running, the batches are split into min(``WORKERS``,
+other thread is running, the other paths are split into min(``WORKERS``,
 batches) contiguous shares: the calling process runs the first and forks
 (``os.fork``) one child per other share, which sends its rows back through a
 pipe.  ``WORKERS`` is the number of cores this process may run on, capped by
@@ -39,6 +39,7 @@ import numpy as np
 # extensions load with wzsim and not inside the first Monte Carlo batch
 from numpy.random import Generator, Philox
 
+
 def _cores() -> int:
     """The cores this process may run on, capped by a cgroup v2 CPU quota (whole cores, at least 1)."""
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -59,6 +60,7 @@ WORKERS = _cores()
 # (about 20 ms of CPU and 30-90 MB of resident memory per worker) buy no
 # wall time
 FORK_MIN_S = 0.2
+
 
 class ValidationError(ValueError):
     """Raised when arguments violate a documented precondition."""
@@ -173,28 +175,29 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
     The package's one loop over batches.  simulate(s, m) returns one row per
     path and draws its path j from s.child(j), so path i draws from
     stream.child(i) whatever the batch size.  This process runs the first
-    batch; ``_workers`` then decides, from its time, how many processes share
-    the batches in contiguous shares.  This process runs the first share and
-    a forked child runs each other one (``_fork``), so the rows do not
+    batch; ``_workers`` then decides, from its time, how many processes
+    share the other paths, in contiguous shares of about equal size, each
+    run in batches of at most ``batch``.  This process runs the first share
+    and a forked child runs each other one (``_fork``), so the rows do not
     depend on the worker count either.  An exception raised in a child is
     raised here with its type, and no child outlives the call.
     """
     if count < 1:
         raise ValidationError("need at least one path")
-    starts = range(0, count, batch)
 
-    def run(share: range) -> list[np.ndarray]:
-        return [simulate(stream.child(start), min(batch, count - start)) for start in share]
+    def run(lo: int, hi: int) -> list[np.ndarray]:
+        return [simulate(stream.child(start), min(batch, hi - start)) for start in range(lo, hi, batch)]
 
+    first = min(batch, count)
     t0 = time.perf_counter()
-    rows = run(starts[:1])
-    workers = _workers(len(starts), (time.perf_counter() - t0) * (len(starts) - 1))
-    cuts = [len(starts) * k // workers for k in range(workers + 1)]
+    rows = run(0, first)
+    workers = _workers(-(-count // batch), (time.perf_counter() - t0) * (count - first) / first)
+    cuts = [first + (count - first) * k // workers for k in range(workers + 1)]
     pending = []
     try:
-        for a, b in zip(cuts[1:], cuts[2:]):
-            pending.append(_fork(run, starts[a:b]))
-        rows += run(starts[1:cuts[1]])
+        for lo, hi in zip(cuts[1:], cuts[2:]):
+            pending.append(_fork(run, lo, hi))
+        rows += run(cuts[0], cuts[1])
         while pending:
             rows += _join(*pending.pop(0))
     finally:
@@ -220,8 +223,8 @@ def _workers(batches: int, rest_s: float) -> int:
     return min(WORKERS, batches)
 
 
-def _fork(run: Callable[[range], list], share: range) -> tuple[int, int]:
-    """Fork a child that sends pickle((True, run(share))), or (False, the exception), down a pipe.
+def _fork(run: Callable[[int, int], list], lo: int, hi: int) -> tuple[int, int]:
+    """Fork a child that sends pickle((True, run(lo, hi))), or (False, the exception), down a pipe.
 
     Returns the child's pid and the pipe's read end.  The child leaves by
     os._exit, so no atexit, test-runner or stdio teardown of this process
@@ -239,7 +242,7 @@ def _fork(run: Callable[[range], list], share: range) -> tuple[int, int]:
         try:
             os.close(r)
             try:
-                result = True, run(share)
+                result = True, run(lo, hi)
             except BaseException as e:
                 result = False, e
             with open(w, "wb") as out:

@@ -85,8 +85,9 @@ def test_an_exception_in_a_child_share_reaches_the_caller_with_its_type(monkeypa
             raise ValidationError(f"bad batch at path {s.stream_id}")
         return _ids(s, m)
 
-    # 4 batches of 10: the first child's share starts at batch 4 // workers
-    with pytest.raises(ValidationError, match=f"bad batch at path {10 * (4 // workers)}$"):
+    # 4 batches of 10: the parent runs the first, then the first of the
+    # shares of the other 30 paths
+    with pytest.raises(ValidationError, match=f"bad batch at path {10 + 30 // workers}$"):
         map_batches(simulate, 40, RngStream(0, 0), 10)
     _no_child_left()
 

@@ -14,10 +14,10 @@ and level in path order, which the estimator reduces in that fixed order
 ``EULER_BATCH``, the worker count ``core.WORKERS`` or whether a call
 forked, internal choices that the tests vary.  ``map_batches`` times the
 first batch in the calling process; when the rest would take at least
-``core.FORK_MIN_S`` it runs the first share of the batches there and forks
-one child per other share, min(WORKERS, batches) processes in all.  A rate sweep is one such call: path j
-uses ``stream.child(j)`` at every level, its Brownian sample and Euler
-reference are computed once, and each level's random ODE runs against them
+``core.FORK_MIN_S`` it splits the other paths into min(WORKERS, batches)
+contiguous shares, runs the first there and forks one child per other
+share.  A rate sweep is one such call: path j uses ``stream.child(j)`` at
+every level, its Brownian sample and Euler reference are computed once, and each level's random ODE runs against them
 (the shared-path coupling of multilevel Monte Carlo, Giles 2008).  Its
 level estimates are therefore positively correlated, and its first level
 equals ``mc_mean_sup_error`` at that level on the same stream.  A

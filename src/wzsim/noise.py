@@ -35,11 +35,11 @@ results do not depend on the batch sizes ``S_BATCH``, ``C_BATCH`` and
 ``MOMENT_BATCH``, the worker count ``core.WORKERS`` or whether a call
 forked, internal choices that the tests vary.  The batches run in
 ``core.map_batches``: when the first batch says the rest would take at
-least ``core.FORK_MIN_S``, the calling process runs the first share of them
-and forks one child per other share, min(WORKERS, batches) processes in
-all.  Time integrals
-use composite per-cell Gauss-Legendre, so piecewise-smooth integrands are
-resolved exactly between kinks.
+least ``core.FORK_MIN_S``, the other samples are split into min(WORKERS,
+batches) contiguous shares: the calling process runs the first and forks
+one child per other share.  Time integrals use composite per-cell
+Gauss-Legendre, so piecewise-smooth integrands are resolved exactly between
+kinks.
 """
 
 from __future__ import annotations

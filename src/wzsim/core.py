@@ -12,16 +12,21 @@ types defined here:
   path's fresh stream state (key (master_seed, stream_id + i), counter 0).
 
 ``map_batches`` is the package's one loop over the batches of a Monte Carlo
-run.  The calling process runs the first batch and times it.  When the rest
-of the call would take at least ``FORK_MIN_S`` seconds at that pace, and no
-other thread is running, the other paths are split into min(``WORKERS``,
-batches) contiguous shares: the calling process runs the first and forks
-(``os.fork``) one child per other share, which sends its rows back through a
-pipe.  ``WORKERS`` is the number of cores this process may run on, capped by
-its cgroup's CPU quota; both are internal constants that the tests vary.
-Rows are joined in path order and path i draws only from stream.child(i),
-so not one byte of a result depends on the batch size, the worker count or
-whether the call forked.
+run, and ``map_levels`` the loop over the levels of one batch of a sweep.
+Both run their first part (a batch, a level) in the calling process and
+time it.  When the rest would take at least ``FORK_MIN_S`` seconds at that
+pace, no other thread is running and the process neither is a worker nor
+has a live one (``_workers``), the rest is split into at most ``WORKERS``
+contiguous parts of about equal cost -- shares of paths, groups of levels
+-- and ``_run_parts``, the one fork skeleton, runs the first part in the
+calling process and forks (``os.fork``) one child per other part, which
+sends its values back through a pipe.  So no more than ``WORKERS``
+processes compute at once.  ``WORKERS`` is the number of cores this
+process may run on, capped by its cgroup's CPU quota; both are internal
+constants that the tests vary.  Values are joined in path and level order,
+path i draws only from stream.child(i) and a level's values depend only on
+its own inputs, so not one byte of a result depends on the batch size, the
+worker count or whether the call forked.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 # numpy loads numpy.random on first attribute access; imported here, its C
@@ -53,9 +58,9 @@ def _cores() -> int:
     return cores
 
 
-# processes a map_batches call may use
+# processes a map_batches or map_levels call may use
 WORKERS = _cores()
-# a map_batches call forks only if its first batch says the rest takes at
+# a call forks only if its first batch or level says the rest takes at
 # least this long: below it, a fork's start, copy-on-write faults and exit
 # (about 20 ms of CPU and 30-90 MB of resident memory per worker) buy no
 # wall time
@@ -177,8 +182,8 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
     stream.child(i) whatever the batch size.  This process runs the first
     batch; ``_workers`` then decides, from its time, how many processes
     share the other paths, in contiguous shares of about equal size, each
-    run in batches of at most ``batch``.  This process runs the first share
-    and a forked child runs each other one (``_fork``), so the rows do not
+    run in batches of at most ``batch``.  ``_run_parts`` runs the first
+    share here and each other one in a forked child, so the rows do not
     depend on the worker count either.  An exception raised in a child is
     raised here with its type, and no child outlives the call.
     """
@@ -192,35 +197,80 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
     t0 = time.perf_counter()
     rows = run(0, first)
     workers = _workers(-(-count // batch), (time.perf_counter() - t0) * (count - first) / first)
-    cuts = [first + (count - first) * k // workers for k in range(workers + 1)]
+    return np.concatenate(rows + _run_parts(run, [first + (count - first) * k // workers
+                                                   for k in range(workers + 1)]))
+
+
+def map_levels(run: Callable[[int, int], list], costs: Sequence[float]) -> list:
+    """run(0, L) for L = len(costs) levels, computed as contiguous groups of levels, in level order.
+
+    run(lo, hi) returns one entry per level in [lo, hi); costs[l] is level
+    l's cost in any unit (a solver's step count).  This process runs level 0
+    and times it; ``_workers`` then decides, from the cost the other levels
+    should take at that pace, how many processes share them, in contiguous
+    groups of about equal summed cost, and ``_run_parts`` runs the first
+    group here and each other one in a forked child, which inherits what
+    run reads and sends back only its entries.  A level's entry thus does
+    not depend on the worker count, as long as run computes it from the
+    level alone.  An exception raised in a child is raised here with its
+    type, and no child outlives the call.
+    """
+    t0 = time.perf_counter()
+    out = run(0, 1)
+    if len(costs) == 1:
+        return out
+    rest = np.cumsum([0, *costs[1:]])  # rest[j]: the cost of levels 1 to j
+    workers = _workers(len(costs) - 1, (time.perf_counter() - t0) * rest[-1] / costs[0])
+    # each group ends at the level boundary nearest to k / workers of the rest's cost
+    cuts = {1 + int(np.abs(rest - rest[-1] * k / workers).argmin()) for k in range(workers + 1)}
+    return out + _run_parts(run, sorted(cuts))
+
+
+def _workers(parts: int, rest_s: float) -> int:
+    """Processes for a call of ``parts`` parts whose rest should take ``rest_s`` seconds on one core.
+
+    min(WORKERS, parts) when the rest takes at least FORK_MIN_S, else 1.
+    Also 1 while another thread runs: a forked child holds a copy of every
+    lock as it was, and Python 3.12+ warns about such a fork.  And 1 in a
+    process that is a worker or has a live one (``_pooled``), so that no
+    more than WORKERS processes compute at once.
+    """
+    threading = sys.modules.get("threading")
+    if rest_s < FORK_MIN_S or _pooled or (threading is not None and threading.active_count() > 1):
+        return 1
+    return min(WORKERS, parts)
+
+
+# True in a process while it has live workers, and in every worker (it is
+# set before the fork): neither forks again
+_pooled = False
+
+
+def _run_parts(run: Callable[[int, int], list], cuts: Sequence[int]) -> list:
+    """run(cuts[k], cuts[k + 1]) over every k, joined in order: the first here, each other in a forked child.
+
+    The package's one fork skeleton.  An exception raised in a child is
+    raised here with its type; when any part raises, the children still
+    running are killed and reaped, so no child outlives the call.
+    """
+    global _pooled
     pending = []
+    pooled, _pooled = _pooled, _pooled or len(cuts) > 2
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             pending.append(_fork(run, lo, hi))
-        rows += run(cuts[0], cuts[1])
+        out = run(cuts[0], cuts[1])
         while pending:
-            rows += _join(*pending.pop(0))
+            out += _join(*pending.pop(0))
     finally:
-        if pending:  # a share raised: stop and reap the children still running
+        _pooled = pooled
+        if pending:  # a part raised: stop and reap the children still running
             import signal
             for pid, fd in pending:
                 os.kill(pid, signal.SIGKILL)
                 os.close(fd)
                 os.waitpid(pid, 0)
-    return np.concatenate(rows)
-
-
-def _workers(batches: int, rest_s: float) -> int:
-    """Processes for a call of ``batches`` batches whose rest should take ``rest_s`` seconds on one core.
-
-    min(WORKERS, batches) when the rest takes at least FORK_MIN_S, else 1.
-    Also 1 while another thread runs: a forked child holds a copy of every
-    lock as it was, and Python 3.12+ warns about such a fork.
-    """
-    threading = sys.modules.get("threading")
-    if rest_s < FORK_MIN_S or (threading is not None and threading.active_count() > 1):
-        return 1
-    return min(WORKERS, batches)
+    return out
 
 
 def _fork(run: Callable[[int, int], list], lo: int, hi: int) -> tuple[int, int]:
@@ -254,19 +304,19 @@ def _fork(run: Callable[[int, int], list], lo: int, hi: int) -> tuple[int, int]:
     return pid, r
 
 
-def _join(pid: int, fd: int) -> list[np.ndarray]:
-    """The rows a ``_fork`` child sent; its exception is raised here.  The child is reaped."""
+def _join(pid: int, fd: int) -> list:
+    """The entries a ``_fork`` child sent; its exception is raised here.  The child is reaped."""
     try:
         with open(fd, "rb") as pipe:
             data = pipe.read()
     finally:
         _, status = os.waitpid(pid, 0)
     if status != 0:
-        raise RuntimeError(f"batch worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}")
+        raise RuntimeError(f"worker {pid} ended with exit code {os.waitstatus_to_exitcode(status)}")
     try:
         ok, value = pickle.loads(data)
     except Exception as e:
-        raise RuntimeError(f"batch worker {pid} sent an unreadable result ({len(data)} bytes)") from e
+        raise RuntimeError(f"worker {pid} sent an unreadable result ({len(data)} bytes)") from e
     if not ok:
         raise value
     return value

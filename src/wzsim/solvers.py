@@ -17,6 +17,11 @@ time, it lays the level-n blocks over the same grid with
 ``noise.block_layout``, steps the random ODE in ``_level_values`` (the one
 Runge-Kutta route over whole noise blocks) and keeps only the sup error per
 path, so a level's arrays are freed before the next level starts.  The
+levels run in ``core.map_levels``: when the first level's time says the
+others take long enough, they are split by RK4 step count into contiguous
+groups, and a forked child, which inherits W and the Euler values, runs
+each group after the first, one level at a time, and sends back only its
+sup errors.  The
 random ODE takes ``m_ode`` steps per noise block (a keyword of
 ``coupled_batch``, default ``M_ODE`` = 4, at least 4), however fine the
 reference grid is, and in a coupled run its values at the reference nodes
@@ -51,7 +56,8 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
-from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch, sup_distance_values
+from .core import (Path, RngStream, TimeGrid, ValidationError, map_levels, sample_brownian_batch,
+                   sup_distance_values)
 from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
@@ -307,7 +313,8 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
     block.  The levels are checked (``_check_levels``) before W is sampled on
     the model's grid and the Euler reference solved once, path i from
     stream.child(i); then each level in turn lays out its blocks over the
-    same W, steps its ODE and keeps one sup error per path.  Returns the sup
+    same W, steps its ODE and keeps one sup error per path (``core.map_levels``,
+    which may run groups of levels in forked children).  Returns the sup
     errors (count, L): NaN at every level where the SDE aborted, and at one
     level where that level's ODE did.
     """
@@ -315,7 +322,9 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
     grid = model.grid
     w = sample_brownian_batch(grid, model.dim, stream, count)
     xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)
-    sups = np.empty((count, len(levels)))
-    for li, ((n, b_n), layout) in enumerate(zip(levels, layouts)):  # one level's values alive at a time
-        sups[:, li] = sup_distance_values(xv, _level_values(model, b_n, family, w, n, layout, m_ode))
-    return sups
+
+    def run(lo: int, hi: int) -> list[np.ndarray]:  # one level's values alive at a time
+        return [sup_distance_values(xv, _level_values(model, b_n, family, w, n, layout, m_ode))
+                for (n, b_n), layout in zip(levels[lo:hi], layouts[lo:hi])]
+
+    return np.column_stack(map_levels(run, [blocks * m_ode for blocks, _ in layouts]))

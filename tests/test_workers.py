@@ -1,4 +1,5 @@
-"""core.map_batches on several workers: the same bytes, exceptions with their type, no child left."""
+"""core.map_batches and core.map_levels on several workers: the same bytes, exceptions with their type,
+no child left, no worker that forks."""
 
 import io
 import os
@@ -9,24 +10,42 @@ import time
 import numpy as np
 import pytest
 
-from wzsim import core, experiments, noise
-from wzsim.coeffs import CorrectionMatrix
+from wzsim import core, experiments, noise, solvers
+from wzsim.coeffs import CorrectionMatrix, ramp_sequence
 from wzsim.core import RngStream, ValidationError, make_grid, map_batches
-from wzsim.experiments import AbortRateError, girsanov_mean, make_target, tube_ladder
-from wzsim.noise import McShane, Mollified, estimate_c, estimate_s
-from wzsim.registry import indicator_drift, sin_elliptic_diffusion
+from wzsim.experiments import AbortRateError, girsanov_mean, make_target, rate_sweep, stability_sweep, tube_ladder
+from wzsim.noise import McShane, Mollified, PiecewiseShape, estimate_c, estimate_s
+from wzsim.registry import indicator_drift, sin_bump_drift, sin_elliptic_diffusion
 from wzsim.shapes import bump_kernel, linear_shape, power_shape
 from wzsim.solvers import Model
 
 GRID = make_grid(1.0, 256)
 MODEL = Model(indicator_drift(), sin_elliptic_diffusion(1.0, 0.5), CorrectionMatrix.half_identity(1), 0.0, GRID)
 PATHS = 70
+LIN = PiecewiseShape(linear_shape())
+SEQ = ramp_sequence(alpha=0.4, p=2.0, delta=0.5)
+# a C^1 drift needs no schedule, so its sweeps can take cheap low levels
+SMOOTH = Model(sin_bump_drift(), MODEL.sigma, MODEL.correction, 0.0, GRID)
+LEVELS = [2, 4, 8, 16, 32]
+
+
+def _sweep(levels):
+    # the driver of rate_sweep, which needs 3 levels for its fit
+    return experiments._mean_sup_errors(SMOOTH, LIN, levels, PATHS, RngStream(5, 4), None, 4)
+
+
 ESTIMATORS = {
     "tube_ladder": lambda: tube_ladder(MODEL, [make_target(kind, GRID, 0.0) for kind in ("line", "sine")],
                                        [0.25, 0.5, 1.0], PATHS, RngStream(5, 2)),
     "girsanov_mean": lambda: girsanov_mean(MODEL, PATHS, RngStream(5, 3)),
     "estimate_s": lambda: estimate_s(McShane(linear_shape(), power_shape(2.0)), 16, PATHS, RngStream(5, 0)),
     "estimate_c": lambda: estimate_c(Mollified(bump_kernel()), 16, 0.25, PATHS, RngStream(5, 1)),
+    # 1, 2, 4 and 5 levels: fewer, as many and more levels than 2 or 3 workers
+    "rate_sweep": lambda: rate_sweep(MODEL, LIN, [16, 32, 64, 128], PATHS, RngStream(5, 4), SEQ, m_ode=4),
+    "rate_sweep_1_level": lambda: _sweep(LEVELS[:1]),
+    "rate_sweep_2_levels": lambda: _sweep(LEVELS[:2]),
+    "rate_sweep_5_levels": lambda: _sweep(LEVELS),
+    "stability_sweep": lambda: stability_sweep(MODEL, SEQ, [16, 32, 64, 128], PATHS, RngStream(5, 5)),
 }
 
 
@@ -45,7 +64,8 @@ def _pool(monkeypatch, workers):
 def test_the_worker_count_does_not_change_a_byte(monkeypatch, estimator):
     # 70 paths in batches of 70, 35, 24 and 16 are 1, 2, 3 and 5 batches (the
     # last two with a short last batch): fewer, as many and more batches than
-    # 2 or 3 workers; 3 workers fork even on a machine with fewer cores
+    # 2 or 3 workers; 3 workers fork even on a machine with fewer cores.  A
+    # sweep's first batch also splits its levels over the workers
     def run(workers, batch):
         _pool(monkeypatch, workers)
         for module, names in ((experiments, ("SWEEP_BATCH", "EULER_BATCH")),
@@ -194,4 +214,105 @@ def test_a_truncated_payload_raises(monkeypatch):
     monkeypatch.setattr(pickle, "dumps", lambda *args: dumps(*args)[:-8])
     with pytest.raises(RuntimeError, match="unreadable result"):
         map_batches(_ids, 40, RngStream(0, 0), 10)
+    _no_child_left()
+
+
+def _level_values_failing(where):
+    # solvers._level_values that raises at levels above 2 in the process named by where
+    parent, values = os.getpid(), solvers._level_values
+
+    def level_values(model, b_n, family, w, n, layout, m_ode):
+        if n > 2:
+            here = os.getpid() == parent
+            if here == (where == "parent"):
+                if here:
+                    time.sleep(0.2)
+                raise ValidationError(f"bad level {n}")
+            if not here:
+                time.sleep(60)  # the child, while the parent raises
+        return values(model, b_n, family, w, n, layout, m_ode)
+
+    return level_values
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_exception_in_a_childs_levels_reaches_the_caller_with_its_type(monkeypatch, workers):
+    # levels 2 4 8 16 are 8, 16, 32 and 64 RK4 steps: after level 2 the
+    # parent runs {4, 8} and one child {16}, for 2 workers or 3
+    _pool(monkeypatch, workers)
+    monkeypatch.setattr(solvers, "_level_values", _level_values_failing("child"))
+    levels = [(n, SMOOTH.drift) for n in LEVELS[:4]]
+    with pytest.raises(ValidationError, match="bad level 16$"):
+        solvers.coupled_batch(SMOOTH, LIN, levels, RngStream(0, 0), 8, m_ode=4)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_an_exception_in_the_parents_levels_stops_the_child_at_once(monkeypatch, workers):
+    # the parent raises at level 4 while its child computes level 16 for a
+    # minute: the call must neither wait for the child nor leave it running
+    _pool(monkeypatch, workers)
+    monkeypatch.setattr(solvers, "_level_values", _level_values_failing("parent"))
+    levels = [(n, SMOOTH.drift) for n in LEVELS[:4]]
+    t0 = time.monotonic()
+    with pytest.raises(ValidationError, match="bad level 4$"):
+        solvers.coupled_batch(SMOOTH, LIN, levels, RngStream(0, 0), 8, m_ode=4)
+    assert time.monotonic() - t0 < 30
+    _no_child_left()
+
+
+def test_equal_levels_split_into_one_group_per_worker(monkeypatch):
+    _pool(monkeypatch, 3)
+    parent, ran = os.getpid(), []
+
+    def run(lo, hi):
+        ran.append((lo, hi))
+        return [(lv, os.getpid() == parent) for lv in range(lo, hi)]
+
+    out = core.map_levels(run, [1] * 7)
+    assert [lv for lv, _ in out] == list(range(7))
+    assert [lv for lv, here in out if here] == [0, 1, 2]
+    assert ran == [(0, 1), (1, 3)]
+    _no_child_left()
+
+
+def test_no_worker_forks_and_no_more_than_the_workers_compute_at_once(monkeypatch, tmp_path):
+    # 70 paths in batches of 24 are 3 batches.  The first batch splits its
+    # levels over 2 processes; then map_batches forks a share of the other
+    # paths, whose sweeps, in the parent and in the child, must not fork
+    # again.  Every fork and reap is logged with the pid that made it
+    _pool(monkeypatch, 2)
+    monkeypatch.setattr(experiments, "SWEEP_BATCH", 24)
+    log = tmp_path / "forks"
+    fork, waitpid = os.fork, os.waitpid
+
+    def record(line):
+        fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{line}\n".encode())
+        finally:
+            os.close(fd)
+
+    def logged_fork():
+        pid = fork()
+        if pid:
+            record(f"fork {os.getpid()} {pid}")
+        return pid
+
+    def logged_waitpid(pid, options):
+        out = waitpid(pid, options)
+        record(f"reap {os.getpid()} {out[0]}")
+        return out
+
+    monkeypatch.setattr(os, "fork", logged_fork)
+    monkeypatch.setattr(os, "waitpid", logged_waitpid)
+    rate_sweep(SMOOTH, LIN, LEVELS[:4], PATHS, RngStream(5, 4), m_ode=4)
+    events = [line.split() for line in log.read_text().splitlines()]
+    assert {by for _, by, _ in events} == {str(os.getpid())}
+    live, most = set(), 0
+    for kind, _, pid in events:
+        (live.add if kind == "fork" else live.discard)(pid)
+        most = max(most, len(live))
+    assert [kind for kind, _, _ in events] == ["fork", "reap"] * 2
+    assert most + 1 <= core.WORKERS
     _no_child_left()

@@ -11,19 +11,17 @@ types defined here:
   ``sample_brownian_batch`` re-keys one Philox generator per call to each
   path's fresh stream state (key (master_seed, stream_id + i), counter 0).
 
-``map_batches`` is the package's one loop over the batches of a Monte Carlo
-run, and ``map_levels`` the loop over the levels of one batch of a sweep.
-Both run their first part (a batch, a level) in the calling process and
-time it.  When the rest would take at least ``FORK_MIN_S`` seconds at that
-pace, no other thread is running and the process neither is a worker nor
-has a live one (``_workers``), the rest is split into at most ``WORKERS``
-contiguous parts of about equal cost -- shares of paths, groups of levels
--- and ``_run_parts``, the one fork skeleton, runs the first part in the
-calling process and forks (``os.fork``) one child per other part, which
-sends its values back through a pipe.  So no more than ``WORKERS``
-processes compute at once.  ``WORKERS`` is the number of cores this
-process may run on, capped by its cgroup's CPU quota; both are internal
-constants that the tests vary.  Values are joined in path and level order,
+``map_parts`` is the package's one split of a Monte Carlo call: the paths
+of a run (``map_batches``) and the levels of a sweep's batch are its
+parts, each with a cost.  It runs the first parts in the calling process
+and times them; when the rest would take at least ``FORK_MIN_S`` seconds
+at that pace, it cuts the rest into at most ``WORKERS`` contiguous groups
+of about equal cost and forks (``os.fork``) one child per group after the
+first, which sends its values back through a pipe.  A worker never forks,
+and a process with a live worker forks no other, so no more than
+``WORKERS`` processes compute at once.  ``WORKERS`` is the number of cores
+this process may run on, capped by its cgroup's CPU quota; both are
+internal constants that the tests vary.  Values are joined in part order,
 path i draws only from stream.child(i) and a level's values depend only on
 its own inputs, so not one byte of a result depends on the batch size, the
 worker count or whether the call forked.
@@ -58,10 +56,10 @@ def _cores() -> int:
     return cores
 
 
-# processes a map_batches or map_levels call may use
+# processes a map_parts call may use
 WORKERS = _cores()
-# a call forks only if its first batch or level says the rest takes at
-# least this long: below it, a fork's start, copy-on-write faults and exit
+# a call forks only if its first parts say the rest takes at least this
+# long: below it, a fork's start, copy-on-write faults and exit
 # (about 20 ms of CPU and 30-90 MB of resident memory per worker) buy no
 # wall time
 FORK_MIN_S = 0.2
@@ -177,15 +175,11 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
                 batch: int) -> np.ndarray:
     """Rows of simulate(stream.child(start), m) over the batches of ``count`` paths, in path order.
 
-    The package's one loop over batches.  simulate(s, m) returns one row per
-    path and draws its path j from s.child(j), so path i draws from
-    stream.child(i) whatever the batch size.  This process runs the first
-    batch; ``_workers`` then decides, from its time, how many processes
-    share the other paths, in contiguous shares of about equal size, each
-    run in batches of at most ``batch``.  ``_run_parts`` runs the first
-    share here and each other one in a forked child, so the rows do not
-    depend on the worker count either.  An exception raised in a child is
-    raised here with its type, and no child outlives the call.
+    The package's one loop over batches: ``map_parts`` over paths of cost 1,
+    the first batch timed.  simulate(s, m) returns one row per path and
+    draws its path j from s.child(j), so path i draws from stream.child(i)
+    whatever the batch size or the share that ran it; each share runs in
+    batches of at most ``batch``.
     """
     if count < 1:
         raise ValidationError("need at least one path")
@@ -193,52 +187,7 @@ def map_batches(simulate: Callable[[RngStream, int], np.ndarray], count: int, st
     def run(lo: int, hi: int) -> list[np.ndarray]:
         return [simulate(stream.child(start), min(batch, hi - start)) for start in range(lo, hi, batch)]
 
-    first = min(batch, count)
-    t0 = time.perf_counter()
-    rows = run(0, first)
-    workers = _workers(-(-count // batch), (time.perf_counter() - t0) * (count - first) / first)
-    return np.concatenate(rows + _run_parts(run, [first + (count - first) * k // workers
-                                                   for k in range(workers + 1)]))
-
-
-def map_levels(run: Callable[[int, int], list], costs: Sequence[float]) -> list:
-    """run(0, L) for L = len(costs) levels, computed as contiguous groups of levels, in level order.
-
-    run(lo, hi) returns one entry per level in [lo, hi); costs[l] is level
-    l's cost in any unit (a solver's step count).  This process runs level 0
-    and times it; ``_workers`` then decides, from the cost the other levels
-    should take at that pace, how many processes share them, in contiguous
-    groups of about equal summed cost, and ``_run_parts`` runs the first
-    group here and each other one in a forked child, which inherits what
-    run reads and sends back only its entries.  A level's entry thus does
-    not depend on the worker count, as long as run computes it from the
-    level alone.  An exception raised in a child is raised here with its
-    type, and no child outlives the call.
-    """
-    t0 = time.perf_counter()
-    out = run(0, 1)
-    if len(costs) == 1:
-        return out
-    rest = np.cumsum([0, *costs[1:]])  # rest[j]: the cost of levels 1 to j
-    workers = _workers(len(costs) - 1, (time.perf_counter() - t0) * rest[-1] / costs[0])
-    # each group ends at the level boundary nearest to k / workers of the rest's cost
-    cuts = {1 + int(np.abs(rest - rest[-1] * k / workers).argmin()) for k in range(workers + 1)}
-    return out + _run_parts(run, sorted(cuts))
-
-
-def _workers(parts: int, rest_s: float) -> int:
-    """Processes for a call of ``parts`` parts whose rest should take ``rest_s`` seconds on one core.
-
-    min(WORKERS, parts) when the rest takes at least FORK_MIN_S, else 1.
-    Also 1 while another thread runs: a forked child holds a copy of every
-    lock as it was, and Python 3.12+ warns about such a fork.  And 1 in a
-    process that is a worker or has a live one (``_pooled``), so that no
-    more than WORKERS processes compute at once.
-    """
-    threading = sys.modules.get("threading")
-    if rest_s < FORK_MIN_S or _pooled or (threading is not None and threading.active_count() > 1):
-        return 1
-    return min(WORKERS, parts)
+    return np.concatenate(map_parts(run, np.ones(count), min(batch, count)))
 
 
 # True in a process while it has live workers, and in every worker (it is
@@ -246,25 +195,48 @@ def _workers(parts: int, rest_s: float) -> int:
 _pooled = False
 
 
-def _run_parts(run: Callable[[int, int], list], cuts: Sequence[int]) -> list:
-    """run(cuts[k], cuts[k + 1]) over every k, joined in order: the first here, each other in a forked child.
+def map_parts(run: Callable[[int, int], list], costs: Sequence[float], first: int = 1) -> list:
+    """run(0, len(costs)) computed as contiguous groups of parts, joined in part order.
 
-    The package's one fork skeleton.  An exception raised in a child is
-    raised here with its type; when any part raises, the children still
+    run(lo, hi) returns one entry per part in [lo, hi); costs[i] is part i's
+    cost in any unit.  This process runs parts [0, first) and times them.
+    When the rest should take at least ``FORK_MIN_S`` at that pace, no other
+    ``threading`` thread runs (a forked child holds a copy of every lock as
+    it was, and Python 3.12+ warns about such a fork) and this process is
+    neither a worker nor has a live one (``_pooled``), the rest is cut into
+    at most ``WORKERS`` contiguous groups, each ending at the part boundary
+    nearest to k / workers of the rest's cost.  This process runs the first
+    group and forks one child per other group, which inherits what run
+    reads and sends back only its entries.  An exception raised in a child
+    is raised here with its type; when any group raises, the children still
     running are killed and reaped, so no child outlives the call.
     """
     global _pooled
+    # built before the first part runs: built after it, this small array
+    # moved where the next batch array was placed, and tube_support's peak
+    # RSS rose by one batch (16 MB)
+    rest = np.concatenate(([0.0], np.cumsum(costs[first:])))  # rest[j]: the cost of parts first to first + j - 1
+    t0 = time.perf_counter()
+    out = run(0, first)
+    if first == len(costs):
+        return out
+    rest_s = (time.perf_counter() - t0) * rest[-1] / np.sum(costs[:first])
+    threading = sys.modules.get("threading")
+    workers = min(WORKERS, len(costs) - first)
+    if rest_s < FORK_MIN_S or _pooled or (threading is not None and threading.active_count() > 1):
+        workers = 1
+    cuts = sorted({first + int(np.abs(rest - rest[-1] * k / workers).argmin()) for k in range(workers + 1)})
     pending = []
     pooled, _pooled = _pooled, _pooled or len(cuts) > 2
     try:
         for lo, hi in zip(cuts[1:], cuts[2:]):
             pending.append(_fork(run, lo, hi))
-        out = run(cuts[0], cuts[1])
+        out += run(cuts[0], cuts[1])
         while pending:
             out += _join(*pending.pop(0))
     finally:
         _pooled = pooled
-        if pending:  # a part raised: stop and reap the children still running
+        if pending:  # a group raised: stop and reap the children still running
             import signal
             for pid, fd in pending:
                 os.kill(pid, signal.SIGKILL)

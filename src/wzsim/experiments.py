@@ -12,23 +12,17 @@ the batches of ``core.map_batches``, with per-path counter-based streams
 and level in path order, which the estimator reduces in that fixed order
 -- so results do not depend on the batch sizes ``SWEEP_BATCH`` and
 ``EULER_BATCH``, the worker count ``core.WORKERS`` or whether a call
-forked, internal choices that the tests vary.  ``map_batches`` times the
-first batch in the calling process; when the rest would take at least
-``core.FORK_MIN_S`` it splits the other paths into min(WORKERS, batches)
-contiguous shares, runs the first there and forks one child per other
-share.  A rate sweep is one such call: path j uses ``stream.child(j)`` at
-every level, its Brownian sample and Euler reference are computed once, and
-each level's random ODE runs against them (the shared-path coupling of
-multilevel Monte Carlo, Giles 2008).  Its level estimates are therefore
-positively correlated, and its first level equals ``mc_mean_sup_error`` at
-that level on the same stream.  Within a batch the levels run in
-``core.map_levels``, which splits the levels after the first into
-contiguous groups the same way, so a sweep of one batch also runs on every
-core; a worker never forks again, and a process with a live worker forks
-no other.  A stability sweep shares paths across its levels, and splits
-them, the same way; a tube ladder shares them across its targets and
-radii: one Brownian sample and one Euler solve per path serve every
-target.
+forked, internal choices that the tests vary.  A rate sweep is one such
+call: path j uses ``stream.child(j)`` at every level, its Brownian sample
+and Euler reference are computed once, and each level's random ODE runs
+against them (the shared-path coupling of multilevel Monte Carlo, Giles
+2008).  Its level estimates are therefore positively correlated, and its
+first level equals ``mc_mean_sup_error`` at that level on the same stream.
+A stability sweep shares paths across its levels the same way; a tube
+ladder shares them across its targets and radii: one Brownian sample and
+one Euler solve per path serve every target.  The paths, at cost 1, and a
+sweep batch's levels, at their RK4 step count (one Euler solve each in a
+stability sweep), are the parts of ``core.map_parts``.
 
 A path whose value at a level is not finite is aborted at that level: left
 out, counted and reported per level.  The solvers leave an aborted path
@@ -51,7 +45,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeffs import DriftApproxSequence, DriftField, lp_distance
-from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, map_levels, mean_se,
+from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, map_parts, mean_se,
                    sample_brownian_batch, sup_distance_values)
 from .noise import NoiseFamily
 from .registry import zero_drift
@@ -73,7 +67,7 @@ class AbortRateError(RuntimeError):
         self.aborted = aborted
         self.paths = paths
 
-    def __reduce__(self):  # a forked worker sends it pickled (core._run_parts)
+    def __reduce__(self):  # a forked worker sends it pickled (core.map_parts)
         return type(self), (self.aborted, self.paths)
 
 
@@ -256,7 +250,7 @@ def stability_sweep(model: Model, seq: DriftApproxSequence, n_levels: Sequence[i
         def run(lo: int, hi: int) -> list[np.ndarray]:
             return [sup_distance_values(xv, em_batch(b_n, sigma, c, x0, dw, grid.dt)[0]) for b_n in b_ns[lo:hi]]
 
-        return np.column_stack(map_levels(run, [1] * len(b_ns)))  # every level one Euler solve
+        return np.column_stack(map_parts(run, [1] * len(b_ns)))  # every level one Euler solve
 
     sups, aborted = _run_paths(simulate, paths, stream, SWEEP_BATCH)
     levels = [(n, lp_distance(b, b_n, seq.p), *mean_se(v**2)) for n, b_n, v in zip(ns, b_ns, sups)]

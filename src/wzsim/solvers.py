@@ -17,15 +17,12 @@ time, it lays the level-n blocks over the same grid with
 ``noise.block_layout``, steps the random ODE in ``_level_values`` (the one
 Runge-Kutta route over whole noise blocks) and keeps only the sup error per
 path, so a level's arrays are freed before the next level starts.  The
-levels run in ``core.map_levels``: when the first level's time says the
-others take long enough, they are split by RK4 step count into contiguous
-groups, and a forked child, which inherits W and the Euler values, runs
-each group after the first, one level at a time, and sends back only its
-sup errors.  The
-random ODE takes ``m_ode`` steps per noise block (a keyword of
-``coupled_batch``, default ``M_ODE`` = 4, at least 4), however fine the
-reference grid is, and in a coupled run its values at the reference nodes
-come from each step's cubic Hermite interpolant (dense output).  It runs on
+levels are the parts of ``core.map_parts``, at the cost of their RK4 step
+count, so a forked child inherits W and the Euler values.  The random ODE
+takes ``m_ode`` steps per noise block (a keyword of ``coupled_batch``,
+default ``M_ODE`` = 4, at least 4), however fine the reference grid is, and
+in a coupled run its values at the reference nodes come from each step's
+cubic Hermite interpolant (dense output).  It runs on
 a smoothed drift only: ``_require_c1``, the one C^1 check, rejects a drift
 without C^1 metadata or whose central differences on a fixed grid exceed
 its declared slope bound; every ``coupled_batch`` call checks each of its
@@ -56,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
-from .core import (Path, RngStream, TimeGrid, ValidationError, map_levels, sample_brownian_batch,
+from .core import (Path, RngStream, TimeGrid, ValidationError, map_parts, sample_brownian_batch,
                    sup_distance_values)
 from .noise import NoiseFamily, block_layout
 
@@ -313,7 +310,7 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
     block.  The levels are checked (``_check_levels``) before W is sampled on
     the model's grid and the Euler reference solved once, path i from
     stream.child(i); then each level in turn lays out its blocks over the
-    same W, steps its ODE and keeps one sup error per path (``core.map_levels``,
+    same W, steps its ODE and keeps one sup error per path (``core.map_parts``,
     which may run groups of levels in forked children).  Returns the sup
     errors (count, L): NaN at every level where the SDE aborted, and at one
     level where that level's ODE did.
@@ -327,4 +324,4 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
         return [sup_distance_values(xv, _level_values(model, b_n, family, w, n, layout, m_ode))
                 for (n, b_n), layout in zip(levels[lo:hi], layouts[lo:hi])]
 
-    return np.column_stack(map_levels(run, [blocks * m_ode for blocks, _ in layouts]))
+    return np.column_stack(map_parts(run, [blocks * m_ode for blocks, _ in layouts]))

@@ -1,4 +1,4 @@
-"""core.map_batches and core.map_levels on several workers: the same bytes, exceptions with their type,
+"""core.map_parts, for paths and levels, on several workers: the same bytes, exceptions with their type,
 no child left, no worker that forks."""
 
 import io
@@ -261,18 +261,32 @@ def test_an_exception_in_the_parents_levels_stops_the_child_at_once(monkeypatch,
     _no_child_left()
 
 
-def test_equal_levels_split_into_one_group_per_worker(monkeypatch):
-    _pool(monkeypatch, 3)
-    parent, ran = os.getpid(), []
+@pytest.mark.parametrize("costs,first,workers,calls", [
+    # paths: unit costs after a first batch of 10
+    ([1] * 40, 10, 2, [(0, 10, True), (10, 25, True), (25, 40, False)]),
+    ([1] * 40, 10, 3, [(0, 10, True), (10, 20, True), (20, 30, False), (30, 40, False)]),
+    # levels at their RK4 step counts: 16 + 32 here against 64 in a child
+    ([8, 16, 32, 64], 1, 2, [(0, 1, True), (1, 3, True), (3, 4, False)]),
+    ([8, 16, 32, 64], 1, 3, [(0, 1, True), (1, 3, True), (3, 4, False)]),
+    # more workers than levels left: the cut aims at thirds, not quarters
+    ([8, 16, 32, 64], 1, 4, [(0, 1, True), (1, 3, True), (3, 4, False)]),
+    # fewer parts left than workers: one group per part
+    ([1] * 3, 1, 3, [(0, 1, True), (1, 2, True), (2, 3, False)]),
+    # nothing left after the first parts: no fork
+    ([1] * 10, 10, 3, [(0, 10, True)]),
+])
+def test_the_rest_is_cut_at_the_boundaries_nearest_equal_cost(monkeypatch, costs, first, workers, calls):
+    _pool(monkeypatch, workers)
+    if all(here for _, _, here in calls):
+        monkeypatch.setattr(core, "_fork", _refuse_to_fork)
+    parent = os.getpid()
 
     def run(lo, hi):
-        ran.append((lo, hi))
-        return [(lv, os.getpid() == parent) for lv in range(lo, hi)]
+        return [(i, lo, hi, os.getpid() == parent) for i in range(lo, hi)]
 
-    out = core.map_levels(run, [1] * 7)
-    assert [lv for lv, _ in out] == list(range(7))
-    assert [lv for lv, here in out if here] == [0, 1, 2]
-    assert ran == [(0, 1), (1, 3)]
+    out = core.map_parts(run, costs, first)
+    assert [i for i, *_ in out] == list(range(len(costs)))
+    assert sorted({(lo, hi, here) for _, lo, hi, here in out}) == calls
     _no_child_left()
 
 

@@ -230,7 +230,6 @@ def _build_model(cfg: RunConfig) -> Model:
     if spar.setdefault("d", d) != d:
         raise ValidationError(f"parameter 'd' of '{sname}': {spar['d']:g} differs from "
                               f"the command's dimension {d}")
-    spar["d"] = d
     sigma = get_diffusion(sname, **spar)
     if not math.isfinite(sigma.ellipticity):
         raise ValidationError(

@@ -190,7 +190,6 @@ def lp_distance(b1: DriftField, b2: DriftField, p: float) -> float:
 def indicator_drift() -> DriftField:
     """b(x) = 1 on [0, 1], 0 elsewhere (d = 1); unit L^p norm for every p."""
     def fn(x):
-        x = np.asarray(x, dtype=float)
         return ((x >= 0.0) & (x <= 1.0)).astype(float)
 
     return DriftField(dim=1, fn=fn, support_radius=2.0, name="indicator01")
@@ -211,7 +210,6 @@ def ramp_approximation(chi: float) -> DriftField:
         raise ValidationError(f"chi = {c} must be positive and finite")
 
     def fn(x, h=c / 2.0, k=(c + 2.0) / 2.0):
-        x = np.asarray(x, dtype=float)
         t = x * h
         out = k - t
         np.copyto(out, np.minimum(np.add(t, 1.0, out=t), 1.0, out=t), where=x <= 1.0)
@@ -237,7 +235,6 @@ def mollified_indicator(kappa: float) -> DriftField:
     s = math.sqrt(kappa / 2.0)
 
     def fn(x, s=s):
-        x = np.asarray(x, dtype=float)
         return 0.5 * (erf(x * s) - erf((x - 1.0) * s))
 
     xs = np.linspace(-4.0 / s - 1.0, 1.0, 1 << 13)  # |b_n'| is symmetric about 1/2

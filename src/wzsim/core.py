@@ -11,9 +11,11 @@ types defined here:
   ``sample_brownian_batch`` re-keys one Philox generator per call to each
   path's fresh stream state (key (master_seed, stream_id + i), counter 0).
 
-``map_parts`` is the package's one split of a Monte Carlo call: the paths
-of a run (``map_batches``) and the levels of a sweep's batch are its
-parts, each with a cost.  It runs the first parts in the calling process
+``map_parts`` is the package's one split of a Monte Carlo call, and only
+this module calls it: its parts are the paths of a run (``map_batches``,
+cost 1 each) or the columns of a batch's comparison (``sup_columns``), a
+sweep's levels at their solver cost or a tube's targets at cost 1, one
+part's values alive at a time.  It runs the first parts in this process
 and times them; when the rest would take at least ``FORK_MIN_S`` seconds
 at that pace, it cuts the rest into at most ``WORKERS`` contiguous groups
 of about equal cost and forks (``os.fork``) one child per group after the
@@ -22,7 +24,7 @@ and a process with a live worker forks no other, so no more than
 ``WORKERS`` processes compute at once.  ``WORKERS`` is the number of cores
 this process may run on, capped by its cgroup's CPU quota; both are
 internal constants that the tests vary.  Values are joined in part order,
-path i draws only from stream.child(i) and a level's values depend only on
+path i draws only from stream.child(i) and a part's values depend only on
 its own inputs, so not one byte of a result depends on the batch size, the
 worker count or whether the call forked.
 """
@@ -292,6 +294,19 @@ def _join(pid: int, fd: int) -> list:
     if not ok:
         raise value
     return value
+
+
+def sup_columns(ref: np.ndarray, part: Callable[[int], np.ndarray], costs: Sequence[float]) -> np.ndarray:
+    """The sup distances (paths, parts) of ref from part(j) for j < len(costs), parts of ``map_parts``.
+
+    The package's one comparison loop: part j (a sweep's level, a tube's
+    target) costs costs[j] and gives paths that broadcast against ref; its
+    values are freed once its column is taken, so one is alive at a time.
+    """
+    def run(lo: int, hi: int) -> list[np.ndarray]:
+        return [sup_distance_values(ref, part(j)) for j in range(lo, hi)]
+
+    return np.column_stack(map_parts(run, costs))
 
 
 def sup_distance_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

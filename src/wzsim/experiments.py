@@ -20,9 +20,9 @@ against them (the shared-path coupling of multilevel Monte Carlo, Giles
 first level equals ``mc_mean_sup_error`` at that level on the same stream.
 A stability sweep shares paths across its levels the same way; a tube
 ladder shares them across its targets and radii: one Brownian sample and
-one Euler solve per path serve every target.  The paths, at cost 1, and a
-sweep batch's levels, at their RK4 step count (one Euler solve each in a
-stability sweep), are the parts of ``core.map_parts``.
+one Euler solve per path serve every target.  A batch's levels, at their
+RK4 step count (one Euler solve each in a stability sweep), and a tube's
+targets, at cost 1, are the parts of ``core.sup_columns``.
 
 A path whose value at a level is not finite is aborted at that level: left
 out, counted and reported per level.  The solvers leave an aborted path
@@ -45,8 +45,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .coeffs import DriftApproxSequence, DriftField, lp_distance
-from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, map_parts, mean_se,
-                   sample_brownian_batch, sup_distance_values)
+from .core import (Path, RngStream, TimeGrid, ValidationError, map_batches, mean_se, sample_brownian_batch,
+                   sup_columns)
 from .noise import NoiseFamily
 from .registry import zero_drift
 from .solvers import M_ODE, Model, _check_levels, coupled_batch, em_batch
@@ -246,11 +246,7 @@ def stability_sweep(model: Model, seq: DriftApproxSequence, n_levels: Sequence[i
     def simulate(s: RngStream, m: int):
         dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
         xv, _ = em_batch(b, sigma, c, x0, dw, grid.dt)
-
-        def run(lo: int, hi: int) -> list[np.ndarray]:
-            return [sup_distance_values(xv, em_batch(b_n, sigma, c, x0, dw, grid.dt)[0]) for b_n in b_ns[lo:hi]]
-
-        return np.column_stack(map_parts(run, [1] * len(b_ns)))  # every level one Euler solve
+        return sup_columns(xv, lambda j: em_batch(b_ns[j], sigma, c, x0, dw, grid.dt)[0], [1] * len(b_ns))
 
     sups, aborted = _run_paths(simulate, paths, stream, SWEEP_BATCH)
     levels = [(n, lp_distance(b, b_n, seq.p), *mean_se(v**2)) for n, b_n, v in zip(ns, b_ns, sups)]
@@ -297,8 +293,8 @@ def _tube_sups(model: Model, targets: Sequence[Path], paths: int,
     """Per target, the sup distances of the paths that did not abort, and the abort count.
 
     Each batch samples W and runs ``em_batch`` once; every target's sup
-    distance is taken from those paths, one target at a time, and an Euler
-    abort counts against every target.
+    distance is taken from those paths (``core.sup_columns``, cost 1 per
+    target), and an Euler abort counts against every target.
     """
     if not targets:
         raise ValidationError("need at least one target")
@@ -314,9 +310,9 @@ def _tube_sups(model: Model, targets: Sequence[Path], paths: int,
             raise ValidationError("target path must start at x0")
 
     def simulate(s: RngStream, m: int):
-        dw = np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1)
-        xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, dw, grid.dt)
-        return np.column_stack([sup_distance_values(xv, t.values) for t in targets])
+        xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0,
+                         np.diff(sample_brownian_batch(grid, model.dim, s, m), axis=1), grid.dt)
+        return sup_columns(xv, lambda j: targets[j].values, [1] * len(targets))
 
     return _run_paths(simulate, paths, stream, EULER_BATCH)
 
@@ -371,8 +367,7 @@ def _driftless_weights(model: Model, stream: RngStream, count: int) -> tuple[np.
     b, sigma, grid, d = model.drift, model.sigma, model.grid, model.dim
     if sigma.scalar is None:
         raise ValidationError("girsanov weights support diagonal diffusion fields with scalar forms only")
-    w = sample_brownian_batch(grid, d, stream, count)
-    dw = np.diff(w, axis=1)
+    dw = np.diff(sample_brownian_batch(grid, d, stream, count), axis=1)
     yv, _ = em_batch(zero_drift(d), sigma, model.correction, model.x0, dw, grid.dt)
     y = yv[:, :-1, :]
     m, steps, _ = y.shape

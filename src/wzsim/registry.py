@@ -66,7 +66,6 @@ def gaussian_bump_drift(amp: float = 1.0, width: float = 1.0) -> DriftField:
                               f"got {amp}, {width}")
 
     def fn(x, a=amp, w=width):
-        x = np.asarray(x, dtype=float)
         return a * np.exp(-(x * x) / (2.0 * w * w))
 
     def norm(p, a=amp, w=width):
@@ -86,7 +85,6 @@ def sin_bump_drift(radius: float = 5.0) -> DriftField:
         raise ValidationError(f"radius = {radius} must be positive and finite")
 
     def fn(x, r=radius):
-        x = np.asarray(x, dtype=float)
         u = x / r
         out = np.zeros_like(x)
         inside = np.abs(u) < 1.0

@@ -12,13 +12,10 @@ increments on the reference grid, the Runge-Kutta route consumes the time
 derivative of the smoothed path built from the same Brownian sample, with
 steps aligned so every kink of the smoothed path is a step boundary.  A
 coupled batch samples W and solves the corrected Euler SDE once per path,
-whatever the number of levels n it is asked for; then, one level at a
-time, it lays the level-n blocks over the same grid with
-``noise.block_layout``, steps the random ODE in ``_level_values`` (the one
-Runge-Kutta route over whole noise blocks) and keeps only the sup error per
-path, so a level's arrays are freed before the next level starts.  The
-levels are the parts of ``core.map_parts``, at the cost of their RK4 step
-count, so a forked child inherits W and the Euler values.  The random ODE
+whatever the number of levels n it is asked for; each level, a part of
+``core.sup_columns`` at its RK4 step count, lays its blocks over the same
+grid (``noise.block_layout``) and steps the random ODE in ``_level_values``
+(the one Runge-Kutta route over whole noise blocks).  The random ODE
 takes ``m_ode`` steps per noise block (a keyword of ``coupled_batch``,
 default ``M_ODE`` = 4, at least 4), however fine the reference grid is, and
 in a coupled run its values at the reference nodes come from each step's
@@ -53,8 +50,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeffs import CorrectionMatrix, DiffusionField, DriftField, correction_drift_batch, mid_grid
-from .core import (Path, RngStream, TimeGrid, ValidationError, map_parts, sample_brownian_batch,
-                   sup_distance_values)
+from .core import Path, RngStream, TimeGrid, ValidationError, sample_brownian_batch, sup_columns
 from .noise import NoiseFamily, block_layout
 
 OVERFLOW_LIMIT = 1e12
@@ -271,12 +267,14 @@ def _require_c1(b_n: DriftField) -> None:
 
 def _check_levels(model: Model, family: NoiseFamily, levels: Sequence[tuple[int, DriftField]],
                   m_ode: int) -> list[tuple[int, int]]:
-    """Each level's (blocks, msub) over the model's grid, once m_ode >= 4 and every
-    level's b_n has passed the ``Model`` check in the model's drift's place and
-    ``_require_c1``.
+    """Each level's (blocks, msub) over the model's grid, once there is a level, m_ode >= 4
+    and every level's b_n has passed the ``Model`` check in the model's drift's place
+    and ``_require_c1``.
 
     levels: (n, b_n) pairs.  Callers run this before the first path is drawn.
     """
+    if not levels:
+        raise ValidationError("need at least one level")
     if m_ode < 4:
         raise ValidationError(f"need m_ode >= 4, got {m_ode}")
     for _, b_n in levels:
@@ -309,19 +307,16 @@ def coupled_batch(model: Model, family: NoiseFamily, levels: Sequence[tuple[int,
     levels: (n, b_n) pairs; the random ODE takes m_ode RK4 steps per noise
     block.  The levels are checked (``_check_levels``) before W is sampled on
     the model's grid and the Euler reference solved once, path i from
-    stream.child(i); then each level in turn lays out its blocks over the
-    same W, steps its ODE and keeps one sup error per path (``core.map_parts``,
-    which may run groups of levels in forked children).  Returns the sup
-    errors (count, L): NaN at every level where the SDE aborted, and at one
-    level where that level's ODE did.
+    stream.child(i); then each level lays out its blocks over the same W,
+    steps its ODE and keeps one sup error per path (``core.sup_columns``,
+    which may fork).  Returns the sup errors (count, L): NaN at every level
+    where the SDE aborted, and at one level where that level's ODE did.
     """
     layouts = _check_levels(model, family, levels, m_ode)
-    grid = model.grid
-    w = sample_brownian_batch(grid, model.dim, stream, count)
-    xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), grid.dt)
+    w = sample_brownian_batch(model.grid, model.dim, stream, count)
+    xv, _ = em_batch(model.drift, model.sigma, model.correction, model.x0, np.diff(w, axis=1), model.grid.dt)
 
-    def run(lo: int, hi: int) -> list[np.ndarray]:  # one level's values alive at a time
-        return [sup_distance_values(xv, _level_values(model, b_n, family, w, n, layout, m_ode))
-                for (n, b_n), layout in zip(levels[lo:hi], layouts[lo:hi])]
+    def level(j: int) -> np.ndarray:
+        return _level_values(model, levels[j][1], family, w, levels[j][0], layouts[j], m_ode)
 
-    return np.column_stack(map_parts(run, [blocks * m_ode for blocks, _ in layouts]))
+    return sup_columns(xv, level, [blocks * m_ode for blocks, _ in layouts])

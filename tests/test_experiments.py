@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -603,3 +604,34 @@ def test_girsanov_stderr_scaling_on_doubled_paths():
     small = girsanov_mean(m, 1500, RngStream(20, 0))
     big = girsanov_mean(m, 3000, RngStream(20, 0))
     assert 0.6 <= big.stderr / small.stderr <= 0.85
+
+
+# ---------------------------------------------------------------------------
+# memory of one batch
+# ---------------------------------------------------------------------------
+
+# n_ref, one batch of 512 paths on the model of the indicator, and the most
+# it may hold at once, in arrays of 512 x (n_ref + 1) doubles
+BATCH_PEAKS = {
+    # the Euler paths and one target's squared distances: the increments
+    # are freed once the Euler solve has read them
+    "tube_sups": (2048, lambda m: experiments._tube_sups(
+        m, [make_target(kind, m.grid, 0.0) for kind in ("const", "line", "sine")], 512, RngStream(22, 0)), 2.5),
+    # the Brownian values are freed once their increments are taken
+    "girsanov_mean": (1024, lambda m: girsanov_mean(m, 512, RngStream(23, 0)), 6.5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_PEAKS))
+def test_one_batch_frees_what_it_no_longer_reads(monkeypatch, case):
+    n_ref, run, most = BATCH_PEAKS[case]
+    m = _model(indicator_drift(), n_ref=n_ref)
+    monkeypatch.setattr(core, "WORKERS", 1)  # every array in this process, where tracemalloc sees it
+    run(m)  # lazy imports and caches
+    tracemalloc.start()
+    try:
+        run(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (512 * (n_ref + 1) * 8) <= most

@@ -92,8 +92,8 @@ def _lp_norm_without_root(monkeypatch):
 
 def _stability_on_independent_increments(monkeypatch):
     """The stability sweep's b_n copy of each path runs on the next path's increments."""
-    _edited(monkeypatch, experiments, "stability_sweep", "em_batch(b_n, sigma, c, x0, dw, grid.dt)",
-            "em_batch(b_n, sigma, c, x0, np.roll(dw, 1, axis=0), grid.dt)")
+    _edited(monkeypatch, experiments, "stability_sweep", "em_batch(b_ns[j], sigma, c, x0, dw, grid.dt)",
+            "em_batch(b_ns[j], sigma, c, x0, np.roll(dw, 1, axis=0), grid.dt)")
     # criterion 09 calls the name it imported
     monkeypatch.setattr(test_acceptance, "stability_sweep", experiments.stability_sweep)
 

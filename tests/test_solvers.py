@@ -459,13 +459,17 @@ COUPLED_BAD_DRIFT_CALLS = {
 }
 
 
-@pytest.mark.parametrize("call", sorted(COUPLED_BAD_DRIFT_CALLS))
-def test_coupled_routes_reject_a_drift_without_c1_metadata_before_sampling(monkeypatch, call):
+def _refuse_paths(monkeypatch):
     def unreachable(*args, **kwargs):
-        raise AssertionError("a path was simulated before the drift was checked")
+        raise AssertionError("a path was simulated before the levels were checked")
 
     for name in ("sample_brownian_batch", "em_batch", "rk4_batch"):
         monkeypatch.setattr(solvers, name, unreachable)
+
+
+@pytest.mark.parametrize("call", sorted(COUPLED_BAD_DRIFT_CALLS))
+def test_coupled_routes_reject_a_drift_without_c1_metadata_before_sampling(monkeypatch, call):
+    _refuse_paths(monkeypatch)
     with pytest.raises(ValidationError, match="C\\^1"):
         COUPLED_BAD_DRIFT_CALLS[call]()
 
@@ -474,6 +478,12 @@ def test_coupled_rejects_incompatible_n_ref():
     model = Model(zero_drift(), const_diffusion(1.0), HALF, 0.0, make_grid(1.0, 1000))
     with pytest.raises(ValidationError):
         coupled_batch(model, LIN, [(16, zero_drift())], RngStream(8, 0), 1)
+
+
+def test_coupled_rejects_an_empty_level_list_before_sampling(monkeypatch):
+    _refuse_paths(monkeypatch)
+    with pytest.raises(ValidationError, match="at least one level"):
+        coupled_batch(SINGULAR, LIN, [], RngStream(8, 0), 4)
 
 
 # one part of each model disagrees with the d = 1 sigma
